@@ -8,23 +8,20 @@ the estimator's variance bounds and convergence rate as executable
 properties.
 """
 
-from .core import (DimensionMismatch, RandomSource, SparseFeatures, axpy,
-                   dot, draw_index, sq_norm)
+from .core import DimensionMismatch, RandomSource, SparseFeatures, sq_norm
 from .dataio import (Dataset, LibsvmFormatError, TraceRecord, flip_labels,
                      parse_libsvm, read_trace, split, write_libsvm,
                      write_trace)
 from .losses import (ALL_ERM_LOSSES, SIGMOID_SCALE, LossEval, LossKind,
                      eval_loss, loss_smoothness)
 from .objectives import (ErmObjective, FiniteSumObjective, QuadraticObjective,
-                         SnapshotCache, TwoLayerNet, build_snapshot,
-                         erm_component, erm_smoothness, full_value_and_gradient,
-                         make_synthetic, net_component)
+                         SnapshotCache, TwoLayerNet, make_synthetic)
 from .optim import (AdaGradRate, AdaGradState, ConstantRate, DivergenceError,
                     PolynomialRate, RunResult, SvrgSchedule, adagrad_step,
                     beta_weights, default_svrg_params, draw_epoch_stop,
-                    epoch_end_weights, gd_run, grad_dominated_drive,
-                    parse_rate, sgd_run, svrg_estimator, svrg_full_run,
-                    svrg_simple_run)
+                    epoch_end_weights, epochs_for_passes, gd_run,
+                    grad_dominated_drive, parse_rate, sgd_run,
+                    svrg_estimator, svrg_full_run, svrg_simple_run)
 from .verify import (FdConfig, SlopeFit, epoch_variance_aggregate,
                      exact_variance, fd_gradient, fit_rate_slope,
                      smoothness_probe)

@@ -36,16 +36,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RandomSource, sq_norm
+from .core import RandomSource, SparseFeatures, sq_norm
 from .dataio import (Dataset, LibsvmFormatError, flip_labels, parse_libsvm,
                      split, write_libsvm, write_trace)
 from .losses import ALL_ERM_LOSSES, LossKind
 from .objectives import ErmObjective, TwoLayerNet, make_synthetic
 from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     PolynomialRate, RunResult, beta_weights,
-                    default_svrg_params, epoch_end_weights, gd_run,
-                    parse_rate, sgd_run, svrg_estimator, svrg_full_run,
-                    svrg_simple_run)
+                    default_svrg_params, epoch_end_weights,
+                    epochs_for_passes, gd_run, parse_rate, sgd_run,
+                    svrg_estimator, svrg_full_run, svrg_simple_run)
 from .verify import (epoch_variance_aggregate, exact_variance, fd_gradient,
                      smoothness_probe)
 
@@ -109,6 +109,11 @@ class RunConfig:
             raise ConfigError(f"unknown accounting mode {self.accounting!r}")
         if self.flip_fraction and not 0 <= self.flip_fraction <= 1:
             raise ConfigError("flip_fraction must be in [0,1]")
+        for key in ("m0", "eta", "steps", "epochs", "iterations", "passes",
+                    "batch_size", "eval_every"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
         if self.batch_size is None:
             self.batch_size = 16 if self.optimizer == "svrg4" else 100
 
@@ -172,13 +177,15 @@ def load_config(args) -> tuple[RunConfig, dict]:
 
 
 def _parse_m(expr, n: int, b: int) -> int:
-    """m may be an int or one of the expressions 'n', '2n', '5n/b', ..."""
+    """m is a positive int or an expression 'n', '2n', '5n/b', ..."""
     if expr is None:
         return n
     if isinstance(expr, (int, float)):
-        return int(expr)
+        expr = int(expr)
     text = str(expr).strip()
     if text.isdigit():
+        if int(text) < 1:
+            raise ConfigError(f"m must be positive, got {expr!r}")
         return int(text)
     match = re.fullmatch(r"(\d*)n(/b)?", text)
     if not match:
@@ -228,16 +235,18 @@ def run_configured(cfg: RunConfig) -> tuple[RunResult, dict]:
     x0 = np.zeros(obj.dim)
 
     if cfg.optimizer == "gd":
-        steps = cfg.steps or cfg.epochs or (round(cfg.passes) if cfg.passes
-                                            else None)
+        steps = cfg.steps if cfg.steps is not None else cfg.epochs
+        if steps is None and cfg.passes is not None:
+            steps = round(cfg.passes)
         if not steps:
             raise ConfigError("gd needs steps/epochs/passes")
         L = _objective_smoothness(cfg, obj, rng)
-        meta["step"] = cfg.eta or 1.0 / L
+        meta["step"] = cfg.eta if cfg.eta is not None else 1.0 / L
         result = gd_run(obj, x0, steps, step=cfg.eta)
     elif cfg.optimizer == "sgd":
-        iters = cfg.iterations or (round(cfg.passes * n / b) if cfg.passes
-                                   else None)
+        iters = cfg.iterations
+        if iters is None and cfg.passes is not None:
+            iters = round(cfg.passes * n / b)
         if not iters:
             raise ConfigError("sgd needs iterations or passes")
         if lr is None:
@@ -254,11 +263,11 @@ def run_configured(cfg: RunConfig) -> tuple[RunResult, dict]:
                                        eta_override=cfg.eta)
         meta.update(m=schedule.m, m0=schedule.m0, d_sub=schedule.d_sub,
                     eta=schedule.eta, theory_ok=schedule.theory_ok)
-        per_epoch = 1.0 + schedule.m * b / n * (
-            2.0 if cfg.accounting == "recompute" else 1.0)
-        epochs = cfg.epochs or (max(1, int(cfg.passes // per_epoch))
-                                if cfg.passes else None)
-        if not epochs:
+        epochs = cfg.epochs
+        if epochs is None and cfg.passes is not None:
+            epochs = epochs_for_passes(obj, cfg.passes, schedule.m, b,
+                                       cfg.accounting)
+        if epochs is None:
             raise ConfigError("svrg needs epochs or passes")
         meta["epochs"] = epochs
         if cfg.optimizer in ("svrg3", "svrg4"):
@@ -314,11 +323,7 @@ class TuneCell:
 
 def _run_cell(payload: dict) -> dict:
     """Worker for one grid cell; payload is picklable."""
-    ds_args = payload["data"]
-    ds = parse_libsvm(ds_args["path"])
-    if ds_args.get("rows") is not None:
-        ds = ds.subset(np.asarray(ds_args["rows"]))
-    obj = ErmObjective(ds, LossKind.parse(payload["loss"]),
+    obj = ErmObjective(payload["data"], LossKind.parse(payload["loss"]),
                        lam=payload["lam"])
     beta = payload["beta"]
     if beta is None or beta == 0.0:
@@ -336,8 +341,7 @@ def _run_cell(payload: dict) -> dict:
         else:
             sched = default_svrg_params(n, obj.smoothness,
                                         m_override=payload["m"])
-            per_epoch = 1.0 + sched.m * b / n
-            epochs = max(1, int(payload["passes"] // per_epoch))
+            epochs = epochs_for_passes(obj, payload["passes"], sched.m, b)
             runner = (svrg_simple_run if payload["optimizer"] == "svrg1"
                       else svrg_full_run)
             result = runner(obj, x0, sched, epochs, b, rng, lr=lr)
@@ -388,9 +392,8 @@ def cmd_tune(args) -> int:
     if cfg.flip_fraction:
         # Flips hit the full training pool before the split.
         full = flip_labels(full, cfg.flip_fraction, rng.fork(7))
-    train_fraction = tune.get("train_fraction", 0.8)
-    train_rows, val_rows = _split_rows(len(full), train_fraction, rng.fork(0))
-    train = full.subset(train_rows)
+    train, validation = _split(full, tune.get("train_fraction", 0.8),
+                               rng.fork(0))
     passes = tune.get("passes", 50.0)
     b = min(cfg.batch_size, len(train))
 
@@ -412,8 +415,7 @@ def cmd_tune(args) -> int:
                 cells.append(TuneCell(cell_id, lam, alpha, beta))
                 payloads.append({
                     "cell_id": cell_id,
-                    "data": {"path": str(cfg.dataset),
-                             "rows": train_rows.tolist()},
+                    "data": train,
                     "loss": cfg.loss, "lam": lam, "alpha": alpha,
                     "beta": beta, "optimizer": cfg.optimizer,
                     "batch_size": b, "passes": passes, "m": m,
@@ -441,7 +443,6 @@ def cmd_tune(args) -> int:
     if all(c.diverged for c in cells):
         raise AllDivergedError("every tuning cell diverged")
 
-    validation = full.subset(val_rows)
     winners = select_step_winners(cells)
     for lam in sorted(winners):
         cell = winners[lam]
@@ -478,13 +479,13 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _split_rows(n: int, train_fraction: float, rng: RandomSource,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    from .dataio import round_half_up
-
-    n_train = min(max(round_half_up(train_fraction * n), 1), n - 1)
-    perm = rng.permutation(n)
-    return perm[:n_train], perm[n_train:]
+def _split(ds: Dataset, train_fraction: float, rng: RandomSource,
+           ) -> tuple[Dataset, Dataset]:
+    """dataio.split with its input checks reported as config errors."""
+    try:
+        return split(ds, train_fraction, rng)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +602,7 @@ def run_verification(seed: int = 0, fault: str | None = None,
                         / (1.0 + np.sqrt(sq_norm(grad))))
     record("gradient-fd-erm", worst <= 1e-5, f"max rel err {worst:.2e}")
 
-    ds = Dataset([(list(zip(range(1, 4), rng.normals(3))), 1 + (i % 2))
+    ds = Dataset([(SparseFeatures(range(1, 4), rng.normals(3)), 1 + (i % 2))
                   for i in range(6)], binary=False)
     net = TwoLayerNet(ds, hidden_dim=4, class_count=2, lam=1e-2)
     worst = 0.0
@@ -649,7 +650,7 @@ def cmd_flip(args) -> int:
 
 def cmd_split(args) -> int:
     ds = parse_libsvm(args.dataset)
-    train, val = split(ds, args.train_fraction, RandomSource(args.seed or 0))
+    train, val = _split(ds, args.train_fraction, RandomSource(args.seed or 0))
     write_libsvm(train, args.out_train)
     write_libsvm(val, args.out_validation)
     print(f"wrote {args.out_train} ({len(train)}) and "
@@ -661,12 +662,10 @@ def cmd_synth(args) -> int:
     if not args.out:
         raise ConfigError("synth needs --out")
     obj = make_synthetic(args.n, args.d, args.seed or 0)
-    examples = []
-    for i in range(obj.n):
-        pairs = [(j + 1, float(v)) for j, v in enumerate(obj._dense[i])
-                 if v != 0.0]
-        examples.append((pairs, int(obj.labels[i])))
-    write_libsvm(Dataset(examples, dim=obj.dim), args.out)
+    rows, cols = np.nonzero(obj._dense)
+    indptr = np.searchsorted(rows, np.arange(obj.n + 1))
+    write_libsvm(Dataset.from_csr(indptr, cols, obj._dense[rows, cols],
+                                  obj.labels, dim=obj.dim), args.out)
     print(f"wrote {args.out} ({obj.n} examples, dim {obj.dim})")
     return 0
 

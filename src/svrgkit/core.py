@@ -18,18 +18,6 @@ class DimensionMismatch(ValueError):
     """Operands disagree on the coordinate dimension."""
 
 
-def as_vector(values, dim: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a finite 1-D float64 array, validating its length."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
-    return v
-
-
 def zeros(dim: int) -> np.ndarray:
     return np.zeros(int(dim), dtype=np.float64)
 
@@ -61,19 +49,11 @@ class SparseFeatures:
         # The single 1-based -> 0-based conversion point.
         self.idx0 = idx - 1
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "SparseFeatures":
-        pairs = list(pairs)
-        return cls([i for i, _ in pairs], [v for _, v in pairs])
-
     def pairs(self) -> list[tuple[int, float]]:
         return list(zip(self.indices.tolist(), self.values.tolist()))
 
     def max_index(self) -> int:
         return int(self.indices[-1]) if self.indices.size else 0
-
-    def norm_sq(self) -> float:
-        return float(np.dot(self.values, self.values))
 
     def to_dense(self, dim: int) -> np.ndarray:
         if self.max_index() > dim:
@@ -90,40 +70,8 @@ class SparseFeatures:
         return f"SparseFeatures({self.pairs()!r})"
 
 
-def dot(u, v: np.ndarray) -> float:
-    """Inner product <u, v> for a dense or sparse left operand."""
-    if isinstance(u, SparseFeatures):
-        if u.max_index() > v.shape[0]:
-            raise DimensionMismatch(
-                f"sparse index {u.max_index()} exceeds dimension {v.shape[0]}")
-        return float(np.dot(u.values, v[u.idx0]))
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shapes {u.shape} and {v.shape} differ")
-    return float(np.dot(u, v))
-
-
-def axpy(alpha: float, u, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Return v + alpha*u; writes into ``out`` (may alias v) when given."""
-    if out is None:
-        out = v.copy()
-    elif out is not v:
-        np.copyto(out, v)
-    if isinstance(u, SparseFeatures):
-        if u.max_index() > v.shape[0]:
-            raise DimensionMismatch(
-                f"sparse index {u.max_index()} exceeds dimension {v.shape[0]}")
-        out[u.idx0] += alpha * u.values
-        return out
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shapes {u.shape} and {v.shape} differ")
-    out += alpha * u
-    return out
-
-
 def sq_norm(v: np.ndarray) -> float:
-    """Squared Euclidean norm; equals dot(v, v) exactly."""
+    """Squared Euclidean norm."""
     return float(np.dot(v, v))
 
 
@@ -185,7 +133,3 @@ class RandomSource:
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"
 
-
-def draw_index(rng: RandomSource, n: int) -> int:
-    """Uniform 1-based index in {1..n}, advancing ``rng`` deterministically."""
-    return rng.draw_index(n)

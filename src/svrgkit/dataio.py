@@ -8,6 +8,7 @@ Floats are written with ``repr`` so a round trip through text is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -50,33 +51,35 @@ class Dataset:
     """
 
     def __init__(self, examples, dim: int | None = None, binary: bool = True):
+        """Dataset from (SparseFeatures, label) pairs."""
         examples = list(examples)
-        indptr = [0]
-        idx_parts, val_parts, labels = [], [], []
-        max_idx = 0
-        for feats, label in examples:
-            if not isinstance(feats, SparseFeatures):
-                feats = SparseFeatures.from_pairs(feats)
-            idx_parts.append(feats.idx0)
-            val_parts.append(feats.values)
-            indptr.append(indptr[-1] + len(feats))
-            max_idx = max(max_idx, feats.max_index())
-            labels.append(int(label))
+        rows = [feats for feats, _ in examples]
+        self._set(np.cumsum([0] + [len(f) for f in rows]),
+                  np.concatenate([np.empty(0, dtype=np.int64)]
+                                 + [f.idx0 for f in rows]),
+                  np.concatenate([np.empty(0)] + [f.values for f in rows]),
+                  [int(label) for _, label in examples], dim, binary)
+
+    @classmethod
+    def from_csr(cls, indptr, col_idx, val, labels, dim: int | None = None,
+                 binary: bool = True) -> "Dataset":
+        """Dataset over CSR arrays: 0-based columns, no explicit zeros."""
+        ds = cls.__new__(cls)
+        ds._set(indptr, col_idx, val, labels, dim, binary)
+        return ds
+
+    def _set(self, indptr, col_idx, val, labels, dim, binary):
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.col_idx = (np.concatenate(idx_parts) if idx_parts
-                        else np.empty(0, dtype=np.int64))
-        self.val = (np.concatenate(val_parts) if val_parts
-                    else np.empty(0, dtype=np.float64))
+        self.col_idx = np.asarray(col_idx, dtype=np.int64)
+        self.val = np.asarray(val, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.binary = bool(binary)
+        max_idx = int(self.col_idx.max()) + 1 if self.col_idx.size else 0
         if dim is None:
             dim = max_idx
         elif dim < max_idx:
             raise ValueError(f"dim {dim} below max feature index {max_idx}")
         self.dim = int(dim)
-        self._check_labels()
-
-    def _check_labels(self):
         if self.binary:
             if not np.all(np.isin(self.labels, (-1, 1))):
                 raise ValueError("binary dataset labels must be in {-1,+1}")
@@ -85,10 +88,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.labels.size)
-
-    @property
-    def n(self) -> int:
-        return len(self)
 
     def features(self, i: int) -> SparseFeatures:
         """1-based example index -> that example's SparseFeatures."""
@@ -100,19 +99,18 @@ class Dataset:
 
     def subset(self, rows0: np.ndarray) -> "Dataset":
         """New dataset from 0-based row positions, preserving dim/mode."""
-        return Dataset(
-            [(self.features(int(r) + 1), int(self.labels[r])) for r in rows0],
-            dim=self.dim, binary=self.binary)
+        rows0 = np.asarray(rows0, dtype=np.int64)
+        starts = self.indptr[rows0]
+        lengths = self.indptr[rows0 + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return Dataset.from_csr(indptr, self.col_idx[take], self.val[take],
+                                self.labels[rows0], self.dim, self.binary)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
         """New dataset sharing this one's features but with new labels."""
-        out = Dataset.__new__(Dataset)
-        out.indptr, out.col_idx, out.val = self.indptr, self.col_idx, self.val
-        out.labels = np.asarray(labels, dtype=np.int64)
-        out.binary = self.binary
-        out.dim = self.dim
-        out._check_labels()
-        return out
+        return Dataset.from_csr(self.indptr, self.col_idx, self.val, labels,
+                                self.dim, self.binary)
 
     def class_count(self) -> int:
         if self.binary:
@@ -163,14 +161,13 @@ def parse_libsvm(source, binary: bool = True, label_map: dict | None = None,
             return parse_libsvm(fh, binary=binary, label_map=label_map, dim=dim)
 
     raw_labels: list[float] = []
-    examples: list[tuple[SparseFeatures, int]] = []
+    indptr, cols, vals = [0], [], []
     for lineno, line in enumerate(source, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
         raw_labels.append(_parse_label(toks[0], lineno))
-        indices, values = [], []
         prev = 0
         for tok in toks[1:]:
             idx_s, sep, val_s = tok.partition(":")
@@ -187,14 +184,17 @@ def parse_libsvm(source, binary: bool = True, label_map: dict | None = None,
             if idx <= prev:
                 raise LibsvmFormatError(
                     f"line {lineno}: indices not strictly increasing at {idx}")
+            if not math.isfinite(val):
+                raise LibsvmFormatError(
+                    f"line {lineno}: non-finite value {val_s!r}")
             prev = idx
-            indices.append(idx)
-            values.append(val)
-        examples.append((SparseFeatures(indices, values), 0))
+            if val != 0.0:
+                cols.append(idx - 1)
+                vals.append(val)
+        indptr.append(len(cols))
 
     labels = _remap_labels(raw_labels, binary, label_map)
-    examples = [(f, l) for (f, _), l in zip(examples, labels)]
-    return Dataset(examples, dim=dim, binary=binary)
+    return Dataset.from_csr(indptr, cols, vals, labels, dim=dim, binary=binary)
 
 
 def write_libsvm(ds: Dataset, sink) -> None:

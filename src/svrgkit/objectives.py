@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .core import RandomSource, SparseFeatures, as_vector, sq_norm, zeros
+from .core import RandomSource, SparseFeatures, sq_norm, zeros
 from .dataio import Dataset
 from .losses import LossKind, eval_loss, loss_smoothness, make_scalar_derivative
 
@@ -54,9 +54,6 @@ class FiniteSumObjective:
     def component(self, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        return self.component(i, x)[0]
-
     def full_value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Exact average of component values/gradients (one data pass)."""
         if self.n == 0:
@@ -75,6 +72,10 @@ class FiniteSumObjective:
         for i in idx:
             grad += self.component(int(i), x)[1]
         return grad / len(idx)
+
+    def snapshot_mode(self, mode: str = "auto") -> str:
+        """Mode :meth:`build_snapshot` uses when asked for ``mode``."""
+        return "recompute"
 
     def build_snapshot(self, x: np.ndarray, mode: str = "auto") -> SnapshotCache:
         """Evaluate the full gradient at x and freeze it as a snapshot.
@@ -210,9 +211,12 @@ class ErmObjective(FiniteSumObjective):
             self._add_row(grad, i0, scale * deriv * label)
         return grad
 
+    def snapshot_mode(self, mode: str = "auto") -> str:
+        return "recompute" if mode == "recompute" else "stored"
+
     def build_snapshot(self, x, mode: str = "auto"):
         value, grad = self.full_value_and_gradient(x)
-        if mode == "recompute":
+        if self.snapshot_mode(mode) == "recompute":
             return SnapshotCache(self, x, grad, value)
         residuals = eval_loss(self.loss, self.margins(x)).derivative
         return SnapshotCache(self, x, grad, value, residuals=residuals)
@@ -244,11 +248,6 @@ class ErmObjective(FiniteSumObjective):
         pred = np.where((self._dense @ x if self._dense is not None
                          else self._X @ x) >= 0, 1.0, -1.0)
         return float((pred == self.labels).mean())
-
-
-def erm_smoothness(obj: ErmObjective) -> float:
-    """Conservative Lipschitz bound L_loss * max_i ||a_i||^2 + lambda."""
-    return obj.smoothness
 
 
 class TwoLayerNet(FiniteSumObjective):
@@ -339,13 +338,6 @@ class TwoLayerNet(FiniteSumObjective):
         if not 1 <= i <= self.n:
             raise IndexError(f"component index {i} out of range 1..{self.n}")
         feats, label = self.dataset.example(i)
-        return self.component_on(feats, label, params)
-
-    def component_on(self, feats: SparseFeatures, label: int,
-                     params: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss and gradient for a single (features, class label) example."""
-        if not 1 <= label <= self.class_count:
-            raise ValueError(f"label {label} out of range 1..{self.class_count}")
         w1, b1, w2, b2 = self.unpack(params)
         x_in = feats.to_dense(self.input_dim)
         if self.connectivity is None:
@@ -397,27 +389,6 @@ class TwoLayerNet(FiniteSumObjective):
                    == int(self.dataset.labels[i - 1])
                    for i in range(1, self.n + 1))
         return hits / self.n
-
-
-def net_component(net: TwoLayerNet, example, params) -> tuple[float, np.ndarray]:
-    """Functional form of TwoLayerNet.component_on."""
-    feats, label = example
-    return net.component_on(feats, label, params)
-
-
-def erm_component(obj: ErmObjective, i: int, x) -> tuple[float, np.ndarray]:
-    """Functional form of ErmObjective.component."""
-    return obj.component(i, as_vector(x, obj.dim))
-
-
-def full_value_and_gradient(obj: FiniteSumObjective, x) -> tuple[float, np.ndarray]:
-    """Exact finite-sum average at x; counts as one data pass."""
-    return obj.full_value_and_gradient(np.asarray(x, dtype=np.float64))
-
-
-def build_snapshot(obj: FiniteSumObjective, x, mode: str = "auto") -> SnapshotCache:
-    """Functional form of FiniteSumObjective.build_snapshot."""
-    return obj.build_snapshot(np.asarray(x, dtype=np.float64), mode=mode)
 
 
 def make_synthetic(n: int, d: int, seed: int, loss: LossKind | None = None,

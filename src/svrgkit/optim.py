@@ -138,11 +138,13 @@ def default_svrg_params(n: int, L: float, m_override: int | None = None,
     if not (L > 0 and math.isfinite(L)):
         raise ValueError(f"smoothness constant must be positive and finite, "
                          f"got {L} (all-zero features or empty data?)")
-    m = int(m_override) if m_override else int(n)
+    m = int(m_override) if m_override is not None else int(n)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if m0_override:
+    if m0_override is not None:
         m0 = int(m0_override)
+        if m0 < 1:
+            raise ValueError(f"need m0 >= 1, got {m0}")
         d = -(-m // m0)
         m = d * m0
         theory_ok = m0 ** 3 >= theory_constant * m * m
@@ -158,7 +160,7 @@ def default_svrg_params(n: int, L: float, m_override: int | None = None,
             m0 = -(-m // d)
             m = d * m0
             theory_ok = m0 ** 3 >= theory_constant * m * m
-    eta = float(eta_override) if eta_override else 1.0 / (m0 * L)
+    eta = float(eta_override) if eta_override is not None else 1.0 / (m0 * L)
     betas = beta_weights(m0)
     weights, probs = epoch_end_weights(m0, betas)
     return SvrgSchedule(m, m0, d, eta, betas, weights, probs, theory_ok)
@@ -340,6 +342,18 @@ def svrg_estimator(cache: SnapshotCache, obj: FiniteSumObjective,
     if batch.min() < 1 or batch.max() > obj.n:
         raise IndexError("batch index out of range")
     return _resolve_estimator(cache, obj)(cache, x, batch)
+
+
+def epochs_for_passes(obj, passes: float, m: int, batch_size: int,
+                      accounting: str = "auto") -> int:
+    """SVRG epochs of m steps at batch b that fit a budget of ``passes``.
+
+    An epoch costs 1 + m*b/n passes, or 1 + 2m*b/n when ``obj`` recomputes
+    reference gradients under ``accounting``.  The final exact evaluation
+    is outside the budget; a budget below one epoch still runs one."""
+    recompute = obj.snapshot_mode(accounting) == "recompute"
+    per_epoch = 1.0 + m * batch_size / obj.n * (2.0 if recompute else 1.0)
+    return max(1, int(passes // per_epoch))
 
 
 def draw_epoch_stop(rng: RandomSource, schedule: SvrgSchedule) -> int:

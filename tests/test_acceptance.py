@@ -17,12 +17,11 @@ from svrgkit.cli import default_alpha_grid, main
 from svrgkit.core import RandomSource, SparseFeatures
 from svrgkit.dataio import Dataset, bundled_dataset_path, parse_libsvm
 from svrgkit.losses import ALL_ERM_LOSSES, LossKind
-from svrgkit.objectives import (ErmObjective, TwoLayerNet, build_snapshot,
-                                make_synthetic)
+from svrgkit.objectives import ErmObjective, TwoLayerNet, make_synthetic
 from svrgkit.optim import (ConstantRate, DivergenceError, beta_weights,
-                           default_svrg_params, draw_epoch_stop, gd_run,
-                           sgd_run, svrg_estimator, svrg_full_run,
-                           svrg_simple_run)
+                           default_svrg_params, draw_epoch_stop,
+                           epochs_for_passes, gd_run, sgd_run, svrg_estimator,
+                           svrg_full_run, svrg_simple_run)
 from svrgkit.verify import (epoch_variance_aggregate, exact_variance,
                             fd_gradient, fit_rate_slope)
 
@@ -42,7 +41,7 @@ def test_01_estimator_unbiasedness():
         for _ in range(20):
             x = rng.normals(d)
             ref = rng.normals(d)
-            cache = build_snapshot(obj, ref)
+            cache = obj.build_snapshot(ref)
             avg = np.zeros(d)
             for i in range(1, n + 1):
                 avg += svrg_estimator(cache, obj, x, [i])
@@ -231,8 +230,7 @@ def test_10_erm_desk_scale_svrg_vs_sgd():
     x0 = np.zeros(obj.dim)
     alphas = default_alpha_grid(obj.smoothness)
     sched = default_svrg_params(n, obj.smoothness, m_override=2 * n)
-    per_epoch = 1 + sched.m / n
-    epochs = max(1, int(50 // per_epoch))
+    epochs = epochs_for_passes(obj, 50, sched.m, 1)
 
     def tuned_best(runner):
         best = math.inf

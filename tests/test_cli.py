@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from svrgkit.cli import TuneCell, main, run_verification, select_step_winners
-from svrgkit.dataio import parse_libsvm, read_trace
+from svrgkit.core import RandomSource
+from svrgkit.dataio import flip_labels, parse_libsvm, read_trace, split
+from svrgkit.losses import LossKind
+from svrgkit.objectives import ErmObjective
+from svrgkit.optim import ConstantRate, sgd_run
 
 
 def run_cli(*argv):
@@ -69,6 +73,24 @@ class TestTrain:
                            .split("schedule: ")[1])
         assert sched["m"] == 30  # 5n/b = 5*30/5
 
+    def test_net_pass_budget_counts_recomputed_references(self, tmp_path):
+        # Networks recompute reference gradients: with m = 5n/b an epoch
+        # costs 1 + 2m*b/n = 11 passes, so a 12-pass budget buys one epoch
+        # plus the final exact evaluation.
+        data = tmp_path / "mc.libsvm"
+        rng = np.random.default_rng(1)
+        data.write_text("".join(f"{1 + i % 3} 1:{rng.normal():.3f} "
+                                f"2:{rng.normal():.3f}\n" for i in range(30)))
+        traces = {}
+        for budget in (("--passes", "12"), ("--epochs", "2")):
+            out = tmp_path / f"{budget[0][2:]}.csv"
+            assert run_cli("train", "--dataset", str(data), "--objective",
+                           "net", "--optimizer", "svrg2", "--batch-size", "5",
+                           "--seed", "2", "--out", str(out), *budget) == 0
+            traces[budget[0]] = read_trace(out)
+        assert traces["--passes"][-1].passes == 12.0
+        assert traces["--passes"] == traces["--epochs"][:2]
+
     def test_rerun_byte_identical_every_optimizer(self, tmp_path):
         for opt in ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
             extra = ["--lr", "poly:0.3,0.5"] if opt == "sgd" else []
@@ -103,7 +125,7 @@ class TestTrain:
         rc = run_cli("train", "--config", str(cfg), "--steps", "4")
         assert rc == 0
 
-    def test_config_error_exit_code(self, capsys):
+    def test_config_error_exit_code(self, small_file, tmp_path, capsys):
         assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                        "sgd", "--passes", "2") == 1  # sgd needs lr
         assert run_cli("train", "--optimizer", "gd", "--steps", "1") == 1
@@ -111,6 +133,26 @@ class TestTrain:
                        "nope", "--steps", "1") == 1
         assert run_cli("train", "--synthetic", "8,2,1", "--optimizer",
                        "svrg1", "--batch-size", "100", "--epochs", "1") == 1
+        # zero or negative numbers are rejected, not read as "absent"
+        for bad in (("gd", "--eta", "0", "--steps", "2"),
+                    ("svrg2", "--m0", "0", "--epochs", "1"),
+                    ("gd", "--steps", "0", "--epochs", "2"),
+                    ("sgd", "--lr", "constant:0.1", "--batch-size", "0",
+                     "--passes", "1"),
+                    ("sgd", "--lr", "constant:0.1", "--iterations", "-3"),
+                    ("svrg1", "--passes", "-1"),
+                    ("svrg1", "--epochs", "2", "--eval-every", "0"),
+                    ("svrg1", "--m", "0", "--epochs", "1")):
+            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
+                           *bad) == 1, bad
+        for fraction in (0.0, 1.0):
+            cfg = tmp_path / "tune.json"
+            cfg.write_text(json.dumps({
+                "dataset": str(small_file), "optimizer": "sgd",
+                "tune": {"train_fraction": fraction, "passes": 1,
+                         "lambdas": [1e-3], "alphas": [0.1],
+                         "betas": [0.0]}}))
+            assert run_cli("tune", "--config", str(cfg)) == 1, fraction
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -217,6 +259,26 @@ class TestTune:
                      "betas": [0.0]}}))
         assert run_cli("tune", "--config", str(cfg)) == 3
 
+    def test_flip_fraction_reaches_training_cells(self, small_file, tmp_path):
+        cfg = self.make_config(small_file, tmp_path, optimizer="sgd",
+                               extra_tune={"lambdas": [1e-2],
+                                           "alphas": [0.05], "betas": [0.0]})
+        final = {}
+        for frac in ("0.0", "0.25"):
+            log = tmp_path / f"cells{frac}.csv"
+            assert run_cli("tune", "--config", str(cfg), "--flip-fraction",
+                           frac, "--out", str(log)) == 0
+            final[frac] = float(log.read_text().splitlines()[1].split(",")[4])
+        # the one cell replayed on the flipped training split
+        full = flip_labels(parse_libsvm(small_file), 0.25,
+                           RandomSource(4).fork(7))
+        train, _ = split(full, 0.8, RandomSource(4).fork(0))
+        obj = ErmObjective(train, LossKind.logistic(), lam=1e-2)
+        result = sgd_run(obj, np.zeros(obj.dim), 6 * len(train), 1,
+                         RandomSource(4, (1, 0)), ConstantRate(0.05))
+        assert final["0.25"] == result.final_value
+        assert final["0.25"] != final["0.0"]
+
     def test_worker_pool_matches_sequential(self, small_file, tmp_path):
         cfg = self.make_config(small_file, tmp_path)
         log_a, log_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -300,10 +362,11 @@ class TestDatasetCommands:
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         src = tmp_path / "bad.libsvm"
-        src.write_text("1 a:b\n")
-        assert run_cli("flip", str(src), "--fraction", "0.5",
-                       "--out", str(tmp_path / "o.libsvm")) == 1
-        assert "line 1" in capsys.readouterr().err
+        for text in ("1 a:b\n", "+1 1:nan\n"):
+            src.write_text(text)
+            assert run_cli("flip", str(src), "--fraction", "0.5",
+                           "--out", str(tmp_path / "o.libsvm")) == 1
+            assert "line 1" in capsys.readouterr().err
 
     def test_synth_writes_parseable_file(self, tmp_path):
         out = tmp_path / "synth.libsvm"

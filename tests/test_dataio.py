@@ -2,12 +2,22 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svrgkit.core import RandomSource
-from svrgkit.dataio import (LibsvmFormatError, TraceRecord,
+from svrgkit.core import RandomSource, SparseFeatures
+from svrgkit.dataio import (Dataset, LibsvmFormatError, TraceRecord,
                             bundled_dataset_path, flip_labels, parse_libsvm,
                             read_trace, round_half_up, split, write_libsvm,
                             write_trace)
+
+# One LibSVM row: a label and {1-based index: value}, explicit zeros included.
+_ROW = st.tuples(
+    st.sampled_from([-1, 1]),
+    st.dictionaries(st.integers(1, 40),
+                    st.one_of(st.just(0.0), st.just(-0.0),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=8))
 
 
 class TestParseLibsvm:
@@ -26,6 +36,9 @@ class TestParseLibsvm:
     def test_malformed_token_names_line(self):
         with pytest.raises(LibsvmFormatError, match="line 1"):
             parse_libsvm(["1 a:b"])
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(LibsvmFormatError, match="line 2"):
+                parse_libsvm(["+1 1:1", f"-1 2:{bad}"])
 
     def test_bad_label_names_line(self):
         with pytest.raises(LibsvmFormatError, match="line 2"):
@@ -81,6 +94,28 @@ class TestParseLibsvm:
         ds = parse_libsvm(bundled_dataset_path())
         assert len(ds) == 2000 and ds.dim == 123
         assert set(np.unique(ds.labels)) == {-1, 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=12),
+       picks=st.lists(st.integers(0, 11), max_size=20))
+def test_csr_path_matches_per_row_reference(rows, picks):
+    lines, examples = [], []
+    for label, feats in rows:
+        idx = sorted(feats)
+        lines.append(" ".join([f"{label:+d}"]
+                              + [f"{i}:{feats[i]!r}" for i in idx]))
+        examples.append((SparseFeatures(idx, [feats[i] for i in idx]), label))
+    ds, ref = parse_libsvm(lines), Dataset(examples)
+    picks = [p % len(rows) for p in picks]
+    pairs = [(ds, ref), (ds.subset(np.array(picks, dtype=np.int64)),
+                         Dataset([ref.example(p + 1) for p in picks],
+                                 dim=ref.dim))]
+    for got, want in pairs:
+        for name in ("indptr", "col_idx", "val", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.dim, got.binary) == (want.dim, want.binary)
 
 
 class TestFlipLabels:

@@ -7,9 +7,7 @@ from svrgkit.core import RandomSource, SparseFeatures
 from svrgkit.dataio import Dataset
 from svrgkit.losses import ALL_ERM_LOSSES, LossKind
 from svrgkit.objectives import (ErmObjective, QuadraticObjective, TwoLayerNet,
-                                build_snapshot, erm_component, erm_smoothness,
-                                full_value_and_gradient, make_synthetic,
-                                net_component)
+                                make_synthetic)
 from svrgkit.verify import fd_gradient
 
 
@@ -23,7 +21,7 @@ def erm_from_rows(rows, labels, loss, lam=0.0):
 class TestErmComponent:
     def test_logistic_at_origin(self):
         obj = erm_from_rows([[1.0, 0.0]], [1], LossKind.logistic())
-        value, grad = erm_component(obj, 1, [0.0, 0.0])
+        value, grad = obj.component(1, np.array([0.0, 0.0]))
         assert math.isclose(value, math.log(2), rel_tol=1e-15)
         assert np.allclose(grad, [-0.5, 0.0], atol=1e-15)
 
@@ -31,13 +29,13 @@ class TestErmComponent:
         # margin 2 sits on the smoothed hinge's flat branch
         obj = erm_from_rows([[2.0, 0.0]], [1], LossKind.smoothed_hinge(1.0),
                             lam=1.0)
-        value, grad = erm_component(obj, 1, [1.0, 0.0])
+        value, grad = obj.component(1, np.array([1.0, 0.0]))
         assert np.allclose(grad, [1.0, 0.0], atol=1e-15)
         assert math.isclose(value, 0.5, rel_tol=1e-15)  # lam/2 * |x|^2
 
     def test_squared_loss_at_origin(self):
         obj = erm_from_rows([[0.5, -1.5]], [-1], LossKind.squared())
-        value, grad = erm_component(obj, 1, [0.0, 0.0])
+        value, grad = obj.component(1, np.array([0.0, 0.0]))
         assert value == 0.5
         assert np.allclose(grad, [0.5, -1.5], atol=1e-15)  # -l * a
 
@@ -53,7 +51,7 @@ class TestFullValueAndGradient:
     def test_two_component_hand_average(self):
         # f1(x) = x^2/2, f2(x) = x^2/2 + x at x = 1
         obj = QuadraticObjective([1.0, 1.0], offsets=[[0.0], [1.0]], dim=1)
-        value, grad = full_value_and_gradient(obj, [1.0])
+        value, grad = obj.full_value_and_gradient(np.array([1.0]))
         assert value == 1.0
         assert grad[0] == 1.5
 
@@ -78,16 +76,16 @@ class TestFullValueAndGradient:
 class TestErmSmoothness:
     def test_formula(self):
         obj = erm_from_rows([[1.0, 1.0]], [1], LossKind.logistic(), lam=0.1)
-        assert math.isclose(erm_smoothness(obj), 0.25 * 2 + 0.1,
+        assert math.isclose(obj.smoothness, 0.25 * 2 + 0.1,
                             rel_tol=1e-15)
 
     def test_scaled_sigmoid_norm25(self):
         obj = erm_from_rows([[3.0, 4.0]], [1], LossKind.sigmoid())
-        assert math.isclose(erm_smoothness(obj), 25.0, rel_tol=1e-15)
+        assert math.isclose(obj.smoothness, 25.0, rel_tol=1e-15)
 
     def test_degenerate_all_zero_features(self):
         obj = erm_from_rows([[0.0, 0.0]], [1], LossKind.logistic())
-        assert erm_smoothness(obj) == 0.0  # callers must reject L = 0
+        assert obj.smoothness == 0.0  # callers must reject L = 0
 
     def test_reorder_invariance(self):
         rows = [[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]]
@@ -177,13 +175,6 @@ class TestTwoLayerNet:
         assert est > 0 and net.smoothness == est
         assert net.smoothness_is_estimate
 
-    def test_functional_form(self):
-        ds = multiclass_dataset([[1.0, 2.0]], [1], 2)
-        net = TwoLayerNet(ds, hidden_dim=2, class_count=2)
-        example = ds.example(1)
-        p = np.linspace(-0.5, 0.5, net.dim)
-        assert net_component(net, example, p)[0] == net.component(1, p)[0]
-
 
 class TestMakeSynthetic:
     def test_deterministic(self):
@@ -216,7 +207,7 @@ class TestSnapshotCache:
     def test_reconstruction_matches_component_gradient(self):
         obj = make_synthetic(15, 4, seed=3, lam=1e-2)
         ref = RandomSource(4).normals(4)
-        cache = build_snapshot(obj, ref)
+        cache = obj.build_snapshot(ref)
         assert cache.mode == "stored"
         for i in range(1, obj.n + 1):
             direct = obj.component(i, ref)[1]
@@ -227,7 +218,7 @@ class TestSnapshotCache:
     def test_full_grad_matches_fresh_evaluation(self):
         obj = make_synthetic(15, 4, seed=3, lam=1e-2)
         ref = RandomSource(5).normals(4)
-        cache = build_snapshot(obj, ref)
+        cache = obj.build_snapshot(ref)
         value, grad = obj.full_value_and_gradient(ref)
         assert np.linalg.norm(cache.full_grad - grad) <= 1e-12 * (
             1 + np.linalg.norm(grad))
@@ -236,14 +227,14 @@ class TestSnapshotCache:
     def test_net_snapshot_is_recompute_mode(self):
         ds = multiclass_dataset([[1.0, 0.5], [0.0, 2.0]], [1, 2], 2)
         net = TwoLayerNet(ds, hidden_dim=2, class_count=2)
-        cache = build_snapshot(net, np.zeros(net.dim))
+        cache = net.build_snapshot(np.zeros(net.dim))
         assert cache.mode == "recompute"
         with pytest.raises(ValueError):
-            build_snapshot(net, np.zeros(net.dim), mode="stored")
+            net.build_snapshot(np.zeros(net.dim), mode="stored")
 
     def test_erm_forced_recompute(self):
         obj = make_synthetic(8, 2, seed=1)
-        cache = build_snapshot(obj, np.zeros(2), mode="recompute")
+        cache = obj.build_snapshot(np.zeros(2), mode="recompute")
         assert cache.mode == "recompute"
         assert cache.residuals is None
         direct = obj.component(3, np.zeros(2))[1]

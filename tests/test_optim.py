@@ -6,8 +6,7 @@ from scipy.stats import chisquare
 
 from svrgkit.core import RandomSource
 from svrgkit.losses import LossKind
-from svrgkit.objectives import (QuadraticObjective, build_snapshot,
-                                make_synthetic)
+from svrgkit.objectives import QuadraticObjective, make_synthetic
 from svrgkit.optim import (AdaGradRate, AdaGradState, ConstantRate,
                            DivergenceError, PolynomialRate, SvrgSchedule,
                            adagrad_step, beta_weights, default_svrg_params,
@@ -117,14 +116,14 @@ def two_component_quadratic():
 class TestSvrgEstimator:
     def test_hand_value(self):
         obj = two_component_quadratic()
-        cache = build_snapshot(obj, np.array([0.0]))
+        cache = obj.build_snapshot(np.array([0.0]))
         est = svrg_estimator(cache, obj, np.array([1.0]), [1])
         assert est[0] == 1.5  # grad_1(1) - grad_1(0) + mu = 1 - 0 + 0.5
 
     def test_collapses_at_snapshot(self):
         obj = make_synthetic(12, 3, seed=0, lam=1e-2)
         ref = RandomSource(1).normals(3)
-        cache = build_snapshot(obj, ref)
+        cache = obj.build_snapshot(ref)
         for batch in ([1], [2, 7], list(range(1, 13))):
             est = svrg_estimator(cache, obj, ref.copy(), batch)
             assert np.linalg.norm(est - cache.full_grad) <= 1e-12
@@ -132,7 +131,7 @@ class TestSvrgEstimator:
     def test_full_batch_is_exact_gradient(self):
         obj = make_synthetic(10, 3, seed=2, lam=1e-3)
         rng = RandomSource(3)
-        cache = build_snapshot(obj, rng.normals(3))
+        cache = obj.build_snapshot(rng.normals(3))
         x = rng.normals(3)
         est = svrg_estimator(cache, obj, x, list(range(1, 11)))
         _, grad = obj.full_value_and_gradient(x)
@@ -141,7 +140,7 @@ class TestSvrgEstimator:
     def test_exact_unbiasedness_over_singletons(self):
         obj = make_synthetic(30, 4, seed=4, lam=1e-3)
         rng = RandomSource(5)
-        cache = build_snapshot(obj, rng.normals(4))
+        cache = obj.build_snapshot(rng.normals(4))
         x = rng.normals(4)
         avg = np.mean([svrg_estimator(cache, obj, x, [i])
                        for i in range(1, obj.n + 1)], axis=0)
@@ -151,7 +150,7 @@ class TestSvrgEstimator:
     def test_generic_and_fused_paths_agree(self):
         obj = make_synthetic(10, 3, seed=6, lam=1e-2)
         rng = RandomSource(7)
-        cache = build_snapshot(obj, rng.normals(3))
+        cache = obj.build_snapshot(rng.normals(3))
         x = rng.normals(3)
         fused = svrg_estimator(cache, obj, x, [3, 8])
         generic = cache.full_grad + 0.5 * sum(
@@ -161,7 +160,7 @@ class TestSvrgEstimator:
 
     def test_empty_batch_rejected(self):
         obj = two_component_quadratic()
-        cache = build_snapshot(obj, np.zeros(1))
+        cache = obj.build_snapshot(np.zeros(1))
         with pytest.raises(ValueError):
             svrg_estimator(cache, obj, np.zeros(1), [])
         with pytest.raises(IndexError):
