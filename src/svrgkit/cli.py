@@ -31,7 +31,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,7 @@ from .dataio import (Dataset, LibsvmFormatError, flip_labels, parse_libsvm,
                      split, write_libsvm, write_trace)
 from .losses import ALL_ERM_LOSSES, LossKind
 from .objectives import ErmObjective, TwoLayerNet, make_synthetic
-from .optim import (AdaGradRate, ConstantRate, DivergenceError,
-                    PolynomialRate, RunResult, beta_weights,
+from .optim import (AdaGradRate, DivergenceError, RunResult, beta_weights,
                     default_svrg_params, epoch_end_weights,
                     epochs_for_passes, gd_run, parse_rate, sgd_run,
                     svrg_estimator, svrg_full_run, svrg_simple_run)
@@ -50,6 +49,7 @@ from .verify import (epoch_variance_aggregate, exact_variance, fd_gradient,
                      smoothness_probe)
 
 OPTIMIZERS = ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4")
+TUNE_OPTIMIZERS = ("sgd", "svrg1", "svrg2")
 
 
 class ConfigError(ValueError):
@@ -109,8 +109,13 @@ class RunConfig:
             raise ConfigError(f"unknown accounting mode {self.accounting!r}")
         if self.flip_fraction and not 0 <= self.flip_fraction <= 1:
             raise ConfigError("flip_fraction must be in [0,1]")
+        if self.objective == "net" and self.accounting == "stored":
+            raise ConfigError("networks recompute reference gradients; "
+                              "accounting 'stored' is for linear ERM")
+        if not self.lam >= 0:
+            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
         for key in ("m0", "eta", "steps", "epochs", "iterations", "passes",
-                    "batch_size", "eval_every"):
+                    "batch_size", "eval_every", "smoothness"):
             value = getattr(self, key)
             if value is not None and not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
@@ -223,10 +228,11 @@ def _objective_smoothness(cfg: RunConfig, obj, rng: RandomSource) -> float:
     return obj.smoothness
 
 
-def run_configured(cfg: RunConfig) -> tuple[RunResult, dict]:
-    """Dispatch one run; returns the result and schedule/metadata echo."""
-    rng = RandomSource(cfg.seed)
-    obj = build_objective(cfg, rng)
+def run_configured(obj, cfg: RunConfig, rng: RandomSource,
+                   ) -> tuple[RunResult, dict]:
+    """Run cfg's optimizer on obj from the origin, turning the pass budget
+    into steps, iterations or epochs; returns the result and the
+    schedule/metadata echo."""
     n, b = obj.n, cfg.batch_size
     if cfg.optimizer != "gd" and b > n:
         raise ConfigError(f"batch_size {b} exceeds n={n}")
@@ -242,7 +248,7 @@ def run_configured(cfg: RunConfig) -> tuple[RunResult, dict]:
             raise ConfigError("gd needs steps/epochs/passes")
         L = _objective_smoothness(cfg, obj, rng)
         meta["step"] = cfg.eta if cfg.eta is not None else 1.0 / L
-        result = gd_run(obj, x0, steps, step=cfg.eta)
+        result = gd_run(obj, x0, steps, step=meta["step"])
     elif cfg.optimizer == "sgd":
         iters = cfg.iterations
         if iters is None and cfg.passes is not None:
@@ -286,7 +292,8 @@ def run_configured(cfg: RunConfig) -> tuple[RunResult, dict]:
 def cmd_train(args) -> int:
     cfg, _ = load_config(args)
     t0 = time.perf_counter()
-    result, meta = run_configured(cfg)
+    rng = RandomSource(cfg.seed)
+    result, meta = run_configured(build_objective(cfg, rng), cfg, rng)
     wall = time.perf_counter() - t0
     if cfg.out:
         records = result.trace
@@ -323,35 +330,17 @@ class TuneCell:
 
 def _run_cell(payload: dict) -> dict:
     """Worker for one grid cell; payload is picklable."""
-    obj = ErmObjective(payload["data"], LossKind.parse(payload["loss"]),
-                       lam=payload["lam"])
-    beta = payload["beta"]
-    if beta is None or beta == 0.0:
-        lr = ConstantRate(payload["alpha"])
-    else:
-        lr = PolynomialRate(payload["alpha"], beta)
-    rng = RandomSource(payload["seed"], tuple(payload["spawn"]))
-    x0 = np.zeros(obj.dim)
-    n, b = obj.n, payload["batch_size"]
-    out: dict = {"cell_id": payload["cell_id"]}
+    cfg = payload["cfg"]
+    obj = ErmObjective(payload["data"], LossKind.parse(cfg.loss), lam=cfg.lam)
+    rng = RandomSource(cfg.seed, (1, payload["cell_id"]))
     try:
-        if payload["optimizer"] == "sgd":
-            result = sgd_run(obj, x0, round(payload["passes"] * n / b), b,
-                             rng, lr)
-        else:
-            sched = default_svrg_params(n, obj.smoothness,
-                                        m_override=payload["m"])
-            epochs = epochs_for_passes(obj, payload["passes"], sched.m, b)
-            runner = (svrg_simple_run if payload["optimizer"] == "svrg1"
-                      else svrg_full_run)
-            result = runner(obj, x0, sched, epochs, b, rng, lr=lr)
-        out["final_objective"] = result.final_value
-        out["final_stationarity"] = result.final_grad_norm_sq
-        out["x"] = result.output.tolist()
-        out["diverged"] = False
+        result, _ = run_configured(obj, cfg, rng)
     except DivergenceError:
-        out["diverged"] = True
-    return out
+        return {"cell_id": payload["cell_id"], "diverged": True}
+    return {"cell_id": payload["cell_id"], "diverged": False,
+            "final_objective": result.final_value,
+            "final_stationarity": result.final_grad_norm_sq,
+            "x": result.output.tolist()}
 
 
 def select_step_winners(cells: list[TuneCell]) -> dict[float, "TuneCell"]:
@@ -387,6 +376,13 @@ def cmd_tune(args) -> int:
     cfg, tune = load_config(args)
     if cfg.synthetic is not None or cfg.objective != "erm":
         raise ConfigError("tune drives LibSVM-backed linear ERM runs")
+    if cfg.optimizer not in TUNE_OPTIMIZERS:
+        raise ConfigError(f"tune runs {', '.join(TUNE_OPTIMIZERS)}, "
+                          f"not {cfg.optimizer!r}")
+    for key in ("passes", "iterations", "epochs", "steps"):
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"tune's budget is tune.passes; remove the "
+                              f"top-level {key!r}")
     rng = RandomSource(cfg.seed)
     full = parse_libsvm(cfg.dataset)
     if cfg.flip_fraction:
@@ -412,15 +408,13 @@ def cmd_tune(args) -> int:
     for lam in sorted(float(l) for l in lambdas):
         for alpha in sorted(float(a) for a in alphas):
             for beta in betas:
+                lr = (f"constant:{alpha!r}" if beta is None or beta == 0.0
+                      else f"poly:{alpha!r},{beta!r}")
                 cells.append(TuneCell(cell_id, lam, alpha, beta))
-                payloads.append({
-                    "cell_id": cell_id,
-                    "data": train,
-                    "loss": cfg.loss, "lam": lam, "alpha": alpha,
-                    "beta": beta, "optimizer": cfg.optimizer,
-                    "batch_size": b, "passes": passes, "m": m,
-                    "seed": cfg.seed, "spawn": (1, cell_id),
-                })
+                payloads.append({"cell_id": cell_id, "data": train,
+                                 "cfg": replace(cfg, lam=lam, lr=lr,
+                                                batch_size=b, passes=passes,
+                                                m=m)})
                 cell_id += 1
 
     results = {}
@@ -681,13 +675,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--threads", type=int, default=1)
 
     p_train = sub.add_parser("train", help="run one optimizer")
     add_common(p_train)
+    p_train.add_argument("--config", help="JSON config file")
     p_train.add_argument("--dataset")
     p_train.add_argument("--synthetic", metavar="N,D,SEED")
     p_train.add_argument("--objective", choices=("erm", "net"))
@@ -716,9 +709,11 @@ def build_parser() -> _Parser:
 
     p_tune = sub.add_parser("tune", help="steps I-IV hyperparameter search")
     add_common(p_tune)
+    p_tune.add_argument("--config", help="JSON config file")
+    p_tune.add_argument("--threads", type=int, default=1)
     p_tune.add_argument("--dataset")
     p_tune.add_argument("--loss")
-    p_tune.add_argument("--optimizer", choices=("sgd", "svrg1", "svrg2"))
+    p_tune.add_argument("--optimizer", choices=TUNE_OPTIMIZERS)
     p_tune.add_argument("--batch-size", dest="batch_size", type=int)
     p_tune.add_argument("--flip-fraction", dest="flip_fraction", type=float)
     p_tune.add_argument("--m")
@@ -737,7 +732,7 @@ def build_parser() -> _Parser:
     p_flip.set_defaults(func=cmd_flip)
 
     p_split = sub.add_parser("split", help="train/validation partition")
-    add_common(p_split)
+    p_split.add_argument("--seed", type=int)
     p_split.add_argument("dataset")
     p_split.add_argument("--train-fraction", dest="train_fraction",
                          type=float, default=0.8)

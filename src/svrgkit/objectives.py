@@ -27,20 +27,12 @@ class SnapshotCache:
     (pass accounting differs between the two).
     """
 
-    def __init__(self, obj, x_ref, full_grad, value, residuals=None):
-        self.obj = obj
+    def __init__(self, x_ref, full_grad, value, residuals=None):
         self.x_ref = x_ref.copy()
         self.full_grad = full_grad
         self.value = value
         self.residuals = residuals
         self.mode = "stored" if residuals is not None else "recompute"
-
-    def ref_component_grad(self, i: int) -> np.ndarray:
-        """Gradient of component i at the reference point."""
-        if self.mode == "stored":
-            return self.obj._grad_from_residual(self.residuals[i - 1], i,
-                                                self.x_ref)
-        return self.obj.component(i, self.x_ref)[1]
 
 
 class FiniteSumObjective:
@@ -86,7 +78,7 @@ class FiniteSumObjective:
         if mode == "stored":
             raise ValueError(f"{type(self).__name__} has no stored-residual mode")
         value, grad = self.full_value_and_gradient(x)
-        return SnapshotCache(self, x, grad, value)
+        return SnapshotCache(x, grad, value)
 
 
 class QuadraticObjective(FiniteSumObjective):
@@ -217,17 +209,13 @@ class ErmObjective(FiniteSumObjective):
     def build_snapshot(self, x, mode: str = "auto"):
         value, grad = self.full_value_and_gradient(x)
         if self.snapshot_mode(mode) == "recompute":
-            return SnapshotCache(self, x, grad, value)
+            return SnapshotCache(x, grad, value)
         residuals = eval_loss(self.loss, self.margins(x)).derivative
-        return SnapshotCache(self, x, grad, value, residuals=residuals)
-
-    def _grad_from_residual(self, residual: float, i: int, x_ref):
-        grad = self.lam * x_ref if self.lam else zeros(self.dim)
-        self._add_row(grad, i - 1, residual * self.labels[i - 1])
-        return grad
+        return SnapshotCache(x, grad, value, residuals=residuals)
 
     def fused_svrg_estimator(self, cache: SnapshotCache, x, idx) -> np.ndarray:
-        """mu + mean_i(grad_i(x) - grad_i(x_ref)) without per-row allocs."""
+        """mu + mean_i(grad_i(x) - grad_i(x_ref)) without per-row allocs,
+        reading the reference derivatives from a stored-mode ``cache``."""
         if self.lam:
             est = cache.full_grad + self.lam * (x - cache.x_ref)
         else:
@@ -238,9 +226,7 @@ class ErmObjective(FiniteSumObjective):
             i0 = int(i) - 1
             label = self.labels[i0]
             deriv = self._deriv1(label * self._row_dot(i0, x))
-            ref = (residuals[i0] if residuals is not None
-                   else self._deriv1(label * self._row_dot(i0, cache.x_ref)))
-            self._add_row(est, i0, scale * (deriv - ref) * label)
+            self._add_row(est, i0, scale * (deriv - residuals[i0]) * label)
         return est
 
     def accuracy(self, x: np.ndarray) -> float:

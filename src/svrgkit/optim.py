@@ -21,7 +21,10 @@ Pass accounting follows the stored-snapshot convention: a snapshot costs 1
 pass and an inner iteration with batch b costs b/n passes when reference
 gradients are reconstructed from cached residuals, or 2b/n when they are
 recomputed.  Exact-evaluation checkpoints requested beyond the free
-snapshot ones are charged honestly.
+snapshot ones are charged honestly.  Every exact evaluation (snapshot,
+checkpoint, final point) goes through one run ledger that charges it,
+checks it for divergence and logs its trace row.  A run that stops on
+``target_grad_sq`` returns the point whose evaluation met the target.
 """
 
 from __future__ import annotations
@@ -299,7 +302,7 @@ class _Reservoir:
 
 
 def _check_finite_value(value: float, initial: float, where: str,
-                        grad_norm_sq: float = 0.0):
+                        grad_norm_sq: float):
     if not math.isfinite(value) or abs(value) > _DIVERGE_FACTOR * max(
             1.0, abs(initial)):
         raise DivergenceError(
@@ -308,25 +311,60 @@ def _check_finite_value(value: float, initial: float, where: str,
         raise DivergenceError(f"gradient norm {grad_norm_sq!r} at {where}")
 
 
+class _Ledger:
+    """Component-gradient evaluations and trace of one run.
+
+    Every exact evaluation a runner makes goes through :meth:`checkpoint`,
+    which charges one pass, checks the value and the gradient norm for
+    divergence and logs the trace row; inner steps are charged with
+    :meth:`charge`.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.evals = 0
+        self.trace: list[TraceRecord] = []
+        self.initial_value = None
+        self.t0 = time.perf_counter()
+
+    def charge(self, evals: int) -> None:
+        self.evals += evals
+
+    def checkpoint(self, value: float, grad: np.ndarray, epoch: int,
+                   where: str) -> float:
+        """Log an exact evaluation (value, grad); returns ||grad||^2."""
+        self.evals += self.n
+        if self.initial_value is None:
+            self.initial_value = value
+        gns = sq_norm(grad)
+        _check_finite_value(value, self.initial_value, where, gns)
+        self.trace.append(TraceRecord(self.evals / self.n, value, gns,
+                                      time.perf_counter() - self.t0, epoch))
+        return gns
+
+    def result(self, output, seed: int, value: float, gns: float,
+               **extra) -> RunResult:
+        return RunResult(output=output, trace=self.trace,
+                         grad_evals=self.evals, seed=seed, final_value=value,
+                         final_grad_norm_sq=gns, **extra)
+
+
 # ---------------------------------------------------------------------------
 # SVRG runners
 # ---------------------------------------------------------------------------
 
 
 def _generic_estimator(cache: SnapshotCache, obj, x, batch) -> np.ndarray:
-    est = cache.full_grad.copy()
-    inv = 1.0 / len(batch)
-    for i in batch:
-        est += inv * (obj.component(int(i), x)[1]
-                      - cache.ref_component_grad(int(i)))
-    return est
+    # The parentheses make x == x_ref return full_grad exactly.
+    return cache.full_grad + (obj.batch_mean_grad(batch, x)
+                              - obj.batch_mean_grad(batch, cache.x_ref))
 
 
 def _resolve_estimator(cache: SnapshotCache, obj):
-    fused = getattr(obj, "fused_svrg_estimator", None)
-    if fused is not None and cache.obj is obj:
-        return fused
-    return lambda c, x, batch: _generic_estimator(c, obj, x, batch)
+    """Fused kernel for stored residuals, else the generic formula."""
+    if cache.mode == "stored":
+        return obj.fused_svrg_estimator
+    return lambda c, point, batch: _generic_estimator(c, obj, point, batch)
 
 
 def svrg_estimator(cache: SnapshotCache, obj: FiniteSumObjective,
@@ -380,15 +418,12 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     m, m0, b = schedule.m, schedule.m0, batch_size
     n = obj.n
     x = np.array(x_start, dtype=np.float64)
-    t0 = time.perf_counter()
-    evals = 0
+    ledger = _Ledger(n)
     probe_evals = 0
-    trace: list[TraceRecord] = []
     probes: list[ProbeSample] = []
     stops: list[int] = []
     iterates: list[np.ndarray] | None = [] if record_iterates else None
     reservoir = _Reservoir()
-    initial_value = None
     k_global = 0
 
     def exact_grad_sq(point) -> float:
@@ -396,24 +431,23 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
         probe_evals += n
         return sq_norm(obj.full_value_and_gradient(point)[1])
 
+    def finish(output, value, gns, evals_to_target=None) -> RunResult:
+        return ledger.result(output, rng.seed, value, gns,
+                             probe_evals=probe_evals, probe_samples=probes,
+                             epoch_stops=stops, evals_to_target=evals_to_target,
+                             epoch_iterates=iterates)
+
     estimate = None
     for s in range(1, epochs + 1):
         cache = obj.build_snapshot(x, mode=accounting)
-        evals += n
         if estimate is None:
             estimate = _resolve_estimator(cache, obj)
-        if initial_value is None:
-            initial_value = cache.value
-        gns = sq_norm(cache.full_grad)
-        _check_finite_value(cache.value, initial_value,
-                            f"epoch {s} snapshot", gns)
-        trace.append(TraceRecord(evals / n, cache.value, gns,
-                                 time.perf_counter() - t0, s - 1))
+        gns = ledger.checkpoint(cache.value, cache.full_grad, s - 1,
+                                f"epoch {s} snapshot")
         if target_grad_sq is not None and gns <= target_grad_sq:
             # The certifying evaluation is not part of producing the point.
-            return _finish(obj, x, trace, evals, rng, reservoir, probes,
-                           stops, iterates, probe_evals, t0,
-                           evals_to_target=evals - n, final=(cache.value, gns))
+            return finish(x.copy(), cache.value, gns,
+                          evals_to_target=ledger.evals - n)
         inner_cost = b if cache.mode == "stored" else 2 * b
 
         idx = rng.draw_indices(n, size=m * b).reshape(m, b)
@@ -430,13 +464,15 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
                 epoch_rows[k] = x
             if probe_stride and k % probe_stride == 0:
                 g2 = gns if k == 0 else exact_grad_sq(x)
-                probes.append(ProbeSample(s, k, g2, evals + k * inner_cost,
+                probes.append(ProbeSample(s, k, g2,
+                                          ledger.evals + k * inner_cost,
                                           eligible=(k <= m - m0)))
                 if target_grad_sq is not None and g2 <= target_grad_sq:
-                    return _finish(obj, x, trace, evals + k * inner_cost, rng,
-                                   reservoir, probes, stops, iterates,
-                                   probe_evals, t0,
-                                   evals_to_target=evals + k * inner_cost)
+                    ledger.charge(k * inner_cost)
+                    spent = ledger.evals
+                    value, grad = obj.full_value_and_gradient(x)
+                    gns = ledger.checkpoint(value, grad, s, "final point")
+                    return finish(x.copy(), value, gns, evals_to_target=spent)
             est = estimate(cache, x, idx[k])
             if adagrad:
                 x -= adagrad_step(ada_state, est, adagrad.alpha, adagrad.delta)
@@ -448,7 +484,7 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
             k_global += 1
             if k % _GUARD_STRIDE == 0 and not np.all(np.isfinite(x)):
                 raise DivergenceError(f"non-finite iterate at epoch {s}, k={k}")
-        evals += m * inner_cost
+        ledger.charge(m * inner_cost)
 
         if record_iterates:
             epoch_rows[m] = x
@@ -469,32 +505,12 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
 
         if eval_every_epochs and s % eval_every_epochs == 0 and s < epochs:
             value, grad = obj.full_value_and_gradient(x)
-            evals += n
-            _check_finite_value(value, initial_value, f"epoch {s} checkpoint")
-            trace.append(TraceRecord(evals / n, value, sq_norm(grad),
-                                     time.perf_counter() - t0, s))
+            ledger.checkpoint(value, grad, s, f"epoch {s} checkpoint")
 
-    return _finish(obj, x, trace, evals, rng, reservoir, probes, stops,
-                   iterates, probe_evals, t0)
-
-
-def _finish(obj, x, trace, evals, rng, reservoir, probes, stops, iterates,
-            probe_evals, t0, evals_to_target=None, final=None) -> RunResult:
-    if final is None:
-        value, grad = obj.full_value_and_gradient(x)
-        evals += obj.n
-        gns = sq_norm(grad)
-        epoch = trace[-1].epoch + 1 if trace else 0
-        trace.append(TraceRecord(evals / obj.n, value, gns,
-                                 time.perf_counter() - t0, epoch))
-    else:
-        value, gns = final
-    output = reservoir.pick if reservoir.pick is not None else x.copy()
-    return RunResult(output=output, trace=trace, grad_evals=evals,
-                     seed=rng.seed, final_value=value, final_grad_norm_sq=gns,
-                     probe_evals=probe_evals, probe_samples=probes,
-                     epoch_stops=stops, evals_to_target=evals_to_target,
-                     epoch_iterates=iterates)
+    value, grad = obj.full_value_and_gradient(x)
+    gns = ledger.checkpoint(value, grad, epochs, "final point")
+    return finish(reservoir.pick if reservoir.pick is not None else x.copy(),
+                  value, gns)
 
 
 def svrg_simple_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
@@ -543,32 +559,17 @@ def gd_run(obj, x_start, steps: int, step: float | None = None,
     if step is None:
         step = 1.0 / obj.smoothness
     x = np.array(x_start, dtype=np.float64)
-    t0 = time.perf_counter()
-    evals = 0
-    trace: list[TraceRecord] = []
-    initial_value = None
-    for k in range(steps):
+    ledger = _Ledger(obj.n)
+    for k in range(steps + 1):
         value, grad = obj.full_value_and_gradient(x)
-        evals += obj.n
-        if initial_value is None:
-            initial_value = value
-        gns = sq_norm(grad)
-        _check_finite_value(value, initial_value, f"step {k}", gns)
-        trace.append(TraceRecord(evals / obj.n, value, gns,
-                                 time.perf_counter() - t0, k))
+        gns = ledger.checkpoint(value, grad, k, f"step {k}")
+        if k == steps:
+            break
         if target_grad_sq is not None and gns <= target_grad_sq:
-            return RunResult(output=x, trace=trace, grad_evals=evals, seed=0,
-                             final_value=value, final_grad_norm_sq=gns,
-                             evals_to_target=evals - obj.n)
+            return ledger.result(x, 0, value, gns,
+                                 evals_to_target=ledger.evals - obj.n)
         x = x - step * grad
-    value, grad = obj.full_value_and_gradient(x)
-    evals += obj.n
-    _check_finite_value(value, initial_value, "final point")
-    gns = sq_norm(grad)
-    trace.append(TraceRecord(evals / obj.n, value, gns,
-                             time.perf_counter() - t0, steps))
-    return RunResult(output=x, trace=trace, grad_evals=evals, seed=0,
-                     final_value=value, final_grad_norm_sq=gns)
+    return ledger.result(x, 0, value, gns)
 
 
 def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
@@ -579,7 +580,8 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
     ``lr`` is a ConstantRate, PolynomialRate, or AdaGradRate.  Each
     iteration costs batch_size/n passes; exact-evaluation checkpoints
     (every ``eval_every`` iterations, plus the final one) cost one full
-    pass each and are logged as such.
+    pass each and are logged as such.  A checkpoint that meets
+    ``target_grad_sq`` ends the run and returns the point it evaluated.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -591,23 +593,8 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
     ada_state = AdaGradState(obj.dim) if adagrad else None
     n, b = obj.n, batch_size
     x = np.array(x_start, dtype=np.float64)
-    t0 = time.perf_counter()
-    evals = 0
-    trace: list[TraceRecord] = []
+    ledger = _Ledger(n)
     reservoir = _Reservoir()
-    initial_value = None
-
-    def checkpoint(k_done: int) -> tuple[float, float]:
-        nonlocal evals, initial_value
-        value, grad = obj.full_value_and_gradient(x)
-        evals += n
-        if initial_value is None:
-            initial_value = value
-        gns = sq_norm(grad)
-        _check_finite_value(value, initial_value, f"iteration {k_done}", gns)
-        trace.append(TraceRecord(evals / n, value, gns,
-                                 time.perf_counter() - t0, k_done))
-        return value, gns
 
     chunk = 8192
     for base in range(0, iterations, chunk):
@@ -617,7 +604,7 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
         for j in range(count):
             k = base + j
             grad = obj.batch_mean_grad(idx[j], x)
-            evals += b
+            ledger.charge(b)
             if adagrad:
                 x -= adagrad_step(ada_state, grad, adagrad.alpha, adagrad.delta)
             else:
@@ -627,18 +614,17 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
             if k % _GUARD_STRIDE == 0 and not np.all(np.isfinite(x)):
                 raise DivergenceError(f"non-finite iterate at iteration {k}")
             if eval_every and (k + 1) % eval_every == 0 and k + 1 < iterations:
-                value, gns = checkpoint(k + 1)
+                value, grad = obj.full_value_and_gradient(x)
+                gns = ledger.checkpoint(value, grad, k + 1,
+                                        f"iteration {k + 1}")
                 if target_grad_sq is not None and gns <= target_grad_sq:
-                    out = reservoir.pick if output == "random" else x
-                    return RunResult(output=out, trace=trace, grad_evals=evals,
-                                     seed=rng.seed, final_value=value,
-                                     final_grad_norm_sq=gns,
-                                     evals_to_target=evals - n)
-    value, gns = checkpoint(iterations)
+                    return ledger.result(x, rng.seed, value, gns,
+                                         evals_to_target=ledger.evals - n)
+    value, grad = obj.full_value_and_gradient(x)
+    gns = ledger.checkpoint(value, grad, iterations, f"iteration {iterations}")
     out = reservoir.pick if (output == "random" and reservoir.pick is not None
                              ) else x
-    return RunResult(output=out, trace=trace, grad_evals=evals, seed=rng.seed,
-                     final_value=value, final_grad_norm_sq=gns)
+    return ledger.result(out, rng.seed, value, gns)
 
 
 def grad_dominated_drive(obj, x_start, tau: float, rounds: int,

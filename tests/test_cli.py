@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svrgkit.cli import TuneCell, main, run_verification, select_step_winners
+from svrgkit.cli import (RunConfig, TuneCell, build_objective, main,
+                         run_configured, run_verification,
+                         select_step_winners)
 from svrgkit.core import RandomSource
 from svrgkit.dataio import flip_labels, parse_libsvm, read_trace, split
 from svrgkit.losses import LossKind
@@ -142,17 +146,28 @@ class TestTrain:
                     ("sgd", "--lr", "constant:0.1", "--iterations", "-3"),
                     ("svrg1", "--passes", "-1"),
                     ("svrg1", "--epochs", "2", "--eval-every", "0"),
-                    ("svrg1", "--m", "0", "--epochs", "1")):
+                    ("svrg1", "--m", "0", "--epochs", "1"),
+                    ("gd", "--lambda", "-1", "--steps", "2"),
+                    ("svrg1", "--smoothness", "-1", "--epochs", "1")):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
-        for fraction in (0.0, 1.0):
+        multiclass = tmp_path / "mc.libsvm"
+        multiclass.write_text("".join(f"{1 + i % 3} 1:{i}.5\n"
+                                      for i in range(12)))
+        assert run_cli("train", "--dataset", str(multiclass), "--objective",
+                       "net", "--optimizer", "svrg2", "--accounting",
+                       "stored", "--epochs", "1", "--batch-size", "2") == 1
+        for top, tune in (({}, {"train_fraction": 0.0}),
+                          ({}, {"train_fraction": 1.0}),
+                          ({"passes": 2}, {}), ({"iterations": 5}, {}),
+                          ({"epochs": 1}, {}), ({"steps": 3}, {}),
+                          ({"optimizer": "svrg3"}, {})):
             cfg = tmp_path / "tune.json"
             cfg.write_text(json.dumps({
-                "dataset": str(small_file), "optimizer": "sgd",
-                "tune": {"train_fraction": fraction, "passes": 1,
-                         "lambdas": [1e-3], "alphas": [0.1],
-                         "betas": [0.0]}}))
-            assert run_cli("tune", "--config", str(cfg)) == 1, fraction
+                "dataset": str(small_file), "optimizer": "sgd", **top,
+                "tune": {"passes": 1, "lambdas": [1e-3], "alphas": [0.1],
+                         "betas": [0.0], **tune}}))
+            assert run_cli("tune", "--config", str(cfg)) == 1, (top, tune)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -176,6 +191,41 @@ class TestTrain:
         assert rc == 0
         walls = [r.wall_seconds for r in read_trace(out)]
         assert any(w > 0 for w in walls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(optimizer=st.sampled_from(["gd", "sgd", "svrg1", "svrg2"]),
+       n=st.integers(4, 24), b=st.integers(1, 6),
+       budget=st.floats(1.0, 8.0),
+       eval_every=st.one_of(st.none(), st.integers(1, 6)),
+       accounting=st.sampled_from(["auto", "stored", "recompute"]),
+       seed=st.integers(0, 3))
+def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
+    cfg = RunConfig(synthetic={"n": n, "d": 3, "seed": seed},
+                    optimizer=optimizer, batch_size=min(b, n), passes=budget,
+                    eval_every=eval_every, accounting=accounting, lam=1e-3,
+                    lr="constant:0.1" if optimizer == "sgd" else None,
+                    seed=seed)
+    rng = RandomSource(seed)
+    result, meta = run_configured(build_objective(cfg, rng), cfg, rng)
+    passes = [r.passes for r in result.trace]
+    assert result.grad_evals / n == passes[-1]
+    assert all(p < q for p, q in zip(passes, passes[1:]))
+    # Every exact evaluation (checkpoint, snapshot, final point) is a pass.
+    if optimizer == "gd":
+        checkpoints = round(budget) + 1
+        inner = 0
+    elif optimizer == "sgd":
+        iterations = meta["iterations"]
+        checkpoints = (iterations - 1) // eval_every + 1 if eval_every else 1
+        inner = iterations * cfg.batch_size
+    else:
+        epochs, cost = meta["epochs"], 2 if accounting == "recompute" else 1
+        checkpoints = epochs + 1 + ((epochs - 1) // eval_every
+                                    if eval_every else 0)
+        inner = epochs * meta["m"] * cfg.batch_size * cost
+    assert len(passes) == checkpoints
+    assert result.grad_evals == checkpoints * n + inner
 
 
 class TestTune:
@@ -367,6 +417,24 @@ class TestDatasetCommands:
             assert run_cli("flip", str(src), "--fraction", "0.5",
                            "--out", str(tmp_path / "o.libsvm")) == 1
             assert "line 1" in capsys.readouterr().err
+
+    def test_subcommands_reject_flags_they_do_not_read(self, tmp_path):
+        src = tmp_path / "in.libsvm"
+        src.write_text("".join(f"+1 1:{i + 1}\n" for i in range(10)))
+        out = str(tmp_path / "o")
+        for argv in (("verify", "--config", "nonexistent.json",
+                      "--threads", "3"),
+                     ("split", str(src), "--out", out, "--threads", "5",
+                      "--out-train", out, "--out-validation", out),
+                     ("split", str(src), "--out", out, "--out-train", out,
+                      "--out-validation", out),
+                     ("train", "--synthetic", "16,2,1", "--optimizer", "gd",
+                      "--steps", "1", "--threads", "2"),
+                     ("flip", str(src), "--fraction", "0.5", "--out", out,
+                      "--config", "c.json"),
+                     ("synth", "--n", "4", "--d", "2", "--out", out,
+                      "--threads", "2")):
+            assert run_cli(*argv) == 1, argv
 
     def test_synth_writes_parseable_file(self, tmp_path):
         out = tmp_path / "synth.libsvm"

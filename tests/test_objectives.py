@@ -8,6 +8,7 @@ from svrgkit.dataio import Dataset
 from svrgkit.losses import ALL_ERM_LOSSES, LossKind
 from svrgkit.objectives import (ErmObjective, QuadraticObjective, TwoLayerNet,
                                 make_synthetic)
+from svrgkit.optim import svrg_estimator
 from svrgkit.verify import fd_gradient
 
 
@@ -206,12 +207,14 @@ class TestMakeSynthetic:
 class TestSnapshotCache:
     def test_reconstruction_matches_component_gradient(self):
         obj = make_synthetic(15, 4, seed=3, lam=1e-2)
-        ref = RandomSource(4).normals(4)
+        rng = RandomSource(4)
+        ref, x = rng.normals(4), rng.normals(4)
         cache = obj.build_snapshot(ref)
         assert cache.mode == "stored"
+        recompute = obj.build_snapshot(ref, mode="recompute")
         for i in range(1, obj.n + 1):
-            direct = obj.component(i, ref)[1]
-            cached = cache.ref_component_grad(i)
+            direct = svrg_estimator(recompute, obj, x, [i])
+            cached = svrg_estimator(cache, obj, x, [i])
             assert np.linalg.norm(direct - cached) <= 1e-12 * (
                 1 + np.linalg.norm(direct))
 
@@ -237,8 +240,10 @@ class TestSnapshotCache:
         cache = obj.build_snapshot(np.zeros(2), mode="recompute")
         assert cache.mode == "recompute"
         assert cache.residuals is None
-        direct = obj.component(3, np.zeros(2))[1]
-        assert np.allclose(cache.ref_component_grad(3), direct)
+        stored = obj.build_snapshot(np.zeros(2))
+        x = RandomSource(2).normals(2)
+        assert np.allclose(svrg_estimator(cache, obj, x, [3]),
+                           svrg_estimator(stored, obj, x, [3]))
 
 
 class TestComponentSmoothnessInvariant:

@@ -153,9 +153,9 @@ class TestSvrgEstimator:
         cache = obj.build_snapshot(rng.normals(3))
         x = rng.normals(3)
         fused = svrg_estimator(cache, obj, x, [3, 8])
-        generic = cache.full_grad + 0.5 * sum(
-            obj.component(i, x)[1] - cache.ref_component_grad(i)
-            for i in (3, 8))
+        generic = svrg_estimator(obj.build_snapshot(cache.x_ref,
+                                                    mode="recompute"),
+                                 obj, x, [3, 8])
         assert np.linalg.norm(fused - generic) <= 1e-12
 
     def test_empty_batch_rejected(self):
@@ -329,6 +329,33 @@ class TestPassAccounting:
         assert res.grad_evals == 3 * (n + sched.m * b) + 2 * n + n
         passes = [r.passes for r in res.trace]
         assert passes == sorted(passes)
+
+
+class TestEarlyExit:
+    # Each run stops on target_grad_sq; the returned point must be the one
+    # whose exact gradient norm certified the stop.
+    @pytest.mark.parametrize("run", [
+        lambda obj, sched: gd_run(obj, np.zeros(5), 10_000,
+                                  target_grad_sq=0.05),
+        lambda obj, sched: sgd_run(obj, np.zeros(5), 3000, 1, RandomSource(0),
+                                   ConstantRate(0.5), output="random",
+                                   eval_every=50, target_grad_sq=1e-3),
+        lambda obj, sched: svrg_simple_run(obj, np.zeros(5), sched, 30, 1,
+                                           RandomSource(2),
+                                           target_grad_sq=0.05),
+        lambda obj, sched: svrg_full_run(obj, np.zeros(5), sched, 30, 1,
+                                         RandomSource(2),
+                                         target_grad_sq=0.05),
+        lambda obj, sched: svrg_full_run(obj, np.zeros(5), sched, 30, 1,
+                                         RandomSource(2), probe_stride=16,
+                                         target_grad_sq=0.05),
+    ], ids=["gd", "sgd-random", "svrg1", "svrg2", "svrg2-probed"])
+    def test_returns_the_certified_point(self, run):
+        obj = make_synthetic(256, 5, 1)
+        res = run(obj, default_svrg_params(obj.n, obj.smoothness))
+        assert res.evals_to_target is not None
+        grad = obj.full_value_and_gradient(res.output)[1]
+        assert float(grad @ grad) == res.final_grad_norm_sq
 
 
 class TestGdRun:
