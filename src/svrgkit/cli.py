@@ -109,6 +109,11 @@ class RunConfig:
             raise ConfigError(f"unknown accounting mode {self.accounting!r}")
         if self.flip_fraction and not 0 <= self.flip_fraction <= 1:
             raise ConfigError("flip_fraction must be in [0,1]")
+        if self.synthetic is not None and self.objective != "erm":
+            raise ConfigError("synthetic inputs are linear ERM instances; "
+                              "objective 'net' needs a dataset")
+        if self.synthetic is not None and self.flip_fraction:
+            raise ConfigError("flip_fraction applies to dataset inputs only")
         if self.objective == "net" and self.accounting == "stored":
             raise ConfigError("networks recompute reference gradients; "
                               "accounting 'stored' is for linear ERM")
@@ -203,11 +208,8 @@ def _parse_m(expr, n: int, b: int) -> int:
 def build_objective(cfg: RunConfig, rng: RandomSource):
     if cfg.synthetic is not None:
         spec = dict(cfg.synthetic)
-        obj = make_synthetic(spec["n"], spec["d"], spec["seed"],
-                             loss=LossKind.parse(cfg.loss), lam=cfg.lam)
-        if cfg.flip_fraction:
-            raise ConfigError("flip_fraction applies to dataset inputs only")
-        return obj
+        return make_synthetic(spec["n"], spec["d"], spec["seed"],
+                              loss=LossKind.parse(cfg.loss), lam=cfg.lam)
     ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
     if cfg.flip_fraction:
         ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))

@@ -213,13 +213,18 @@ class ErmObjective(FiniteSumObjective):
         residuals = eval_loss(self.loss, self.margins(x)).derivative
         return SnapshotCache(x, grad, value, residuals=residuals)
 
-    def fused_svrg_estimator(self, cache: SnapshotCache, x, idx) -> np.ndarray:
+    def fused_svrg_estimator(self, cache: SnapshotCache, x, idx,
+                             out=None) -> np.ndarray:
         """mu + mean_i(grad_i(x) - grad_i(x_ref)) without per-row allocs,
-        reading the reference derivatives from a stored-mode ``cache``."""
+        reading the reference derivatives from a stored-mode ``cache``;
+        written into ``out`` (which must not alias ``x``) when given."""
+        est = np.empty(self.dim) if out is None else out
         if self.lam:
-            est = cache.full_grad + self.lam * (x - cache.x_ref)
+            np.subtract(x, cache.x_ref, out=est)
+            est *= self.lam
+            est += cache.full_grad
         else:
-            est = cache.full_grad.copy()
+            np.copyto(est, cache.full_grad)
         scale = 1.0 / len(idx)
         residuals = cache.residuals
         for i in idx:

@@ -7,15 +7,18 @@ AdaGrad learning rates, and two variance-reduced runners:
   snapshot and starting point is the previous epoch's last iterate; the
   returned point is drawn uniformly from all post-update iterates.
 * :func:`svrg_full_run` - additionally draws a weighted stopping index
-  m_s in {m-m0+1..m} at each epoch end (weights built from the geometric
+  m_s in {m-m0+1..m} for each epoch (weights built from the geometric
   sub-epoch coefficients), restarts the next epoch from that iterate, and
   returns a uniform draw from the union of all eligible iterates
-  {x_0..x_{m_s-1}} across epochs, realized by reservoir sampling so no
-  iterate history is kept.
+  {x_0..x_{m_s-1}} across epochs, realized by reservoir sampling.
 
 Per-epoch RNG consumption order is fixed (component indices, reservoir
 uniforms, stopping draw, late-iterate reservoir uniforms), so a run is a
-pure function of (objective, config, seed).
+pure function of (objective, config, seed).  The inner loop draws nothing,
+so all four are drawn at epoch start; iterates then join the reservoir as
+they are produced and only x_{m_s} is copied for the restart.  A run thus
+holds a fixed number of d-vectors whatever m and m0 are (``record_iterates``
+aside), and the inner step writes its estimate into one reused buffer.
 
 Pass accounting follows the stored-snapshot convention: a snapshot costs 1
 pass and an inner iteration with batch b costs b/n passes when reference
@@ -354,17 +357,20 @@ class _Ledger:
 # ---------------------------------------------------------------------------
 
 
-def _generic_estimator(cache: SnapshotCache, obj, x, batch) -> np.ndarray:
+def _generic_estimator(cache: SnapshotCache, obj, x, batch,
+                       out=None) -> np.ndarray:
     # The parentheses make x == x_ref return full_grad exactly.
-    return cache.full_grad + (obj.batch_mean_grad(batch, x)
-                              - obj.batch_mean_grad(batch, cache.x_ref))
+    return np.add(cache.full_grad, obj.batch_mean_grad(batch, x)
+                  - obj.batch_mean_grad(batch, cache.x_ref), out=out)
 
 
 def _resolve_estimator(cache: SnapshotCache, obj):
-    """Fused kernel for stored residuals, else the generic formula."""
+    """Fused kernel for stored residuals, else the generic formula; both
+    write into ``out`` when given one and return a new array otherwise."""
     if cache.mode == "stored":
         return obj.fused_svrg_estimator
-    return lambda c, point, batch: _generic_estimator(c, obj, point, batch)
+    return lambda c, point, batch, out=None: _generic_estimator(
+        c, obj, point, batch, out=out)
 
 
 def svrg_estimator(cache: SnapshotCache, obj: FiniteSumObjective,
@@ -424,6 +430,7 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     stops: list[int] = []
     iterates: list[np.ndarray] | None = [] if record_iterates else None
     reservoir = _Reservoir()
+    step = np.empty(obj.dim)    # estimator output, scaled in place
     k_global = 0
 
     def exact_grad_sq(point) -> float:
@@ -452,14 +459,23 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
 
         idx = rng.draw_indices(n, size=m * b).reshape(m, b)
         us = rng.uniforms((m - m0 + 1) if variant == "full" else m)
-        ring = [None] * (m0 + 1) if variant == "full" else None
+        if variant == "full":
+            # The inner loop draws nothing, so the stop and the uniforms for
+            # the late iterates m-m0+1 .. m_s-1 can be drawn up front.
+            m_s = draw_epoch_stop(rng, schedule)
+            n_late = m_s - (m - m0) - 1
+            late_us = rng.uniforms(n_late) if n_late > 0 else None
+            restart = None
         epoch_rows = np.empty((m + 1, obj.dim)) if record_iterates else None
 
         for k in range(m):
-            if variant == "full" and k <= m - m0:
-                reservoir.feed(x, us[k])
-            if ring is not None and k >= m - m0:
-                ring[k - (m - m0)] = x.copy()
+            if variant == "full":
+                if k <= m - m0:
+                    reservoir.feed(x, us[k])
+                elif k < m_s:
+                    reservoir.feed(x, late_us[k - (m - m0) - 1])
+                elif k == m_s:
+                    restart = x.copy()
             if record_iterates:
                 epoch_rows[k] = x
             if probe_stride and k % probe_stride == 0:
@@ -473,12 +489,12 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
                     value, grad = obj.full_value_and_gradient(x)
                     gns = ledger.checkpoint(value, grad, s, "final point")
                     return finish(x.copy(), value, gns, evals_to_target=spent)
-            est = estimate(cache, x, idx[k])
+            est = estimate(cache, x, idx[k], out=step)
             if adagrad:
                 x -= adagrad_step(ada_state, est, adagrad.alpha, adagrad.delta)
             else:
-                eta = schedule.eta if lr is None else lr.value(k_global, n)
-                x -= eta * est
+                est *= schedule.eta if lr is None else lr.value(k_global, n)
+                x -= est
             if variant == "simple":
                 reservoir.feed(x, us[k])
             k_global += 1
@@ -491,17 +507,11 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
             iterates.append(epoch_rows)
 
         if variant == "full":
-            ring[m0] = x.copy()
-            m_s = draw_epoch_stop(rng, schedule)
+            # Iterates after m_s were computed and charged, but the next
+            # epoch restarts from x_{m_s} (the loop-end x when m_s == m).
             stops.append(m_s)
-            # Iterates past the always-eligible prefix join the reservoir
-            # only up to the stopping index.
-            n_late = m_s - (m - m0) - 1
-            if n_late > 0:
-                late_us = rng.uniforms(n_late)
-                for j in range(n_late):
-                    reservoir.feed(ring[j + 1], late_us[j])
-            x = ring[m_s - (m - m0)].copy()
+            if restart is not None:
+                x = restart
 
         if eval_every_epochs and s % eval_every_epochs == 0 and s < epochs:
             value, grad = obj.full_value_and_gradient(x)

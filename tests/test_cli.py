@@ -151,6 +151,10 @@ class TestTrain:
                     ("svrg1", "--smoothness", "-1", "--epochs", "1")):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
+        # synthetic inputs are linear ERM; a network needs a dataset
+        assert run_cli("train", "--synthetic", "16,2,1", "--objective", "net",
+                       "--optimizer", "svrg1", "--epochs", "1",
+                       "--batch-size", "2") == 1
         multiclass = tmp_path / "mc.libsvm"
         multiclass.write_text("".join(f"{1 + i % 3} 1:{i}.5\n"
                                       for i in range(12)))

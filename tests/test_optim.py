@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from svrgkit.core import RandomSource
+from svrgkit.dataio import Dataset
 from svrgkit.losses import LossKind
-from svrgkit.objectives import QuadraticObjective, make_synthetic
+from svrgkit.objectives import ErmObjective, QuadraticObjective, make_synthetic
 from svrgkit.optim import (AdaGradRate, AdaGradState, ConstantRate,
                            DivergenceError, PolynomialRate, SvrgSchedule,
                            adagrad_step, beta_weights, default_svrg_params,
@@ -158,6 +160,20 @@ class TestSvrgEstimator:
                                  obj, x, [3, 8])
         assert np.linalg.norm(fused - generic) <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["stored", "recompute"])
+    def test_consecutive_calls_return_independent_arrays(self, mode):
+        # the engine reuses one output buffer; the public call must not
+        obj = make_synthetic(10, 3, seed=8, lam=1e-2)
+        rng = RandomSource(9)
+        cache = obj.build_snapshot(rng.normals(3), mode=mode)
+        first = svrg_estimator(cache, obj, rng.normals(3), [2, 5])
+        kept = first.copy()
+        second = svrg_estimator(cache, obj, rng.normals(3), [7])
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, cache.full_grad)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
     def test_empty_batch_rejected(self):
         obj = two_component_quadratic()
         cache = obj.build_snapshot(np.zeros(1))
@@ -255,13 +271,26 @@ class TestSvrgFullRun:
         assert abs(hits_start / 10_000 - 0.5) <= 0.02
 
     def test_restart_uses_stopped_iterate(self):
-        obj = make_synthetic(6, 2, seed=5, lam=1e-2)
-        sched = default_svrg_params(obj.n, obj.smoothness, m0_override=3)
-        res = svrg_full_run(obj, np.zeros(2), sched, epochs=2, batch_size=1,
-                            rng=RandomSource(3), record_iterates=True)
-        m_s = res.epoch_stops[0]
-        assert np.array_equal(res.epoch_iterates[1][0],
-                              res.epoch_iterates[0][m_s])
+        # every epoch restarts from x_{m_s} bit for bit, over stops inside
+        # the last sub-epoch and at its end, with m0 = m and with b > 1; the
+        # output is one of the eligible iterates x_0 .. x_{m_s - 1}
+        seen = set()
+        for n, m0, b in ((6, 3, 1), (12, 12, 1), (12, 4, 3)):
+            obj = make_synthetic(n, 2, seed=5, lam=1e-2)
+            sched = default_svrg_params(obj.n, obj.smoothness, m0_override=m0)
+            assert sched.m == n and sched.m0 == m0
+            for seed in range(6):
+                res = svrg_full_run(obj, np.zeros(2), sched, epochs=4,
+                                    batch_size=b, rng=RandomSource(seed),
+                                    record_iterates=True)
+                rows = res.epoch_iterates
+                for s, m_s in enumerate(res.epoch_stops[:-1]):
+                    assert np.array_equal(rows[s + 1][0], rows[s][m_s])
+                seen.update(m_s == sched.m for m_s in res.epoch_stops)
+                eligible = [r[k] for r, m_s in zip(rows, res.epoch_stops)
+                            for k in range(m_s)]
+                assert any(np.array_equal(res.output, x) for x in eligible)
+        assert seen == {True, False}
 
     def test_deterministic_replay(self):
         obj = make_synthetic(24, 3, seed=6, lam=1e-3)
@@ -272,6 +301,40 @@ class TestSvrgFullRun:
         assert a.epoch_stops == b.epoch_stops
         assert [r.grad_norm_sq for r in a.trace] == \
             [r.grad_norm_sq for r in b.trace]
+
+
+def sparse_erm(n: int, d: int, nnz: int, seed: int) -> ErmObjective:
+    rng = np.random.default_rng(seed)
+    cols = np.sort(np.stack([rng.choice(d, nnz, replace=False)
+                             for _ in range(n)]), axis=1)
+    labels = np.where(np.arange(n) % 2 == 0, 1, -1)
+    data = Dataset.from_csr(np.arange(n + 1) * nnz, cols.ravel(),
+                            rng.standard_normal(n * nnz) / math.sqrt(nnz),
+                            labels, dim=d)
+    return ErmObjective(data, LossKind.logistic(), lam=1e-3)
+
+
+class TestRunMemory:
+    # Peak traced allocation of a whole run, in d-vectors of float64.  The
+    # run must hold a fixed number of them whatever m0 is: no copies of the
+    # last sub-epoch's iterates and no per-step temporaries pile up.
+    @pytest.mark.parametrize("run", [svrg_full_run, svrg_simple_run])
+    @pytest.mark.parametrize("m0", [100, 400])
+    @pytest.mark.parametrize("accounting", ["stored", "recompute"])
+    def test_peak_is_a_few_vectors(self, run, m0, accounting):
+        d = 20_000
+        obj = sparse_erm(200, d, 5, seed=0)
+        sched = default_svrg_params(obj.n, obj.smoothness, m_override=400,
+                                    m0_override=m0)
+        x0 = np.zeros(d)
+        tracemalloc.start()
+        try:
+            run(obj, x0, sched, epochs=2, batch_size=1, rng=RandomSource(1),
+                accounting=accounting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * d, peak / (8 * d)
 
 
 class TestPassAccounting:
