@@ -397,8 +397,8 @@ def cmd_tune(args) -> int:
 
     loss = LossKind.parse(cfg.loss)
     lambdas = tune.get("lambdas") or default_lambda_grid()
-    probe_obj = ErmObjective(train, loss, lam=float(np.median(lambdas)))
-    alphas = tune.get("alphas") or default_alpha_grid(probe_obj.smoothness)
+    alphas = tune.get("alphas") or default_alpha_grid(
+        ErmObjective(train, loss, lam=float(np.median(lambdas))).smoothness)
     betas = (tune.get("betas") if tune.get("betas") is not None
              else ([round(0.1 * i, 1) for i in range(11)]
                    if cfg.optimizer == "sgd" else [None]))
@@ -702,7 +702,10 @@ def build_parser() -> _Parser:
     p_train.add_argument("--accounting",
                          choices=("auto", "stored", "recompute"))
     p_train.add_argument("--smoothness", type=float)
-    p_train.add_argument("--eval-every", dest="eval_every", type=int)
+    p_train.add_argument("--eval-every", dest="eval_every", type=int,
+                         help="exact evaluation every N iterations (sgd) or "
+                              "N epochs (svrg); gd evaluates every step and "
+                              "ignores it")
     p_train.add_argument("--wall-clock", dest="wall_clock",
                          action="store_true",
                          help="write measured wall times into the trace "

@@ -5,6 +5,14 @@ Every objective exposes the same surface: component count ``n``, parameter
 dimension ``dim``, a smoothness constant ``smoothness`` (Lipschitz bound on
 every component gradient), 1-based per-component value/gradient, the exact
 full average, and snapshot caches for variance-reduced estimators.
+
+Linear ERM over a Dataset views the Dataset's int64 CSR arrays and never
+holds an index copy.  scipy's ``csr_array`` keeps them as they are for the
+full-pass matvecs; ``csr_matrix`` would store int32 indices, and every
+per-row gather ``x[cols]`` and scatter ``out[cols] +=`` would then cast
+its index slice back to intp.  The per-row loop of the inner steps
+(``_add_rows``) slices the same arrays and reads row bounds, labels and
+reference derivatives as Python scalars.
 """
 
 from __future__ import annotations
@@ -16,6 +24,21 @@ from scipy.special import expit
 from .core import RandomSource, SparseFeatures, sq_norm, zeros
 from .dataio import Dataset
 from .losses import LossKind, eval_loss, loss_smoothness, make_scalar_derivative
+
+
+def _no_reference(i0: int) -> float:
+    return 0.0
+
+
+class _EveryColumn:
+    """Column array of dense rows laid end to end: every slice of it is
+    ``...``, so a dense row gathers and scatters all of x like a CSR row."""
+
+    def __getitem__(self, key):
+        return ...
+
+
+_EVERY_COLUMN = _EveryColumn()
 
 
 class SnapshotCache:
@@ -129,13 +152,16 @@ class ErmObjective(FiniteSumObjective):
             self.n = len(data)
             self.dim = data.dim
             self.labels = data.labels.astype(np.float64)
-            self._X = sp.csr_matrix(
+            # csr_array keeps the int64 indices; csr_matrix copies them to int32.
+            self._X = sp.csr_array(
                 (data.val, data.col_idx, data.indptr), shape=(self.n, self.dim))
             self._dense = None
-            row_norms = np.asarray(self._X.multiply(self._X).sum(axis=1)).ravel()
+            self._indptr, self._cols, self._vals = (
+                data.indptr, data.col_idx, data.val)
+            row_norms = self._X.multiply(self._X).sum(axis=1)
         else:
             self.dataset = None
-            self._dense = np.asarray(data, dtype=np.float64)
+            self._dense = np.ascontiguousarray(data, dtype=np.float64)
             if self._dense.ndim != 2 or self._dense.shape[0] == 0:
                 raise ValueError("dense features must be a non-empty 2-D array")
             self.n, self.dim = self._dense.shape
@@ -143,24 +169,30 @@ class ErmObjective(FiniteSumObjective):
             if self.labels.shape != (self.n,):
                 raise ValueError("labels must match the feature row count")
             self._X = None
+            # The rows end to end, read by the row loops like CSR rows.
+            self._indptr = np.arange(0, (self.n + 1) * self.dim, self.dim)
+            self._cols, self._vals = _EVERY_COLUMN, self._dense.ravel()
             row_norms = (self._dense ** 2).sum(axis=1)
         self.max_row_norm_sq = float(row_norms.max())
         self.smoothness = loss_smoothness(loss) * self.max_row_norm_sq + self.lam
 
-    # -- row access (0-based internals) ------------------------------------
+    def _add_rows(self, out, x, idx, scale, refs=None):
+        """out += scale * sum_i (loss'(t_i) - refs[i-1]) l_i a_i over the
+        1-based rows i in ``idx``, t_i = l_i <a_i, x> (refs 0 when None).
 
-    def _row_dot(self, i0: int, x: np.ndarray) -> float:
-        if self._dense is not None:
-            return float(self._dense[i0] @ x)
-        lo, hi = self._X.indptr[i0], self._X.indptr[i0 + 1]
-        return float(np.dot(self._X.data[lo:hi], x[self._X.indices[lo:hi]]))
-
-    def _add_row(self, out: np.ndarray, i0: int, coef: float) -> None:
-        if self._dense is not None:
-            out += coef * self._dense[i0]
-        else:
-            lo, hi = self._X.indptr[i0], self._X.indptr[i0 + 1]
-            out[self._X.indices[lo:hi]] += coef * self._X.data[lo:hi]
+        The per-row loop of every batched path.  Row bounds, labels and
+        reference derivatives are read as Python scalars, the row's values
+        and columns as views of the data arrays."""
+        deriv1, bound, label_of = self._deriv1, self._indptr.item, self.labels.item
+        ref_of = refs.item if refs is not None else _no_reference
+        cols_all, vals_all = self._cols, self._vals
+        for i in idx:
+            lo, hi = bound(i - 1), bound(i)
+            cols, vals = cols_all[lo:hi], vals_all[lo:hi]
+            label = label_of(i - 1)
+            deriv = deriv1(label * float(np.dot(vals, x[cols])))
+            out[cols] += scale * (deriv - ref_of(i - 1)) * label * vals
+        return out
 
     def margins(self, x: np.ndarray) -> np.ndarray:
         prod = self._dense @ x if self._dense is not None else self._X @ x
@@ -171,12 +203,14 @@ class ErmObjective(FiniteSumObjective):
     def component(self, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
         if not 1 <= i <= self.n:
             raise IndexError(f"component index {i} out of range 1..{self.n}")
-        t = self.labels[i - 1] * self._row_dot(i - 1, x)
-        value, deriv = eval_loss(self.loss, t)
+        lo, hi = self._indptr.item(i - 1), self._indptr.item(i)
+        cols, vals = self._cols[lo:hi], self._vals[lo:hi]
+        label = self.labels.item(i - 1)
+        value, deriv = eval_loss(self.loss, label * float(np.dot(vals, x[cols])))
         grad = self.lam * x if self.lam else zeros(self.dim)
         if self.lam:
             value = value + 0.5 * self.lam * sq_norm(x)
-        self._add_row(grad, i - 1, deriv * self.labels[i - 1])
+        grad[cols] += deriv * label * vals
         return value, grad
 
     def full_value_and_gradient(self, x):
@@ -195,13 +229,7 @@ class ErmObjective(FiniteSumObjective):
 
     def batch_mean_grad(self, idx, x):
         grad = self.lam * x if self.lam else zeros(self.dim)
-        scale = 1.0 / len(idx)
-        for i in idx:
-            i0 = int(i) - 1
-            label = self.labels[i0]
-            deriv = self._deriv1(label * self._row_dot(i0, x))
-            self._add_row(grad, i0, scale * deriv * label)
-        return grad
+        return self._add_rows(grad, x, idx, 1.0 / len(idx))
 
     def snapshot_mode(self, mode: str = "auto") -> str:
         return "recompute" if mode == "recompute" else "stored"
@@ -225,14 +253,7 @@ class ErmObjective(FiniteSumObjective):
             est += cache.full_grad
         else:
             np.copyto(est, cache.full_grad)
-        scale = 1.0 / len(idx)
-        residuals = cache.residuals
-        for i in idx:
-            i0 = int(i) - 1
-            label = self.labels[i0]
-            deriv = self._deriv1(label * self._row_dot(i0, x))
-            self._add_row(est, i0, scale * (deriv - residuals[i0]) * label)
-        return est
+        return self._add_rows(est, x, idx, 1.0 / len(idx), cache.residuals)
 
     def accuracy(self, x: np.ndarray) -> float:
         """Fraction of examples with sign(<a, x>) matching the label."""

@@ -489,7 +489,8 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
                     value, grad = obj.full_value_and_gradient(x)
                     gns = ledger.checkpoint(value, grad, s, "final point")
                     return finish(x.copy(), value, gns, evals_to_target=spent)
-            est = estimate(cache, x, idx[k], out=step)
+            # Python ints: the objectives' row loops index with them.
+            est = estimate(cache, x, idx[k].tolist(), out=step)
             if adagrad:
                 x -= adagrad_step(ada_state, est, adagrad.alpha, adagrad.delta)
             else:
@@ -613,7 +614,7 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
         us = rng.uniforms(count) if output == "random" else None
         for j in range(count):
             k = base + j
-            grad = obj.batch_mean_grad(idx[j], x)
+            grad = obj.batch_mean_grad(idx[j].tolist(), x)
             ledger.charge(b)
             if adagrad:
                 x -= adagrad_step(ada_state, grad, adagrad.alpha, adagrad.delta)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svrgkit.core import RandomSource, SparseFeatures
 from svrgkit.dataio import Dataset
@@ -270,3 +273,83 @@ class TestComponentSmoothnessInvariant:
             fd = fd_gradient(lambda p: obj.full_value_and_gradient(p)[0], x)
             assert np.linalg.norm(fd - grad) / (1 + np.linalg.norm(grad)) \
                 <= 1e-5
+
+
+def random_csr_dataset(n, d, per_row, seed):
+    """Binary Dataset with ``per_row`` random columns per row."""
+    rng = np.random.default_rng(seed)
+    cols = np.concatenate([np.sort(rng.choice(d, per_row, replace=False))
+                           for _ in range(n)])
+    return Dataset.from_csr(np.arange(0, n * per_row + 1, per_row), cols,
+                            rng.normal(size=n * per_row),
+                            rng.choice([-1, 1], size=n), dim=d)
+
+
+class TestErmSharesDatasetArrays:
+    def test_views_the_int64_csr_arrays(self):
+        ds = random_csr_dataset(50, 300, 20, seed=1)
+        obj = ErmObjective(ds, LossKind.logistic(), lam=1e-3)
+        for held, own in ((obj._X.indices, ds.col_idx),
+                          (obj._X.indptr, ds.indptr)):
+            assert held.dtype == np.intp
+            assert np.shares_memory(held, own)
+
+    def test_tune_sized_objectives_retain_no_index_copy(self):
+        # A tune grid builds one objective per cell over one training split.
+        n, per_row = 400, 24
+        ds = random_csr_dataset(n, 2000, per_row, seed=2)
+        nnz = n * per_row
+        tracemalloc.start()
+        try:
+            objs = [ErmObjective(ds, LossKind.logistic(), lam=1e-4)]
+            before = tracemalloc.get_traced_memory()[0]
+            objs += [ErmObjective(ds, LossKind.logistic(), lam=1e-4 * k)
+                     for k in range(2, 13)]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(objs) == 12
+        # An int32 copy of the column indices alone would be 4 * nnz bytes.
+        assert retained / 11 < nnz
+
+
+@st.composite
+def erm_batches(draw):
+    """A small sparse or dense ERM instance, two points and a 1-based batch
+    of any size up to n, repeated rows allowed."""
+    n, d = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    feats = rng.normal(size=(n, d))
+    labels = rng.choice([-1.0, 1.0], size=n)
+    loss = draw(st.sampled_from(ALL_ERM_LOSSES))
+    lam = draw(st.sampled_from([0.0, 1e-2]))
+    if draw(st.booleans()):
+        obj = ErmObjective(feats, loss, lam=lam, labels=labels)
+    else:
+        feats[rng.random((n, d)) < 0.4] = 0.0   # empty rows included
+        obj = erm_from_rows(feats.tolist(), labels.tolist(), loss, lam=lam)
+    b = draw(st.integers(1, n))
+    batch = draw(st.lists(st.integers(1, n), min_size=b, max_size=b))
+    return obj, rng.normal(size=d), rng.normal(size=d), batch
+
+
+def assert_close(a, b):
+    assert np.linalg.norm(a - b) <= 1e-12 * (1 + np.linalg.norm(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=erm_batches())
+def test_row_loops_agree_with_components(case):
+    obj, x, ref, batch = case
+    stored = obj.build_snapshot(ref)
+    recompute = obj.build_snapshot(ref, mode="recompute")
+    assert_close(svrg_estimator(stored, obj, x, batch),
+                 svrg_estimator(recompute, obj, x, batch))
+    assert_close(obj.batch_mean_grad(batch, x),
+                 np.mean([obj.component(i, x)[1] for i in batch], axis=0))
+    full = obj.full_value_and_gradient(x)[1]
+    singletons = range(1, obj.n + 1)
+    assert_close(np.mean([svrg_estimator(stored, obj, x, [i])
+                          for i in singletons], axis=0), full)
+    assert_close(np.mean([obj.batch_mean_grad([i], x) for i in singletons],
+                         axis=0), full)
