@@ -22,8 +22,7 @@ from .optim import (AdaGradRate, AdaGradState, ConstantRate, DivergenceError,
                     epoch_end_weights, epochs_for_passes, gd_run,
                     grad_dominated_drive, parse_rate, sgd_run,
                     svrg_estimator, svrg_full_run, svrg_simple_run)
-from .verify import (FdConfig, SlopeFit, epoch_variance_aggregate,
-                     exact_variance, fd_gradient, fit_rate_slope,
-                     smoothness_probe)
+from .verify import (SlopeFit, epoch_variance_aggregate, exact_variance,
+                     fd_gradient, fit_rate_slope, smoothness_probe)
 
 __version__ = "0.1.0"

@@ -31,7 +31,9 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,8 @@ from .dataio import (Dataset, LibsvmFormatError, flip_labels, parse_libsvm,
                      split, write_libsvm, write_trace)
 from .losses import ALL_ERM_LOSSES, LossKind
 from .objectives import ErmObjective, TwoLayerNet, make_synthetic
-from .optim import (AdaGradRate, DivergenceError, RunResult, beta_weights,
+from .optim import (AdaGradRate, ConstantRate, DivergenceError,
+                    PolynomialRate, RunResult, beta_weights,
                     default_svrg_params, epoch_end_weights,
                     epochs_for_passes, gd_run, parse_rate, sgd_run,
                     svrg_estimator, svrg_full_run, svrg_simple_run)
@@ -97,10 +100,22 @@ class RunConfig:
     net: dict = field(default_factory=dict)
     out: str | None = None
     wall_clock: bool = False
+    # Parsed from ``loss`` and ``lr``; the strings stay the config.
+    loss_kind: LossKind = field(init=False, repr=False)
+    rate: ConstantRate | PolynomialRate | AdaGradRate | None = field(
+        init=False, repr=False)
 
     def __post_init__(self):
         if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError("exactly one of dataset / synthetic is required")
+        try:
+            self.loss_kind = LossKind.parse(self.loss)
+        except ValueError as e:
+            raise ConfigError(f"bad loss {self.loss!r}: {e}") from None
+        try:
+            self.rate = parse_rate(self.lr) if self.lr else None
+        except ValueError as e:
+            raise ConfigError(f"bad lr {self.lr!r}: {e}") from None
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.objective not in ("erm", "net"):
@@ -109,6 +124,12 @@ class RunConfig:
             raise ConfigError(f"unknown accounting mode {self.accounting!r}")
         if self.flip_fraction and not 0 <= self.flip_fraction <= 1:
             raise ConfigError("flip_fraction must be in [0,1]")
+        spec = self.synthetic
+        if spec is not None and not (
+                isinstance(spec, dict) and set(spec) == {"n", "d", "seed"}
+                and spec["n"] >= 1 and spec["d"] >= 1):
+            raise ConfigError(f"synthetic needs n, d >= 1 and a seed, got "
+                              f"{spec!r}")
         if self.synthetic is not None and self.objective != "erm":
             raise ConfigError("synthetic inputs are linear ERM instances; "
                               "objective 'net' needs a dataset")
@@ -130,18 +151,17 @@ class RunConfig:
     def effective(self) -> dict:
         """Run semantics for the trace header: everything that changes the
         numbers, nothing that doesn't (output location, wall-clock flag)."""
-        out = {k: v for k, v in self.__dict__.items() if v not in (None, {})}
-        out.pop("wall_clock", None)
-        out.pop("out", None)
-        return out
+        return {key: getattr(self, key) for key in _RUN_KEYS
+                if key not in ("out", "wall_clock")
+                and getattr(self, key) not in (None, {})}
 
 
-_CONFIG_KEYS = {
-    "dataset", "synthetic", "objective", "loss", "lambda", "flip_fraction",
-    "optimizer", "batch_size", "passes", "epochs", "iterations", "steps",
-    "m", "m0", "eta", "lr", "seed", "accounting", "smoothness", "eval_every",
-    "net", "out", "tune",
-}
+# RunConfig's settable fields, which are also the flag destinations; the
+# config file spells ``lam`` as "lambda", sets no wall_clock and adds the
+# "tune" section.
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig) if f.init)
+_CONFIG_KEYS = {"lambda" if key == "lam" else key
+                for key in _RUN_KEYS if key != "wall_clock"} | {"tune"}
 
 
 def load_config(args) -> tuple[RunConfig, dict]:
@@ -154,33 +174,23 @@ def load_config(args) -> tuple[RunConfig, dict]:
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("dataset", "objective", "loss", "optimizer", "lr", "m",
-                "accounting", "out"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            raw[key] = val
-    for key in ("flip_fraction", "eta", "smoothness"):
+    if "lambda" in raw:
+        raw["lam"] = raw.pop("lambda")
+    tune = raw.pop("tune", {})
+    for key in _RUN_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    if getattr(args, "lam", None) is not None:
-        raw["lambda"] = args.lam
-    for key in ("batch_size", "epochs", "iterations", "steps", "seed", "m0",
-                "eval_every"):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = int(val)
-    if getattr(args, "passes", None) is not None:
-        raw["passes"] = float(args.passes)
-    if getattr(args, "synthetic", None):
-        n, d, seed = (int(v) for v in args.synthetic.split(","))
+    if getattr(args, "synthetic", None) is not None:
+        try:
+            n, d, seed = (int(v) for v in args.synthetic.split(","))
+        except ValueError:
+            raise ConfigError(f"--synthetic takes N,D,SEED, got "
+                              f"{args.synthetic!r}") from None
         raw["synthetic"] = {"n": n, "d": d, "seed": seed}
         raw.pop("dataset", None)
-    tune = raw.pop("tune", {})
-    raw["lam"] = raw.pop("lambda", raw.pop("lam", 0.0))
-    wall = bool(getattr(args, "wall_clock", False))
     try:
-        cfg = RunConfig(wall_clock=wall, **raw)
+        cfg = RunConfig(**raw)
     except TypeError as e:
         raise ConfigError(str(e))
     return cfg, tune
@@ -201,6 +211,8 @@ def _parse_m(expr, n: int, b: int) -> int:
     if not match:
         raise ConfigError(f"cannot parse m expression {expr!r}")
     coef = int(match.group(1)) if match.group(1) else 1
+    if coef < 1:
+        raise ConfigError(f"m must be positive, got {expr!r}")
     m = coef * n / (b if match.group(2) else 1)
     return max(1, round(m))
 
@@ -209,12 +221,12 @@ def build_objective(cfg: RunConfig, rng: RandomSource):
     if cfg.synthetic is not None:
         spec = dict(cfg.synthetic)
         return make_synthetic(spec["n"], spec["d"], spec["seed"],
-                              loss=LossKind.parse(cfg.loss), lam=cfg.lam)
+                              loss=cfg.loss_kind, lam=cfg.lam)
     ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
     if cfg.flip_fraction:
         ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))
     if cfg.objective == "erm":
-        return ErmObjective(ds, LossKind.parse(cfg.loss), lam=cfg.lam)
+        return ErmObjective(ds, cfg.loss_kind, lam=cfg.lam)
     net_cfg = dict(cfg.net)
     net = TwoLayerNet(ds, hidden_dim=net_cfg.get("hidden", 64),
                       class_count=net_cfg.get("classes", ds.class_count()),
@@ -238,7 +250,7 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
     n, b = obj.n, cfg.batch_size
     if cfg.optimizer != "gd" and b > n:
         raise ConfigError(f"batch_size {b} exceeds n={n}")
-    lr = parse_rate(cfg.lr) if cfg.lr else None
+    lr = cfg.rate
     meta: dict = {"n": n, "dim": obj.dim, "batch_size": b}
     x0 = np.zeros(obj.dim)
 
@@ -330,19 +342,14 @@ class TuneCell:
     val_accuracy: float | None = None
 
 
-def _run_cell(payload: dict) -> dict:
-    """Worker for one grid cell; payload is picklable."""
-    cfg = payload["cfg"]
-    obj = ErmObjective(payload["data"], LossKind.parse(cfg.loss), lam=cfg.lam)
-    rng = RandomSource(cfg.seed, (1, payload["cell_id"]))
+def _run_cell(data: Dataset, cell_id: int, cfg: RunConfig,
+              ) -> RunResult | None:
+    """One grid cell on the training data; None when it diverged."""
+    obj = ErmObjective(data, cfg.loss_kind, lam=cfg.lam)
     try:
-        result, _ = run_configured(obj, cfg, rng)
+        return run_configured(obj, cfg, RandomSource(cfg.seed, (1, cell_id)))[0]
     except DivergenceError:
-        return {"cell_id": payload["cell_id"], "diverged": True}
-    return {"cell_id": payload["cell_id"], "diverged": False,
-            "final_objective": result.final_value,
-            "final_stationarity": result.final_grad_norm_sq,
-            "x": result.output.tolist()}
+        return None
 
 
 def select_step_winners(cells: list[TuneCell]) -> dict[float, "TuneCell"]:
@@ -362,16 +369,15 @@ def select_step_winners(cells: list[TuneCell]) -> dict[float, "TuneCell"]:
     return winners
 
 
-def default_alpha_grid(L: float, count: int = 10, decades: float = 4.0,
-                       ) -> list[float]:
+def default_alpha_grid(L: float) -> list[float]:
+    """Ten step sizes log-spaced over four decades centred on 1/L."""
     center = math.log10(1.0 / L)
-    return list(np.logspace(center - decades / 2, center + decades / 2,
-                            count))
+    return list(np.logspace(center - 2.0, center + 2.0, 10))
 
 
-def default_lambda_grid(count: int = 10, lo: float = 1e-6, hi: float = 1e-1,
-                        ) -> list[float]:
-    return list(np.logspace(math.log10(lo), math.log10(hi), count))
+def default_lambda_grid() -> list[float]:
+    """Ten regularization weights log-spaced from 1e-6 to 1e-1."""
+    return list(np.logspace(math.log10(1e-6), math.log10(1e-1), 10))
 
 
 def cmd_tune(args) -> int:
@@ -395,7 +401,7 @@ def cmd_tune(args) -> int:
     passes = tune.get("passes", 50.0)
     b = min(cfg.batch_size, len(train))
 
-    loss = LossKind.parse(cfg.loss)
+    loss = cfg.loss_kind
     lambdas = tune.get("lambdas") or default_lambda_grid()
     alphas = tune.get("alphas") or default_alpha_grid(
         ErmObjective(train, loss, lam=float(np.median(lambdas))).smoothness)
@@ -405,37 +411,28 @@ def cmd_tune(args) -> int:
     m = _parse_m(cfg.m if cfg.m is not None else "2n", len(train), b)
 
     cells: list[TuneCell] = []
-    payloads = []
-    cell_id = 0
+    cfgs: list[RunConfig] = []
     for lam in sorted(float(l) for l in lambdas):
         for alpha in sorted(float(a) for a in alphas):
             for beta in betas:
                 lr = (f"constant:{alpha!r}" if beta is None or beta == 0.0
                       else f"poly:{alpha!r},{beta!r}")
-                cells.append(TuneCell(cell_id, lam, alpha, beta))
-                payloads.append({"cell_id": cell_id, "data": train,
-                                 "cfg": replace(cfg, lam=lam, lr=lr,
-                                                batch_size=b, passes=passes,
-                                                m=m)})
-                cell_id += 1
+                cells.append(TuneCell(len(cells), lam, alpha, beta))
+                cfgs.append(replace(cfg, lam=lam, lr=lr, batch_size=b,
+                                    passes=passes, m=m))
 
-    results = {}
-    if args.threads and args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            for out in pool.map(_run_cell, payloads):
-                results[out["cell_id"]] = out
-    else:
-        for payload in payloads:
-            out = _run_cell(payload)
-            results[out["cell_id"]] = out
-    xs = {}
-    for cell in cells:
-        out = results[cell.cell_id]
-        cell.diverged = out["diverged"]
-        if not cell.diverged:
-            cell.final_objective = out["final_objective"]
-            cell.final_stationarity = out["final_stationarity"]
-            xs[cell.cell_id] = np.asarray(out["x"])
+    with ExitStack() as stack:
+        run_map = map
+        if args.threads > 1:
+            run_map = stack.enter_context(
+                ProcessPoolExecutor(max_workers=args.threads)).map
+        results = list(run_map(partial(_run_cell, train), range(len(cfgs)),
+                               cfgs))
+    for cell, result in zip(cells, results):
+        cell.diverged = result is None
+        if result is not None:
+            cell.final_objective = result.final_value
+            cell.final_stationarity = result.final_grad_norm_sq
     if all(c.diverged for c in cells):
         raise AllDivergedError("every tuning cell diverged")
 
@@ -443,7 +440,7 @@ def cmd_tune(args) -> int:
     for lam in sorted(winners):
         cell = winners[lam]
         val_obj = ErmObjective(validation, loss, lam=lam)
-        cell.val_accuracy = val_obj.accuracy(xs[cell.cell_id])
+        cell.val_accuracy = val_obj.accuracy(results[cell.cell_id].output)
     # accuracy decides lambda; ties break to the smaller step, then lambda
     chosen = min(winners.values(),
                  key=lambda c: (-c.val_accuracy, c.alpha, c.lam))
@@ -453,7 +450,7 @@ def cmd_tune(args) -> int:
     if tune.get("test_dataset"):
         test_ds = parse_libsvm(tune["test_dataset"])
         test_obj = ErmObjective(test_ds, loss, lam=chosen.lam)
-        test_accuracy = test_obj.accuracy(xs[chosen.cell_id])
+        test_accuracy = test_obj.accuracy(results[chosen.cell_id].output)
 
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -125,13 +125,7 @@ def _parse_label(tok: str, lineno: int) -> float:
         raise LibsvmFormatError(f"line {lineno}: unparsable label {tok!r}") from None
 
 
-def _remap_labels(raw: list[float], binary: bool, label_map: dict | None,
-                  ) -> list[int]:
-    if label_map is not None:
-        try:
-            return [int(label_map[v]) for v in raw]
-        except KeyError as e:
-            raise LibsvmFormatError(f"label {e.args[0]!r} missing from label_map")
+def _remap_labels(raw: list[float], binary: bool) -> list[int]:
     distinct = sorted(set(raw))
     if binary:
         if set(distinct) <= {-1.0, 1.0}:
@@ -149,16 +143,16 @@ def _remap_labels(raw: list[float], binary: bool, label_map: dict | None,
     return [mapping[v] for v in raw]
 
 
-def parse_libsvm(source, binary: bool = True, label_map: dict | None = None,
-                 dim: int | None = None) -> Dataset:
+def parse_libsvm(source, binary: bool = True, dim: int | None = None,
+                 ) -> Dataset:
     """Parse LibSVM text (path, file object, or iterable of lines).
 
-    Labels outside the declared mode's range are remapped by ``label_map``
-    or, by default, by sort order of the distinct observed labels.
+    Labels outside the declared mode's range are remapped by sort order of
+    the distinct observed labels.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
-            return parse_libsvm(fh, binary=binary, label_map=label_map, dim=dim)
+            return parse_libsvm(fh, binary=binary, dim=dim)
 
     raw_labels: list[float] = []
     indptr, cols, vals = [0], [], []
@@ -193,7 +187,7 @@ def parse_libsvm(source, binary: bool = True, label_map: dict | None = None,
                 vals.append(val)
         indptr.append(len(cols))
 
-    labels = _remap_labels(raw_labels, binary, label_map)
+    labels = _remap_labels(raw_labels, binary)
     return Dataset.from_csr(indptr, cols, vals, labels, dim=dim, binary=binary)
 
 

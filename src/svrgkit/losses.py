@@ -76,24 +76,10 @@ class LossKind:
             return cls.smoothed_hinge(float(arg))
         return cls(text)
 
-    def serialize(self) -> str:
-        if self.name == "hinge":
-            return f"hinge:{self.gamma:g}"
-        return self.name
-
-    def __str__(self) -> str:
-        return self.serialize()
-
 
 class LossEval(NamedTuple):
     value: float
     derivative: float
-
-
-def sigmoid_unscaled(t) -> LossEval:
-    """Value and derivative of 1/(1+e^t), before smoothness scaling."""
-    s = expit(-np.asarray(t, dtype=np.float64))
-    return LossEval(_out(t, s), _out(t, -s * (1.0 - s)))
 
 
 def _out(t, arr):

@@ -228,6 +228,8 @@ class ErmObjective(FiniteSumObjective):
         return value, grad
 
     def batch_mean_grad(self, idx, x):
+        if min(idx) < 1 or max(idx) > self.n:
+            raise IndexError(f"batch index out of range 1..{self.n}")
         grad = self.lam * x if self.lam else zeros(self.dim)
         return self._add_rows(grad, x, idx, 1.0 / len(idx))
 
@@ -315,26 +317,21 @@ class TwoLayerNet(FiniteSumObjective):
                 "or call estimate_smoothness()")
         return self._smoothness
 
-    @smoothness.setter
-    def smoothness(self, value: float):
-        self._smoothness = float(value)
-        self.smoothness_is_estimate = False
-
-    def estimate_smoothness(self, trials: int, rng: RandomSource,
-                            scale: float = 1.0, safety: float = 2.0) -> float:
-        """Empirical Lipschitz estimate from random gradient-difference
-        ratios, inflated by ``safety``; heuristic, not a guarantee."""
+    def estimate_smoothness(self, trials: int, rng: RandomSource) -> float:
+        """Empirical Lipschitz estimate: the largest gradient-difference ratio
+        over ``trials`` random components and standard-normal points x,
+        y = x + 0.1 N(0, I), doubled for safety; heuristic, not a guarantee."""
         worst = 0.0
         for _ in range(trials):
             i = rng.draw_index(self.n)
-            x = scale * rng.normals(self.dim)
-            y = x + scale * 0.1 * rng.normals(self.dim)
+            x = rng.normals(self.dim)
+            y = x + 0.1 * rng.normals(self.dim)
             gx = self.component(i, x)[1]
             gy = self.component(i, y)[1]
             dist = np.sqrt(sq_norm(x - y))
             if dist > 0:
                 worst = max(worst, np.sqrt(sq_norm(gx - gy)) / dist)
-        self._smoothness = safety * worst
+        self._smoothness = 2.0 * worst
         self.smoothness_is_estimate = True
         return self._smoothness
 
@@ -404,11 +401,10 @@ class TwoLayerNet(FiniteSumObjective):
 
 
 def make_synthetic(n: int, d: int, seed: int, loss: LossKind | None = None,
-                   lam: float = 1e-3, normalize: bool = True,
-                   mean_shift: float = 1.0, noise_scale: float = 0.5,
-                   positive_fraction: float = 0.75) -> ErmObjective:
-    """Deterministic synthetic ERM instance: Gaussian features, random +-1
-    labels, sigmoid loss by default.
+                   lam: float = 1e-3) -> ErmObjective:
+    """Deterministic synthetic ERM instance: Gaussian features N(0, 0.5^2 I)
+    shifted by 1 along the first axis, labels +1 with probability 0.75 and
+    -1 otherwise, sigmoid loss by default.
 
     The Gaussian has a nonzero mean along the first axis and the label coin
     is biased, so the landscape carries an order-one gradient and genuine
@@ -420,11 +416,10 @@ def make_synthetic(n: int, d: int, seed: int, loss: LossKind | None = None,
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     rng = RandomSource(seed)
-    feats = noise_scale * rng.normals((n, d))
-    feats[:, 0] += mean_shift
-    if normalize:
-        norms = np.linalg.norm(feats, axis=1)
-        norms[norms == 0] = 1.0
-        feats /= norms[:, None]
-    labels = np.where(rng.uniforms(n) < positive_fraction, 1.0, -1.0)
+    feats = 0.5 * rng.normals((n, d))
+    feats[:, 0] += 1.0
+    norms = np.linalg.norm(feats, axis=1)
+    norms[norms == 0] = 1.0
+    feats /= norms[:, None]
+    labels = np.where(rng.uniforms(n) < 0.75, 1.0, -1.0)
     return ErmObjective(feats, loss or LossKind.sigmoid(), lam=lam, labels=labels)

@@ -103,9 +103,7 @@ class SvrgSchedule:
     m0: int
     d_sub: int
     eta: float
-    betas: np.ndarray
-    end_weights: np.ndarray
-    end_probs: np.ndarray
+    end_probs: np.ndarray     # epoch_end_weights(m0, beta_weights(m0))[1]
     theory_ok: bool
 
     def __post_init__(self):
@@ -167,14 +165,21 @@ def default_svrg_params(n: int, L: float, m_override: int | None = None,
             m = d * m0
             theory_ok = m0 ** 3 >= theory_constant * m * m
     eta = float(eta_override) if eta_override is not None else 1.0 / (m0 * L)
-    betas = beta_weights(m0)
-    weights, probs = epoch_end_weights(m0, betas)
-    return SvrgSchedule(m, m0, d, eta, betas, weights, probs, theory_ok)
+    _, probs = epoch_end_weights(m0, beta_weights(m0))
+    return SvrgSchedule(m, m0, d, eta, probs, theory_ok)
+
+
+def _check_step(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
 class ConstantRate:
     eta: float
+
+    def __post_init__(self):
+        _check_step("eta", self.eta)
 
     def value(self, k: int, n: int) -> float:
         return self.eta
@@ -182,18 +187,18 @@ class ConstantRate:
 
 @dataclass(frozen=True)
 class PolynomialRate:
-    """eta_k = alpha * (1 + k/n)^(-beta) with beta >= 0 (decaying).
-
-    ``grow=True`` flips the exponent sign for experimentation.
-    """
+    """eta_k = alpha * (1 + k/n)^(-beta) with beta >= 0 (decaying)."""
 
     alpha: float
     beta: float
-    grow: bool = False
+
+    def __post_init__(self):
+        _check_step("alpha", self.alpha)
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be non-negative, got {self.beta}")
 
     def value(self, k: int, n: int) -> float:
-        expo = self.beta if self.grow else -self.beta
-        return self.alpha * (1.0 + k / n) ** expo
+        return self.alpha * (1.0 + k / n) ** -self.beta
 
 
 @dataclass(frozen=True)
@@ -203,19 +208,22 @@ class AdaGradRate:
     alpha: float
     delta: float = 1e-8
 
+    def __post_init__(self):
+        _check_step("alpha", self.alpha)
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be non-negative, got {self.delta}")
+
 
 class AdaGradState:
     """Running sum of squared gradients, one cell per coordinate."""
 
-    def __init__(self, dim: int | None = None):
-        self.acc = np.zeros(dim) if dim is not None else None
+    def __init__(self, dim: int):
+        self.acc = np.zeros(dim)
 
 
 def adagrad_step(state: AdaGradState, g: np.ndarray, alpha: float,
                  delta: float = 1e-8) -> np.ndarray:
     """Accumulate g*g into the state and return alpha*g/sqrt(acc + delta)."""
-    if state.acc is None:
-        state.acc = np.zeros_like(g)
     if state.acc.shape != g.shape:
         raise ValueError(f"accumulator shape {state.acc.shape} does not match "
                          f"gradient shape {g.shape}")
@@ -226,24 +234,18 @@ def adagrad_step(state: AdaGradState, g: np.ndarray, alpha: float,
 
 
 def parse_rate(text: str):
-    """Parse 'constant:ETA', 'poly:ALPHA,BETA[,grow]', 'adagrad:ALPHA[,DELTA]'."""
+    """Parse 'constant:ETA', 'poly:ALPHA,BETA', 'adagrad:ALPHA[,DELTA]'."""
     name, _, args = text.strip().partition(":")
     parts = [p for p in args.split(",") if p] if args else []
     if name == "constant":
         (eta,) = parts
         return ConstantRate(float(eta))
     if name == "poly":
-        grow = False
-        if parts and parts[-1] == "grow":
-            grow = True
-            parts = parts[:-1]
         alpha, beta = parts
-        return PolynomialRate(float(alpha), float(beta), grow=grow)
-    if name == "adagrad":
-        alpha = float(parts[0])
-        delta = float(parts[1]) if len(parts) > 1 else 1e-8
-        return AdaGradRate(alpha, delta)
-    raise ValueError(f"unknown learning-rate spec {text!r}")
+        return PolynomialRate(float(alpha), float(beta))
+    if name == "adagrad" and 1 <= len(parts) <= 2:
+        return AdaGradRate(*(float(p) for p in parts))
+    raise ValueError(f"cannot parse learning-rate spec {text!r}")
 
 
 # ---------------------------------------------------------------------------

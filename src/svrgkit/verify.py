@@ -15,13 +15,9 @@ import numpy as np
 
 from .core import RandomSource, sq_norm
 
-
-@dataclass
-class FdConfig:
-    """Central finite differences with coordinate-relative steps
-    h_j = h0 * (1 + |x_j|)."""
-
-    h0: float = 1e-6
+# Central finite differences use coordinate-relative steps
+# h_j = FD_H0 * (1 + |x_j|).
+FD_H0 = 1e-6
 
 
 @dataclass
@@ -31,13 +27,13 @@ class SlopeFit:
     r_squared: float
 
 
-def fd_gradient(f, x: np.ndarray, cfg: FdConfig | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
-    cfg = cfg or FdConfig()
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a vector, with
+    step FD_H0 * (1 + |x_j|) on coordinate j."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)
     for j in range(x.size):
-        h = cfg.h0 * (1.0 + abs(x[j]))
+        h = FD_H0 * (1.0 + abs(x[j]))
         xp = x.copy()
         xp[j] = x[j] + h
         fp = f(xp)
@@ -68,17 +64,17 @@ def exact_variance(obj, x: np.ndarray, x_ref: np.ndarray,
     return variance, bound
 
 
-def smoothness_probe(obj, trials: int, rng: RandomSource,
-                     scale: float = 1.0) -> float:
+def smoothness_probe(obj, trials: int, rng: RandomSource) -> float:
     """Max sampled ratio ||g_i(x) - g_i(y)|| / ||x - y|| over random
-    components and point pairs; must not exceed obj.smoothness."""
+    components and standard-normal point pairs x, y = x + N(0, I); must not
+    exceed obj.smoothness."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     worst = 0.0
     for _ in range(trials):
         i = rng.draw_index(obj.n)
-        x = scale * rng.normals(obj.dim)
-        y = x + scale * rng.normals(obj.dim)
+        x = rng.normals(obj.dim)
+        y = x + rng.normals(obj.dim)
         dist2 = sq_norm(x - y)
         if dist2 == 0.0:
             continue

@@ -151,6 +151,17 @@ class TestTrain:
                     ("svrg1", "--smoothness", "-1", "--epochs", "1")):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
+        # malformed values fail at the boundary, not as tracebacks or runs
+        for bad in (("--synthetic", "16,2"), ("--synthetic", "0,2,1"),
+                    ("--synthetic", "16,0,1"), ("--loss", "bogus"),
+                    ("--loss", "hinge:0"), ("--lr", "bogus"),
+                    ("--lr", "poly:0.1"), ("--lr", "adagrad:abc"),
+                    ("--lr", "constant:-1"), ("--lr", "poly:0.1,-1"),
+                    ("--lr", "adagrad:0.1,-1"),
+                    ("--optimizer", "svrg1", "--m", "0n")):
+            assert run_cli("train", "--synthetic", "16,2,1", "--batch-size",
+                           "2", "--optimizer", "sgd", "--passes", "1",
+                           "--lr", "constant:0.1", *bad) == 1, bad
         # synthetic inputs are linear ERM; a network needs a dataset
         assert run_cli("train", "--synthetic", "16,2,1", "--objective", "net",
                        "--optimizer", "svrg1", "--epochs", "1",

@@ -70,10 +70,6 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmFormatError):
             parse_libsvm(["0 1:1", "1 1:1", "2 1:1"])
 
-    def test_explicit_label_map(self):
-        ds = parse_libsvm(["5 1:1", "9 1:1"], label_map={5.0: 1, 9.0: -1})
-        assert ds.labels.tolist() == [1, -1]
-
     def test_multiclass_remap(self):
         ds = parse_libsvm(["0 1:1", "7 1:1", "3 1:1"], binary=False)
         assert ds.labels.tolist() == [1, 3, 2]

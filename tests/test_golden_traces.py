@@ -3,7 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_traces.py"
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "golden_traces.py"
+GOLDEN = ROOT / "GOLDEN_TRACES.txt"
 SUBSET = ["synth-svrg2", "nonunit-svrg2-b4", "nonunit-sgd-b8", "net-svrg1-b1"]
 
 
@@ -27,3 +32,15 @@ def test_lists_every_run():
     assert set(SUBSET) <= set(names)
     assert {"tune-sgd", "tune-svrg1", "tune-svrg2"} <= set(names)
     assert len(names) == len(set(names))
+
+
+def test_every_run_matches_the_golden_file():
+    lines = GOLDEN.read_text().splitlines()
+    made_with = [line for line in lines if line.startswith("#")][-1]
+    want = dict(line.split() for line in lines if not line.startswith("#"))
+    got = dict(line.split() for line in hashes([]))
+    changed = sorted(name for name in want.keys() | got.keys()
+                     if want.get(name) != got.get(name))
+    assert not changed, (
+        f"outputs differ from {GOLDEN.name} (made with {made_with[2:]}; here "
+        f"numpy {np.__version__}, scipy {scipy.__version__}): {changed}")

@@ -5,9 +5,14 @@ import pytest
 
 from svrgkit.losses import (ALL_ERM_LOSSES, SIGMOID_SCALE, LossKind,
                             eval_loss, loss_smoothness,
-                            make_scalar_derivative, sigmoid_unscaled)
+                            make_scalar_derivative)
 
 ALL_KINDS = ALL_ERM_LOSSES + (LossKind.softplus(),)
+
+
+def loss_id(kind):
+    """The config spelling of a loss: 'sigmoid', 'hinge:0.1', ..."""
+    return kind.name if kind.gamma is None else f"{kind.name}:{kind.gamma:g}"
 
 
 def central_diff(kind, t, h=1e-6):
@@ -15,11 +20,6 @@ def central_diff(kind, t, h=1e-6):
 
 
 class TestPointValues:
-    def test_unscaled_sigmoid_at_zero(self):
-        value, deriv = sigmoid_unscaled(0.0)
-        assert value == 0.5
-        assert deriv == -0.25
-
     def test_scaled_sigmoid_at_zero(self):
         value, deriv = eval_loss(LossKind.sigmoid(), 0.0)
         assert math.isclose(value, 0.5 * 6 * math.sqrt(3), rel_tol=1e-12)
@@ -27,14 +27,16 @@ class TestPointValues:
         assert math.isclose(deriv, -2.598076, abs_tol=5e-7)
 
     def test_sigmoid_scale_is_inverse_max_curvature(self):
-        # densely scan the second derivative of 1/(1+e^t); its max magnitude
-        # should be the reciprocal of the scaling constant
+        # densely scan the second derivative of 1/(1+e^t), the sigmoid loss
+        # over its scale; its max magnitude should be the reciprocal of the
+        # scaling constant
+        sigmoid = LossKind.sigmoid()
         ts = np.linspace(-6, 6, 200_001)
         h = 1e-4
-        second = (sigmoid_unscaled(ts + h).derivative
-                  - sigmoid_unscaled(ts - h).derivative) / (2 * h)
-        assert math.isclose(np.abs(second).max(), 1.0 / SIGMOID_SCALE,
-                            rel_tol=1e-6)
+        second = (eval_loss(sigmoid, ts + h).derivative
+                  - eval_loss(sigmoid, ts - h).derivative) / (2 * h)
+        assert math.isclose(np.abs(second).max() / SIGMOID_SCALE,
+                            1.0 / SIGMOID_SCALE, rel_tol=1e-6)
 
     def test_logistic_at_zero(self):
         value, deriv = eval_loss(LossKind.logistic(), 0.0)
@@ -73,7 +75,7 @@ class TestSmoothnessConstants:
         assert loss_smoothness(LossKind.smoothed_hinge(0.1)) == 10.0
         assert loss_smoothness(LossKind.smoothed_hinge(0.01)) == 100.0
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
     def test_numeric_curvature_never_exceeds_constant(self, kind):
         ts = np.linspace(-8, 8, 20_001)
         h = 1e-5
@@ -83,7 +85,7 @@ class TestSmoothnessConstants:
 
 
 class TestDerivativeProperties:
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
     def test_derivative_matches_finite_difference(self, kind):
         rng = np.random.default_rng(3)
         ts = rng.normal(scale=3.0, size=1000)
@@ -91,7 +93,7 @@ class TestDerivativeProperties:
             d = eval_loss(kind, t).derivative
             assert abs(central_diff(kind, t) - d) <= 1e-6 * (1 + abs(d))
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
     def test_derivative_is_lipschitz(self, kind):
         rng = np.random.default_rng(4)
         L = loss_smoothness(kind)
@@ -104,7 +106,7 @@ class TestDerivativeProperties:
     @pytest.mark.parametrize(
         "kind", [LossKind.sigmoid(), LossKind.logistic(),
                  LossKind.smoothed_hinge(0.01), LossKind.smoothed_hinge(0.1),
-                 LossKind.smoothed_hinge(1.0)], ids=str)
+                 LossKind.smoothed_hinge(1.0)], ids=loss_id)
     def test_margin_losses_non_increasing(self, kind):
         ts = np.linspace(-50, 50, 5001)
         assert np.all(eval_loss(kind, ts).derivative <= 0.0)
@@ -113,13 +115,13 @@ class TestDerivativeProperties:
         ts = np.linspace(-50, 50, 5001)
         assert np.all(eval_loss(LossKind.softplus(), ts).derivative >= 0.0)
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
     def test_overflow_guard(self, kind):
         for t in (-1e4, -523.7, 0.0, 523.7, 1e4):
             value, deriv = eval_loss(kind, t)
             assert math.isfinite(value) and math.isfinite(deriv)
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
     def test_scalar_fast_path_agrees_with_vectorized(self, kind):
         deriv = make_scalar_derivative(kind)
         ts = np.concatenate([np.linspace(-40, 40, 2001), [-1e4, 1e4]])
@@ -142,7 +144,7 @@ class TestSerialization:
                                       "hinge:0.01", "hinge:0.1", "hinge:1",
                                       "softplus"])
     def test_round_trip(self, text):
-        assert LossKind.parse(text).serialize() == text
+        assert loss_id(LossKind.parse(text)) == text
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):

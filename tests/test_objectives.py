@@ -15,6 +15,11 @@ from svrgkit.optim import svrg_estimator
 from svrgkit.verify import fd_gradient
 
 
+def loss_id(kind):
+    """The config spelling of a loss: 'sigmoid', 'hinge:0.1', ..."""
+    return kind.name if kind.gamma is None else f"{kind.name}:{kind.gamma:g}"
+
+
 def erm_from_rows(rows, labels, loss, lam=0.0):
     examples = [(SparseFeatures([j + 1 for j, v in enumerate(row) if v != 0],
                                 [v for v in row if v != 0]), int(l))
@@ -49,6 +54,16 @@ class TestErmComponent:
             obj.component(2, np.zeros(1))
         with pytest.raises(IndexError):
             obj.component(0, np.zeros(1))
+
+    def test_batch_index_out_of_range(self):
+        rows, labels = [[1.0, 0.0], [0.0, 2.0]], [1, -1]
+        sparse = erm_from_rows(rows, labels, LossKind.logistic())
+        dense = ErmObjective(np.array(rows), LossKind.logistic(),
+                             labels=labels)
+        for obj in (sparse, dense):
+            for batch in ([0], [3], [1, 0], [2, 3]):
+                with pytest.raises(IndexError):
+                    obj.batch_mean_grad(batch, np.zeros(2))
 
 
 class TestFullValueAndGradient:
@@ -250,7 +265,7 @@ class TestSnapshotCache:
 
 
 class TestComponentSmoothnessInvariant:
-    @pytest.mark.parametrize("loss", ALL_ERM_LOSSES, ids=str)
+    @pytest.mark.parametrize("loss", ALL_ERM_LOSSES, ids=loss_id)
     def test_component_gradients_are_l_lipschitz(self, loss):
         obj = make_synthetic(25, 5, seed=9, loss=loss, lam=1e-2)
         rng = RandomSource(10)
@@ -263,7 +278,7 @@ class TestComponentSmoothnessInvariant:
             gy = obj.component(i, y)[1]
             assert np.linalg.norm(gx - gy) <= L * np.linalg.norm(x - y) + 1e-9
 
-    @pytest.mark.parametrize("loss", ALL_ERM_LOSSES, ids=str)
+    @pytest.mark.parametrize("loss", ALL_ERM_LOSSES, ids=loss_id)
     def test_analytic_gradient_matches_fd(self, loss):
         obj = make_synthetic(10, 4, seed=11, loss=loss, lam=1e-2)
         rng = RandomSource(12)

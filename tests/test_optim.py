@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from svrgkit.core import RandomSource
@@ -106,8 +108,8 @@ class TestDefaultSvrgParams:
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            SvrgSchedule(10, 3, 3, 0.1, beta_weights(3),
-                         *epoch_end_weights(3, beta_weights(3)), True)
+            SvrgSchedule(10, 3, 3, 0.1,
+                         epoch_end_weights(3, beta_weights(3))[1], True)
 
 
 def two_component_quadratic():
@@ -303,6 +305,35 @@ class TestSvrgFullRun:
             [r.grad_norm_sq for r in b.trace]
 
 
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(m0=st.integers(1, 4), d_sub=st.integers(1, 3))
+def test_reservoir_output_uniform_over_eligible_iterates(m0, d_sub):
+    # One epoch, many seeds: the output is one of the eligible iterates,
+    # x_1 .. x_m for svrg_simple_run and x_0 .. x_{m_s - 1} for
+    # svrg_full_run, and its position is uniform among them for each m_s.
+    obj = make_synthetic(8, 2, seed=3, lam=1e-2)
+    sched = default_svrg_params(obj.n, obj.smoothness, m_override=m0 * d_sub,
+                                m0_override=m0)
+    m = sched.m
+    for run in (svrg_simple_run, svrg_full_run):
+        positions: dict[int, list[int]] = {}
+        for seed in range(1000):
+            res = run(obj, np.zeros(2), sched, epochs=1, batch_size=1,
+                      rng=RandomSource(seed), record_iterates=True)
+            rows = res.epoch_iterates[0]
+            eligible = (range(res.epoch_stops[0]) if res.epoch_stops
+                        else range(1, m + 1))
+            at = [k for k in range(m + 1)
+                  if np.array_equal(rows[k], res.output)]
+            assert len(at) == 1 and at[0] in eligible, (run, seed, at)
+            positions.setdefault(len(eligible), []).append(
+                at[0] - eligible.start)
+        for size, seen in positions.items():
+            if size > 1 and len(seen) >= 5 * size:
+                counts = np.bincount(seen, minlength=size)
+                assert chisquare(counts).pvalue > 1e-3, (run, size, counts)
+
+
 def sparse_erm(n: int, d: int, nnz: int, seed: int) -> ErmObjective:
     rng = np.random.default_rng(seed)
     cols = np.sort(np.stack([rng.choice(d, nnz, replace=False)
@@ -455,7 +486,6 @@ class TestSgdRun:
         assert math.isclose(lr.value(1000, 1000), 0.1 / math.sqrt(2),
                             rel_tol=1e-12)
         assert math.isclose(lr.value(1000, 1000), 0.070711, abs_tol=5e-7)
-        assert PolynomialRate(0.1, 0.5, grow=True).value(1000, 1000) > 0.1
         assert PolynomialRate(0.3, 0.0).value(999, 10) == 0.3
 
     def test_single_component_constant_equals_gd(self):
@@ -489,7 +519,7 @@ class TestSgdRun:
 
 class TestAdagrad:
     def test_first_step_normalizes(self):
-        state = AdaGradState()
+        state = AdaGradState(2)
         step = adagrad_step(state, np.array([3.0, 4.0]), alpha=1.0, delta=0.0)
         assert np.allclose(step, [1.0, 1.0], rtol=1e-15)
         assert np.allclose(state.acc, [9.0, 16.0], rtol=1e-15)
@@ -571,11 +601,13 @@ class TestParseRate:
     def test_forms(self):
         assert parse_rate("constant:0.5") == ConstantRate(0.5)
         assert parse_rate("poly:0.1,0.3") == PolynomialRate(0.1, 0.3)
-        assert parse_rate("poly:0.1,0.3,grow") == \
-            PolynomialRate(0.1, 0.3, grow=True)
         assert parse_rate("adagrad:2.0") == AdaGradRate(2.0, 1e-8)
         assert parse_rate("adagrad:2.0,1e-6") == AdaGradRate(2.0, 1e-6)
 
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            parse_rate("momentum:0.9")
+        for bad in ("momentum:0.9", "poly:0.1", "poly:0.1,0.3,grow",
+                    "constant:", "adagrad:", "adagrad:abc", "constant:0",
+                    "constant:-1", "constant:inf", "poly:0,0.5",
+                    "poly:0.1,-0.5", "adagrad:-1", "adagrad:0.1,-1e-8"):
+            with pytest.raises(ValueError):
+                parse_rate(bad)

@@ -7,9 +7,8 @@ from svrgkit.core import RandomSource, sq_norm
 from svrgkit.losses import LossKind
 from svrgkit.objectives import QuadraticObjective, make_synthetic
 from svrgkit.optim import default_svrg_params, svrg_simple_run
-from svrgkit.verify import (FdConfig, epoch_variance_aggregate,
-                            exact_variance, fd_gradient, fit_rate_slope,
-                            smoothness_probe)
+from svrgkit.verify import (epoch_variance_aggregate, exact_variance,
+                            fd_gradient, fit_rate_slope, smoothness_probe)
 
 
 class TestFdGradient:
@@ -34,7 +33,7 @@ class TestFdGradient:
             return math.inf if x[1] > 0.5 else 0.0
 
         with pytest.raises(ValueError, match="coordinate 1"):
-            fd_gradient(bad, np.array([0.0, 0.5]), FdConfig(h0=1e-3))
+            fd_gradient(bad, np.array([0.0, 0.5]))
 
 
 class TestExactVariance:
