@@ -1,5 +1,5 @@
-"""Golden-trace hashes: run a fixed list of ``svrgkit train``/``tune`` runs and
-print one ``name sha256`` line per output file.
+"""Golden-trace hashes: run a fixed list of ``svrgkit train``/``tune``/``verify``
+runs and print one ``name sha256`` line per output file.
 
     python scripts/golden_traces.py              # every run
     python scripts/golden_traces.py synth-gd ... # only the named runs
@@ -90,7 +90,9 @@ def _tune_runs() -> dict[str, tuple[str, ...]]:
     return runs
 
 
-RUNS = {**_train_runs(), **_tune_runs()}
+# The verification gate's JSON report (every check's detail line).
+RUNS = {**_train_runs(), **_tune_runs(),
+        "verify-seed0": ("verify", "--seed", "0")}
 
 
 def _write_inputs(tmp: Path) -> dict[str, str]:

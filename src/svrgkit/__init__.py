@@ -16,7 +16,7 @@ from .losses import (ALL_ERM_LOSSES, SIGMOID_SCALE, LossEval, LossKind,
                      eval_loss, loss_smoothness)
 from .objectives import (ErmObjective, FiniteSumObjective, QuadraticObjective,
                          SnapshotCache, TwoLayerNet, make_synthetic)
-from .optim import (AdaGradRate, AdaGradState, ConstantRate, DivergenceError,
+from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     PolynomialRate, RunResult, SvrgSchedule, adagrad_step,
                     beta_weights, default_svrg_params, draw_epoch_stop,
                     epoch_end_weights, epochs_for_passes, gd_run,

@@ -30,6 +30,7 @@ import math
 import re
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
@@ -38,18 +39,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RandomSource, SparseFeatures, sq_norm
+from .core import RandomSource
 from .dataio import (Dataset, LibsvmFormatError, flip_labels, parse_libsvm,
                      split, write_libsvm, write_trace)
-from .losses import ALL_ERM_LOSSES, LossKind
+from .losses import LossKind
 from .objectives import ErmObjective, TwoLayerNet, make_synthetic
 from .optim import (AdaGradRate, ConstantRate, DivergenceError,
-                    PolynomialRate, RunResult, beta_weights,
-                    default_svrg_params, epoch_end_weights,
+                    PolynomialRate, RunResult, default_svrg_params,
                     epochs_for_passes, gd_run, parse_rate, sgd_run,
-                    svrg_estimator, svrg_full_run, svrg_simple_run)
-from .verify import (epoch_variance_aggregate, exact_variance, fd_gradient,
-                     smoothness_probe)
+                    svrg_full_run, svrg_simple_run)
+from .verify import run_verification
 
 OPTIMIZERS = ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4")
 TUNE_OPTIMIZERS = ("sgd", "svrg1", "svrg2")
@@ -66,6 +65,19 @@ class AllDivergedError(RuntimeError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
+
+
+def _check_type(key: str, value, kinds: tuple) -> None:
+    """Config values keep their JSON types: an int is no bool and no float,
+    and a float may be written as an int."""
+    if isinstance(value, bool):
+        ok = bool in kinds
+    else:
+        ok = isinstance(value, kinds) or (float in kinds
+                                          and isinstance(value, int))
+    if not ok:
+        names = " or ".join(k.__name__ for k in kinds if k is not type(None))
+        raise ConfigError(f"{key} must be {names}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +118,9 @@ class RunConfig:
         init=False, repr=False)
 
     def __post_init__(self):
+        for key in _RUN_KEYS:
+            _check_type("lambda" if key == "lam" else key, getattr(self, key),
+                        _RUN_TYPES[key])
         if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError("exactly one of dataset / synthetic is required")
         try:
@@ -125,11 +140,14 @@ class RunConfig:
         if self.flip_fraction and not 0 <= self.flip_fraction <= 1:
             raise ConfigError("flip_fraction must be in [0,1]")
         spec = self.synthetic
-        if spec is not None and not (
-                isinstance(spec, dict) and set(spec) == {"n", "d", "seed"}
-                and spec["n"] >= 1 and spec["d"] >= 1):
-            raise ConfigError(f"synthetic needs n, d >= 1 and a seed, got "
-                              f"{spec!r}")
+        if spec is not None:
+            if set(spec) != {"n", "d", "seed"}:
+                raise ConfigError(f"synthetic needs n, d and seed, got {spec!r}")
+            for key, low in (("n", 1), ("d", 1), ("seed", 0)):
+                _check_type(f"synthetic.{key}", spec[key], (int,))
+                if spec[key] < low:
+                    raise ConfigError(f"synthetic.{key} must be >= {low}, "
+                                      f"got {spec[key]}")
         if self.synthetic is not None and self.objective != "erm":
             raise ConfigError("synthetic inputs are linear ERM instances; "
                               "objective 'net' needs a dataset")
@@ -140,6 +158,14 @@ class RunConfig:
                               "accounting 'stored' is for linear ERM")
         if not self.lam >= 0:
             raise ConfigError(f"lambda must be non-negative, got {self.lam}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key, value in self.net.items():
+            if key not in ("hidden", "classes"):
+                raise ConfigError(f"unknown net key {key!r}")
+            _check_type(f"net.{key}", value, (int,))
+            if value < 1:
+                raise ConfigError(f"net.{key} must be positive, got {value}")
         for key in ("m0", "eta", "steps", "epochs", "iterations", "passes",
                     "batch_size", "eval_every", "smoothness"):
             value = getattr(self, key)
@@ -160,6 +186,10 @@ class RunConfig:
 # config file spells ``lam`` as "lambda", sets no wall_clock and adds the
 # "tune" section.
 _RUN_KEYS = tuple(f.name for f in fields(RunConfig) if f.init)
+# Each settable field's JSON types, read off its annotation.
+_RUN_TYPES = {key: typing.get_args(hint) or (hint,)
+              for key, hint in typing.get_type_hints(RunConfig).items()
+              if key in _RUN_KEYS}
 _CONFIG_KEYS = {"lambda" if key == "lam" else key
                 for key in _RUN_KEYS if key != "wall_clock"} | {"tune"}
 
@@ -171,6 +201,7 @@ def load_config(args) -> tuple[RunConfig, dict]:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}")
+        _check_type("config", raw, (dict,))
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -200,8 +231,6 @@ def _parse_m(expr, n: int, b: int) -> int:
     """m is a positive int or an expression 'n', '2n', '5n/b', ..."""
     if expr is None:
         return n
-    if isinstance(expr, (int, float)):
-        expr = int(expr)
     text = str(expr).strip()
     if text.isdigit():
         if int(text) < 1:
@@ -375,13 +404,22 @@ def default_alpha_grid(L: float) -> list[float]:
     return list(np.logspace(center - 2.0, center + 2.0, 10))
 
 
-def default_lambda_grid() -> list[float]:
-    """Ten regularization weights log-spaced from 1e-6 to 1e-1."""
-    return list(np.logspace(math.log10(1e-6), math.log10(1e-1), 10))
+# The "tune" section's keys and their JSON types; list entries are numbers.
+_TUNE_TYPES = {"passes": (float,), "lambdas": (list,), "alphas": (list,),
+               "betas": (list,), "train_fraction": (float,),
+               "test_dataset": (str,)}
 
 
 def cmd_tune(args) -> int:
     cfg, tune = load_config(args)
+    _check_type("tune", tune, (dict,))
+    for key, value in tune.items():
+        if key not in _TUNE_TYPES:
+            raise ConfigError(f"unknown tune key {key!r}")
+        _check_type(f"tune.{key}", value, _TUNE_TYPES[key])
+        if isinstance(value, list):
+            for entry in value:
+                _check_type(f"tune.{key} entry", entry, (float,))
     if cfg.synthetic is not None or cfg.objective != "erm":
         raise ConfigError("tune drives LibSVM-backed linear ERM runs")
     if cfg.optimizer not in TUNE_OPTIMIZERS:
@@ -398,11 +436,19 @@ def cmd_tune(args) -> int:
         full = flip_labels(full, cfg.flip_fraction, rng.fork(7))
     train, validation = _split(full, tune.get("train_fraction", 0.8),
                                rng.fork(0))
+    test_ds = None
+    if tune.get("test_dataset"):
+        # Scored with weights over the training features: no larger index.
+        try:
+            test_ds = parse_libsvm(tune["test_dataset"], dim=train.dim)
+        except ValueError as e:
+            raise ConfigError(f"test_dataset: {e}") from None
     passes = tune.get("passes", 50.0)
     b = min(cfg.batch_size, len(train))
 
     loss = cfg.loss_kind
-    lambdas = tune.get("lambdas") or default_lambda_grid()
+    # Ten regularization weights log-spaced from 1e-6 to 1e-1 by default.
+    lambdas = tune.get("lambdas") or list(np.logspace(-6.0, -1.0, 10))
     alphas = tune.get("alphas") or default_alpha_grid(
         ErmObjective(train, loss, lam=float(np.median(lambdas))).smoothness)
     betas = (tune.get("betas") if tune.get("betas") is not None
@@ -447,8 +493,7 @@ def cmd_tune(args) -> int:
 
     # Step IV: held-out test report if a test file is configured.
     test_accuracy = None
-    if tune.get("test_dataset"):
-        test_ds = parse_libsvm(tune["test_dataset"])
+    if test_ds is not None:
         test_obj = ErmObjective(test_ds, loss, lam=chosen.lam)
         test_accuracy = test_obj.accuracy(results[chosen.cell_id].output)
 
@@ -479,135 +524,6 @@ def _split(ds: Dataset, train_fraction: float, rng: RandomSource,
         return split(ds, train_fraction, rng)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-
-# ---------------------------------------------------------------------------
-# verification gate
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-class _PerturbedGradObjective:
-    """Fault-injection wrapper: gradients scaled, declared constant not."""
-
-    def __init__(self, inner, factor: float):
-        self._inner = inner
-        self._factor = factor
-        self.n = inner.n
-        self.dim = inner.dim
-        self.smoothness = inner.smoothness
-
-    def component(self, i, x):
-        v, g = self._inner.component(i, x)
-        return v, self._factor * g
-
-
-def run_verification(seed: int = 0, fault: str | None = None,
-                     ) -> list[CheckResult]:
-    rng = RandomSource(seed)
-    checks: list[CheckResult] = []
-
-    def record(name, passed, detail):
-        checks.append(CheckResult(name, bool(passed), detail))
-
-    # estimator unbiasedness over all singleton batches
-    worst = 0.0
-    for trial in range(10):
-        obj = make_synthetic(rng.draw_index(40) + 5, rng.draw_index(8) + 1,
-                             seed=trial, lam=1e-2)
-        x = rng.normals(obj.dim)
-        ref = rng.normals(obj.dim)
-        cache = obj.build_snapshot(ref)
-        avg = np.mean([svrg_estimator(cache, obj, x, [i])
-                       for i in range(1, obj.n + 1)], axis=0)
-        grad = obj.full_value_and_gradient(x)[1]
-        worst = max(worst, np.sqrt(sq_norm(avg - grad) /
-                                   max(sq_norm(grad), 1e-300)))
-    record("estimator-unbiasedness", worst <= 1e-12, f"max rel err {worst:.2e}")
-
-    # variance bound
-    worst = -math.inf
-    for trial in range(20):
-        obj = make_synthetic(30, 6, seed=100 + trial, lam=1e-3)
-        x, ref = rng.normals(6), rng.normals(6)
-        var, bound = exact_variance(obj, x, ref)
-        worst = max(worst, var - bound)
-    record("variance-bound", worst <= 1e-9, f"max excess {worst:.2e}")
-
-    # per-epoch aggregate variance bound along recorded runs (several
-    # sub-epochs per epoch so the chained-distance bound is exercised)
-    worst = -math.inf
-    for trial in range(3):
-        obj = make_synthetic(24, 4, seed=200 + trial, lam=1e-3)
-        sched = default_svrg_params(obj.n, obj.smoothness, m0_override=6)
-        res = svrg_simple_run(obj, np.zeros(obj.dim), sched, 1, 1,
-                              RandomSource(trial), record_iterates=True)
-        var, bound = epoch_variance_aggregate(obj, res.epoch_iterates[0],
-                                              sched.m0)
-        worst = max(worst, var - bound)
-    record("epoch-variance-aggregate", worst <= 1e-6,
-           f"max excess {worst:.2e}")
-
-    # smoothness probes across losses (fault injection lands here)
-    worst = -math.inf
-    factor = 2.0 if fault == "sigmoid-scale" else 1.0
-    for li, loss in enumerate(ALL_ERM_LOSSES):
-        obj = make_synthetic(40, 6, seed=7, loss=loss, lam=1e-2)
-        probed = obj if (factor == 1.0 or loss.name != "sigmoid") else \
-            _PerturbedGradObjective(obj, factor)
-        ratio = smoothness_probe(probed, 200, rng.fork(50 + li))
-        worst = max(worst, ratio - obj.smoothness)
-    record("component-smoothness", worst <= 1e-9, f"max excess {worst:.2e}")
-
-    # sub-epoch weight bounds and stopping distribution normalization
-    ok = True
-    for m0 in range(1, 2001):
-        betas = beta_weights(m0)
-        if not (betas[0] == 1.0 and betas.min() >= 1.0 / math.e
-                and betas.max() <= 1.0):
-            ok = False
-            break
-    record("subepoch-weight-bounds", ok, "m0 in 1..2000")
-    ok = True
-    worst = 0.0
-    for m0 in (1, 2, 3, 7, 64, 500):
-        _, probs = epoch_end_weights(m0, beta_weights(m0))
-        worst = max(worst, abs(probs.sum() - 1.0))
-        ok = ok and probs.min() > 0
-    record("stop-distribution-normalized", ok and worst <= 1e-12,
-           f"max |sum-1| {worst:.2e}")
-
-    # finite-difference gradient checks
-    worst = 0.0
-    for loss in ALL_ERM_LOSSES:
-        obj = make_synthetic(15, 5, seed=11, loss=loss, lam=1e-2)
-        for _ in range(3):
-            x = rng.normals(5)
-            grad = obj.full_value_and_gradient(x)[1]
-            fd = fd_gradient(lambda p: obj.full_value_and_gradient(p)[0], x)
-            worst = max(worst, np.sqrt(sq_norm(fd - grad))
-                        / (1.0 + np.sqrt(sq_norm(grad))))
-    record("gradient-fd-erm", worst <= 1e-5, f"max rel err {worst:.2e}")
-
-    ds = Dataset([(SparseFeatures(range(1, 4), rng.normals(3)), 1 + (i % 2))
-                  for i in range(6)], binary=False)
-    net = TwoLayerNet(ds, hidden_dim=4, class_count=2, lam=1e-2)
-    worst = 0.0
-    for _ in range(3):
-        p = 0.5 * rng.normals(net.dim)
-        grad = net.full_value_and_gradient(p)[1]
-        fd = fd_gradient(lambda q: net.full_value_and_gradient(q)[0], p)
-        worst = max(worst, np.sqrt(sq_norm(fd - grad))
-                    / (1.0 + np.sqrt(sq_norm(grad))))
-    record("gradient-fd-net", worst <= 1e-5, f"max rel err {worst:.2e}")
-
-    return checks
 
 
 def cmd_verify(args) -> int:
@@ -655,9 +571,9 @@ def cmd_synth(args) -> int:
     if not args.out:
         raise ConfigError("synth needs --out")
     obj = make_synthetic(args.n, args.d, args.seed or 0)
-    rows, cols = np.nonzero(obj._dense)
+    rows, cols = np.nonzero(obj._X)
     indptr = np.searchsorted(rows, np.arange(obj.n + 1))
-    write_libsvm(Dataset.from_csr(indptr, cols, obj._dense[rows, cols],
+    write_libsvm(Dataset.from_csr(indptr, cols, obj._X[rows, cols],
                                   obj.labels, dim=obj.dim), args.out)
     print(f"wrote {args.out} ({obj.n} examples, dim {obj.dim})")
     return 0
@@ -755,6 +671,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ConfigError, LibsvmFormatError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)

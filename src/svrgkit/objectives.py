@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .core import RandomSource, SparseFeatures, sq_norm, zeros
+from .core import RandomSource, sq_norm, zeros
 from .dataio import Dataset
 from .losses import LossKind, eval_loss, loss_smoothness, make_scalar_derivative
 
@@ -134,7 +134,8 @@ class ErmObjective(FiniteSumObjective):
     Components are f_i(x) = loss(l_i <a_i, x>) + lam/2 ||x||^2.  The
     smoothness constant is the conservative per-component bound
     L_loss * max_i ||a_i||^2 + lam.  Features may be a Dataset (sparse) or a
-    dense (n, d) matrix with a label vector.
+    dense (n, d) matrix with a label vector; ``_X`` holds them as a scipy
+    ``csr_array`` or as that ndarray, and both take the same ``@``.
     """
 
     def __init__(self, data, loss: LossKind, lam: float = 0.0, labels=None):
@@ -155,26 +156,24 @@ class ErmObjective(FiniteSumObjective):
             # csr_array keeps the int64 indices; csr_matrix copies them to int32.
             self._X = sp.csr_array(
                 (data.val, data.col_idx, data.indptr), shape=(self.n, self.dim))
-            self._dense = None
             self._indptr, self._cols, self._vals = (
                 data.indptr, data.col_idx, data.val)
             row_norms = self._X.multiply(self._X).sum(axis=1)
         else:
             self.dataset = None
-            self._dense = np.ascontiguousarray(data, dtype=np.float64)
-            if self._dense.ndim != 2 or self._dense.shape[0] == 0:
+            self._X = np.ascontiguousarray(data, dtype=np.float64)
+            if self._X.ndim != 2 or self._X.shape[0] == 0:
                 raise ValueError("dense features must be a non-empty 2-D array")
-            self.n, self.dim = self._dense.shape
+            self.n, self.dim = self._X.shape
             self.labels = np.asarray(labels, dtype=np.float64)
             if self.labels.shape != (self.n,):
                 raise ValueError("labels must match the feature row count")
-            self._X = None
             # The rows end to end, read by the row loops like CSR rows.
             self._indptr = np.arange(0, (self.n + 1) * self.dim, self.dim)
-            self._cols, self._vals = _EVERY_COLUMN, self._dense.ravel()
-            row_norms = (self._dense ** 2).sum(axis=1)
-        self.max_row_norm_sq = float(row_norms.max())
-        self.smoothness = loss_smoothness(loss) * self.max_row_norm_sq + self.lam
+            self._cols, self._vals = _EVERY_COLUMN, self._X.ravel()
+            row_norms = (self._X ** 2).sum(axis=1)
+        self.smoothness = (loss_smoothness(loss) * float(row_norms.max())
+                           + self.lam)
 
     def _add_rows(self, out, x, idx, scale, refs=None):
         """out += scale * sum_i (loss'(t_i) - refs[i-1]) l_i a_i over the
@@ -195,8 +194,7 @@ class ErmObjective(FiniteSumObjective):
         return out
 
     def margins(self, x: np.ndarray) -> np.ndarray:
-        prod = self._dense @ x if self._dense is not None else self._X @ x
-        return self.labels * prod
+        return self.labels * (self._X @ x)
 
     # -- finite-sum surface -------------------------------------------------
 
@@ -214,13 +212,8 @@ class ErmObjective(FiniteSumObjective):
         return value, grad
 
     def full_value_and_gradient(self, x):
-        t = self.margins(x)
-        values, derivs = eval_loss(self.loss, t)
-        coefs = derivs * self.labels / self.n
-        if self._dense is not None:
-            grad = self._dense.T @ coefs
-        else:
-            grad = self._X.T @ coefs
+        values, derivs = eval_loss(self.loss, self.margins(x))
+        grad = self._X.T @ (derivs * self.labels / self.n)
         value = float(values.mean())
         if self.lam:
             grad = grad + self.lam * x
@@ -259,8 +252,7 @@ class ErmObjective(FiniteSumObjective):
 
     def accuracy(self, x: np.ndarray) -> float:
         """Fraction of examples with sign(<a, x>) matching the label."""
-        pred = np.where((self._dense @ x if self._dense is not None
-                         else self._X @ x) >= 0, 1.0, -1.0)
+        pred = np.where(self._X @ x >= 0, 1.0, -1.0)
         return float((pred == self.labels).mean())
 
 
@@ -381,23 +373,6 @@ class TwoLayerNet(FiniteSumObjective):
             value = value + 0.5 * self.lam * sq_norm(params)
             grad += self.lam * params
         return float(value), grad
-
-    def predict(self, feats: SparseFeatures, params: np.ndarray) -> int:
-        """1-based argmax class for one example."""
-        w1, b1, w2, b2 = self.unpack(params)
-        x_in = feats.to_dense(self.input_dim)
-        if self.connectivity is None:
-            z1 = w1 @ x_in + b1
-        else:
-            z1 = (w1 * x_in[self.connectivity]).sum(axis=1) + b1
-        z2 = w2 @ np.logaddexp(0.0, z1) + b2
-        return int(np.argmax(z2)) + 1
-
-    def accuracy(self, params: np.ndarray) -> float:
-        hits = sum(self.predict(self.dataset.features(i), params)
-                   == int(self.dataset.labels[i - 1])
-                   for i in range(1, self.n + 1))
-        return hits / self.n
 
 
 def make_synthetic(n: int, d: int, seed: int, loss: LossKind | None = None,

@@ -77,43 +77,43 @@ def beta_weights(m0: int) -> np.ndarray:
     return out
 
 
-def epoch_end_weights(m0: int, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def epoch_end_weights(m0: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw weights and probabilities for the epoch-end stopping draw.
 
-    Entry j corresponds to stopping at iterate m - j: weight for j=0 is
-    betas[m0-1]; for j >= 1 it is (10/9) * (betas[m0-j] + ... + betas[m0-1]).
+    With betas = beta_weights(m0), entry j corresponds to stopping at
+    iterate m - j: weight for j=0 is betas[m0-1]; for j >= 1 it is
+    (10/9) * (betas[m0-j] + ... + betas[m0-1]).
     """
-    betas = np.asarray(betas, dtype=np.float64)
-    if betas.shape != (m0,):
-        raise ValueError(f"betas length {betas.shape} does not match m0={m0}")
+    betas = beta_weights(m0)
     weights = np.empty(m0)
     weights[0] = betas[m0 - 1]
-    if m0 > 1:
-        suffix = np.cumsum(betas[::-1])  # suffix[j-1] = sum of last j betas
-        weights[1:] = (10.0 / 9.0) * suffix[: m0 - 1]
-    probs = weights / weights.sum()
-    return weights, probs
+    # cumsum of the reversed betas: entry j-1 is the sum of the last j
+    weights[1:] = (10.0 / 9.0) * np.cumsum(betas[::-1])[: m0 - 1]
+    return weights, weights / weights.sum()
 
 
 @dataclass
 class SvrgSchedule:
-    """Epoch geometry and step length for the variance-reduced runners."""
+    """Epoch geometry and step length for the variance-reduced runners:
+    d_sub = m/m0 sub-epochs per epoch, and the stopping-draw probabilities
+    ``end_probs`` of :func:`epoch_end_weights`."""
 
     m: int
     m0: int
-    d_sub: int
     eta: float
-    end_probs: np.ndarray     # epoch_end_weights(m0, beta_weights(m0))[1]
     theory_ok: bool
+    d_sub: int = field(init=False)
+    end_probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.m < 1 or self.m0 < 1:
             raise ValueError("m and m0 must be >= 1")
-        if self.d_sub * self.m0 != self.m:
-            raise ValueError(
-                f"d_sub*m0 must equal m ({self.d_sub}*{self.m0} != {self.m})")
+        if self.m % self.m0:
+            raise ValueError(f"m0={self.m0} does not divide m={self.m}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"step length must be positive, got {self.eta}")
+        self.d_sub = self.m // self.m0
+        self.end_probs = epoch_end_weights(self.m0)[1]
 
 
 def _smallest_cube_ge(v: int) -> int:
@@ -155,7 +155,7 @@ def default_svrg_params(n: int, L: float, m_override: int | None = None,
     else:
         m0_star = _smallest_cube_ge(theory_constant * m * m)
         if m0_star >= m:
-            m0, d, theory_ok = m, 1, False
+            m0, theory_ok = m, False
             log.warning(
                 "m=%d too small for the sub-epoch cube condition; clamping "
                 "m0=m (single sub-epoch, theory_ok=False)", m)
@@ -165,8 +165,7 @@ def default_svrg_params(n: int, L: float, m_override: int | None = None,
             m = d * m0
             theory_ok = m0 ** 3 >= theory_constant * m * m
     eta = float(eta_override) if eta_override is not None else 1.0 / (m0 * L)
-    _, probs = epoch_end_weights(m0, beta_weights(m0))
-    return SvrgSchedule(m, m0, d, eta, probs, theory_ok)
+    return SvrgSchedule(m, m0, eta, theory_ok)
 
 
 def _check_step(name: str, value: float) -> None:
@@ -214,21 +213,15 @@ class AdaGradRate:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
 
 
-class AdaGradState:
-    """Running sum of squared gradients, one cell per coordinate."""
-
-    def __init__(self, dim: int):
-        self.acc = np.zeros(dim)
-
-
-def adagrad_step(state: AdaGradState, g: np.ndarray, alpha: float,
+def adagrad_step(acc: np.ndarray, g: np.ndarray, alpha: float,
                  delta: float = 1e-8) -> np.ndarray:
-    """Accumulate g*g into the state and return alpha*g/sqrt(acc + delta)."""
-    if state.acc.shape != g.shape:
-        raise ValueError(f"accumulator shape {state.acc.shape} does not match "
+    """Accumulate g*g into ``acc``, the running sum of squared gradients
+    (one cell per coordinate), and return alpha*g/sqrt(acc + delta)."""
+    if acc.shape != g.shape:
+        raise ValueError(f"accumulator shape {acc.shape} does not match "
                          f"gradient shape {g.shape}")
-    state.acc += g * g
-    denom = np.sqrt(state.acc + delta)
+    acc += g * g
+    denom = np.sqrt(acc + delta)
     denom[denom == 0.0] = 1.0
     return alpha * g / denom
 
@@ -274,7 +267,6 @@ class RunResult:
     seed: int
     final_value: float = math.nan
     final_grad_norm_sq: float = math.nan
-    probe_evals: int = 0
     probe_samples: list[ProbeSample] = field(default_factory=list)
     epoch_stops: list[int] = field(default_factory=list)
     evals_to_target: int | None = None
@@ -306,16 +298,6 @@ class _Reservoir:
             self.pick = x.copy()
 
 
-def _check_finite_value(value: float, initial: float, where: str,
-                        grad_norm_sq: float):
-    if not math.isfinite(value) or abs(value) > _DIVERGE_FACTOR * max(
-            1.0, abs(initial)):
-        raise DivergenceError(
-            f"objective {value!r} at {where} (initial {initial!r})")
-    if not math.isfinite(grad_norm_sq):
-        raise DivergenceError(f"gradient norm {grad_norm_sq!r} at {where}")
-
-
 class _Ledger:
     """Component-gradient evaluations and trace of one run.
 
@@ -341,8 +323,13 @@ class _Ledger:
         self.evals += self.n
         if self.initial_value is None:
             self.initial_value = value
-        gns = sq_norm(grad)
-        _check_finite_value(value, self.initial_value, where, gns)
+        initial, gns = self.initial_value, sq_norm(grad)
+        if not math.isfinite(value) or abs(value) > _DIVERGE_FACTOR * max(
+                1.0, abs(initial)):
+            raise DivergenceError(
+                f"objective {value!r} at {where} (initial {initial!r})")
+        if not math.isfinite(gns):
+            raise DivergenceError(f"gradient norm {gns!r} at {where}")
         self.trace.append(TraceRecord(self.evals / self.n, value, gns,
                                       time.perf_counter() - self.t0, epoch))
         return gns
@@ -419,7 +406,7 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     if variant not in ("simple", "full"):
         raise ValueError(variant)
     adagrad = lr if isinstance(lr, AdaGradRate) else None
-    ada_state = AdaGradState(obj.dim) if adagrad else None
+    ada_acc = np.zeros(obj.dim) if adagrad else None
     if record_iterates and (schedule.m + 1) * obj.dim > 1_000_000:
         raise ValueError("iterate recording is desk-scale only")
 
@@ -427,7 +414,6 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     n = obj.n
     x = np.array(x_start, dtype=np.float64)
     ledger = _Ledger(n)
-    probe_evals = 0
     probes: list[ProbeSample] = []
     stops: list[int] = []
     iterates: list[np.ndarray] | None = [] if record_iterates else None
@@ -435,15 +421,10 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     step = np.empty(obj.dim)    # estimator output, scaled in place
     k_global = 0
 
-    def exact_grad_sq(point) -> float:
-        nonlocal probe_evals
-        probe_evals += n
-        return sq_norm(obj.full_value_and_gradient(point)[1])
-
     def finish(output, value, gns, evals_to_target=None) -> RunResult:
         return ledger.result(output, rng.seed, value, gns,
-                             probe_evals=probe_evals, probe_samples=probes,
-                             epoch_stops=stops, evals_to_target=evals_to_target,
+                             probe_samples=probes, epoch_stops=stops,
+                             evals_to_target=evals_to_target,
                              epoch_iterates=iterates)
 
     estimate = None
@@ -481,7 +462,8 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
             if record_iterates:
                 epoch_rows[k] = x
             if probe_stride and k % probe_stride == 0:
-                g2 = gns if k == 0 else exact_grad_sq(x)
+                g2 = gns if k == 0 else sq_norm(
+                    obj.full_value_and_gradient(x)[1])
                 probes.append(ProbeSample(s, k, g2,
                                           ledger.evals + k * inner_cost,
                                           eligible=(k <= m - m0)))
@@ -494,7 +476,7 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
             # Python ints: the objectives' row loops index with them.
             est = estimate(cache, x, idx[k].tolist(), out=step)
             if adagrad:
-                x -= adagrad_step(ada_state, est, adagrad.alpha, adagrad.delta)
+                x -= adagrad_step(ada_acc, est, adagrad.alpha, adagrad.delta)
             else:
                 est *= schedule.eta if lr is None else lr.value(k_global, n)
                 x -= est
@@ -603,7 +585,7 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
     if output not in ("final", "random"):
         raise ValueError(output)
     adagrad = lr if isinstance(lr, AdaGradRate) else None
-    ada_state = AdaGradState(obj.dim) if adagrad else None
+    ada_acc = np.zeros(obj.dim) if adagrad else None
     n, b = obj.n, batch_size
     x = np.array(x_start, dtype=np.float64)
     ledger = _Ledger(n)
@@ -619,7 +601,7 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
             grad = obj.batch_mean_grad(idx[j].tolist(), x)
             ledger.charge(b)
             if adagrad:
-                x -= adagrad_step(ada_state, grad, adagrad.alpha, adagrad.delta)
+                x -= adagrad_step(ada_acc, grad, adagrad.alpha, adagrad.delta)
             else:
                 x -= lr.value(k, n) * grad
             if output == "random":

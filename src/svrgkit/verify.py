@@ -1,19 +1,27 @@
 """Independent numerical oracles: finite-difference gradients, exact
-variance enumeration, smoothness probes, and log-log rate-slope fitting.
+variance enumeration, smoothness probes, and log-log rate-slope fitting;
+and the verification gate that ``svrgkit verify`` runs.
 
-These functions deliberately avoid the analytic code paths they check:
+The oracles deliberately avoid the analytic code paths they check:
 ``fd_gradient`` only calls a black-box scalar function, ``exact_variance``
 enumerates every component, and ``smoothness_probe`` samples gradient
-difference ratios directly.
+difference ratios directly.  Only :func:`run_verification` composes them
+with the objectives, the estimator and the schedule weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RandomSource, sq_norm
+from .dataio import Dataset
+from .losses import ALL_ERM_LOSSES
+from .objectives import TwoLayerNet, make_synthetic
+from .optim import (beta_weights, default_svrg_params, epoch_end_weights,
+                    svrg_estimator, svrg_simple_run)
 
 # Central finite differences use coordinate-relative steps
 # h_j = FD_H0 * (1 + |x_j|).
@@ -125,3 +133,104 @@ def fit_rate_slope(points) -> SlopeFit:
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return SlopeFit(float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# verification gate
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+
+def _fd_rel_err(obj, x: np.ndarray) -> float:
+    """||fd - grad|| / (1 + ||grad||) for the full objective at x."""
+    grad = obj.full_value_and_gradient(x)[1]
+    fd = fd_gradient(lambda p: obj.full_value_and_gradient(p)[0], x)
+    return np.sqrt(sq_norm(fd - grad)) / (1.0 + np.sqrt(sq_norm(grad)))
+
+
+def run_verification(seed: int = 0, fault: str | None = None,
+                     ) -> list[CheckResult]:
+    """The numerical invariant gate.  ``fault='sigmoid-scale'`` doubles the
+    sigmoid's measured smoothness ratio, as scaling its gradients by 2 would
+    (exactly, in floating point), so component-smoothness must fail."""
+    rng = RandomSource(seed)
+    checks: list[CheckResult] = []
+
+    def record(name, passed, detail):
+        checks.append(CheckResult(name, bool(passed), detail))
+
+    # estimator unbiasedness over all singleton batches
+    worst = 0.0
+    for trial in range(10):
+        obj = make_synthetic(rng.draw_index(40) + 5, rng.draw_index(8) + 1,
+                             seed=trial, lam=1e-2)
+        x, ref = rng.normals(obj.dim), rng.normals(obj.dim)
+        cache = obj.build_snapshot(ref)
+        avg = np.mean([svrg_estimator(cache, obj, x, [i])
+                       for i in range(1, obj.n + 1)], axis=0)
+        grad = obj.full_value_and_gradient(x)[1]
+        worst = max(worst, np.sqrt(sq_norm(avg - grad) /
+                                   max(sq_norm(grad), 1e-300)))
+    record("estimator-unbiasedness", worst <= 1e-12, f"max rel err {worst:.2e}")
+
+    # variance bound
+    worst = -math.inf
+    for trial in range(20):
+        obj = make_synthetic(30, 6, seed=100 + trial, lam=1e-3)
+        var, bound = exact_variance(obj, rng.normals(6), rng.normals(6))
+        worst = max(worst, var - bound)
+    record("variance-bound", worst <= 1e-9, f"max excess {worst:.2e}")
+
+    # per-epoch aggregate variance bound along recorded runs (several
+    # sub-epochs per epoch so the chained-distance bound is exercised)
+    worst = -math.inf
+    for trial in range(3):
+        obj = make_synthetic(24, 4, seed=200 + trial, lam=1e-3)
+        sched = default_svrg_params(obj.n, obj.smoothness, m0_override=6)
+        res = svrg_simple_run(obj, np.zeros(obj.dim), sched, 1, 1,
+                              RandomSource(trial), record_iterates=True)
+        var, bound = epoch_variance_aggregate(obj, res.epoch_iterates[0],
+                                              sched.m0)
+        worst = max(worst, var - bound)
+    record("epoch-variance-aggregate", worst <= 1e-6,
+           f"max excess {worst:.2e}")
+
+    # smoothness probes across losses (fault injection lands here)
+    worst = -math.inf
+    for li, loss in enumerate(ALL_ERM_LOSSES):
+        obj = make_synthetic(40, 6, seed=7, loss=loss, lam=1e-2)
+        ratio = smoothness_probe(obj, 200, rng.fork(50 + li))
+        if fault == "sigmoid-scale" and loss.name == "sigmoid":
+            ratio *= 2.0
+        worst = max(worst, ratio - obj.smoothness)
+    record("component-smoothness", worst <= 1e-9, f"max excess {worst:.2e}")
+
+    # sub-epoch weight bounds and stopping distribution normalization
+    record("subepoch-weight-bounds",
+           all(b[0] == 1.0 and b.min() >= 1.0 / math.e and b.max() <= 1.0
+               for b in map(beta_weights, range(1, 2001))), "m0 in 1..2000")
+    probs = [epoch_end_weights(m0)[1] for m0 in (1, 2, 3, 7, 64, 500)]
+    worst = max(abs(p.sum() - 1.0) for p in probs)
+    record("stop-distribution-normalized",
+           worst <= 1e-12 and all(p.min() > 0 for p in probs),
+           f"max |sum-1| {worst:.2e}")
+
+    # finite-difference gradient checks
+    objs = [make_synthetic(15, 5, seed=11, loss=loss, lam=1e-2)
+            for loss in ALL_ERM_LOSSES]
+    worst = max(_fd_rel_err(obj, rng.normals(5)) for obj in objs
+                for _ in range(3))
+    record("gradient-fd-erm", worst <= 1e-5, f"max rel err {worst:.2e}")
+    # six dense 3-feature rows, classes 1, 2, 1, 2, ...
+    ds = Dataset.from_csr(np.arange(0, 19, 3), np.tile(np.arange(3), 6),
+                          rng.normals(18), np.arange(6) % 2 + 1, binary=False)
+    net = TwoLayerNet(ds, hidden_dim=4, class_count=2, lam=1e-2)
+    worst = max(_fd_rel_err(net, 0.5 * rng.normals(net.dim)) for _ in range(3))
+    record("gradient-fd-net", worst <= 1e-5, f"max rel err {worst:.2e}")
+    return checks

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrgkit.cli import (RunConfig, TuneCell, build_objective, main,
-                         run_configured, run_verification,
-                         select_step_winners)
+                         run_configured, select_step_winners)
 from svrgkit.core import RandomSource
 from svrgkit.dataio import flip_labels, parse_libsvm, read_trace, split
 from svrgkit.losses import LossKind
 from svrgkit.objectives import ErmObjective
 from svrgkit.optim import ConstantRate, sgd_run
+from svrgkit.verify import run_verification
 
 
 def run_cli(*argv):
@@ -183,12 +183,69 @@ class TestTrain:
                 "tune": {"passes": 1, "lambdas": [1e-3], "alphas": [0.1],
                          "betas": [0.0], **tune}}))
             assert run_cli("tune", "--config", str(cfg)) == 1, (top, tune)
+        # config values of the wrong JSON type: exit 1 naming the key (an
+        # int is no bool and no float; a float may be written as an int)
+        capsys.readouterr()
+        train = {"synthetic": {"n": 16, "d": 2, "seed": 1},
+                 "optimizer": "svrg1", "epochs": 1, "batch_size": 2}
+        for key, bad in (("loss", {"loss": 5}), ("lr", {"lr": 5}),
+                         ("synthetic.n",
+                          {"synthetic": {"n": 16.5, "d": 2, "seed": 1}}),
+                         ("epochs", {"epochs": 1.5}), ("seed", {"seed": "a"}),
+                         ("m0", {"m0": 2.5}), ("seed", {"seed": 1.5}),
+                         ("batch_size", {"batch_size": True}),
+                         ("lambda", {"lambda": "0.1"}), ("m", {"m": 2.5}),
+                         ("net.hidden", {"net": {"hidden": 2.5}}),
+                         ("hiden", {"net": {"hiden": 4}})):
+            cfg = tmp_path / "train.json"
+            cfg.write_text(json.dumps({**train, **bad}))
+            assert run_cli("train", "--config", str(cfg)) == 1, bad
+            assert key in capsys.readouterr().err, bad
+        cfg.write_text(json.dumps({**train, "lambda": 0, "eta": 1}))
+        assert run_cli("train", "--config", str(cfg)) == 0
+        for key, bad in (("pases", {"pases": 2}), ("passes", {"passes": "2"}),
+                         ("alphas", {"alphas": 0.1}),
+                         ("train_fraction", {"train_fraction": "0.8"}),
+                         ("lambdas", {"lambdas": ["1e-3"]})):
+            cfg = tmp_path / "tune.json"
+            cfg.write_text(json.dumps({
+                "dataset": str(small_file), "optimizer": "sgd",
+                "tune": {"passes": 1, "lambdas": [1e-3], "alphas": [0.1],
+                         "betas": [0.0], **bad}}))
+            assert run_cli("tune", "--config", str(cfg)) == 1, bad
+            assert key in capsys.readouterr().err, bad
+
+    def test_negative_seed_is_config_error(self, small_file, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        for argv in (("train", "--synthetic", "16,2,1", "--optimizer", "gd",
+                      "--steps", "1"),
+                     ("tune", "--dataset", str(small_file), "--optimizer",
+                      "sgd"),
+                     ("verify",), ("synth", "--n", "4", "--d", "2",
+                                   "--out", out),
+                     ("flip", str(small_file), "--fraction", "0.5",
+                      "--out", out),
+                     ("split", str(small_file), "--out-train", out,
+                      "--out-validation", out)):
+            assert run_cli(*argv, "--seed", "-1") == 1, argv
+            assert "seed" in capsys.readouterr().err, argv
+        assert run_cli("train", "--synthetic", "16,2,-1", "--optimizer", "gd",
+                       "--steps", "1") == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic": {"n": 16, "d": 2, "seed": 1},
+                                   "optimizer": "gd", "steps": 1,
+                                   "seed": -1}))
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synthetic": {"n": 8, "d": 2, "seed": 1},
                                    "optimizr": "gd"}))
         assert run_cli("train", "--config", str(cfg)) == 1
+        for top in (5, [], "gd"):  # a config is a JSON object
+            cfg.write_text(json.dumps(top))
+            assert run_cli("train", "--config", str(cfg)) == 1, top
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, capsys):
@@ -359,6 +416,26 @@ class TestTune:
         stdout = capsys.readouterr().out
         acc = float(stdout.split("test_accuracy=")[1].split()[0])
         assert 0.0 <= acc <= 1.0
+
+    def test_test_dataset_read_with_the_training_dimension(self, tmp_path,
+                                                           capsys):
+        # training features {1, 5}, test features {1, 4}: the test file
+        # alone has dimension 4, the weights have 5
+        train, test = tmp_path / "train.libsvm", tmp_path / "test.libsvm"
+        train.write_text("".join(f"{'+1' if i % 2 else '-1'} 1:{i % 3 + 1} "
+                                 f"5:1\n" for i in range(20)))
+        test.write_text("+1 1:1 4:2\n-1 1:2 4:1\n")
+        cfg = tmp_path / "tune.json"
+        cfg.write_text(json.dumps({
+            "dataset": str(train), "optimizer": "sgd", "batch_size": 2,
+            "tune": {"passes": 2, "lambdas": [1e-3], "alphas": [0.1],
+                     "betas": [0.0], "test_dataset": str(test)}}))
+        assert run_cli("tune", "--config", str(cfg)) == 0
+        acc = float(capsys.readouterr().out.split("test_accuracy=")[1].split()[0])
+        assert 0.0 <= acc <= 1.0
+        test.write_text("+1 1:1 6:2\n")  # an index the weights do not have
+        assert run_cli("tune", "--config", str(cfg)) == 1
+        assert "test_dataset" in capsys.readouterr().err
 
     def test_tie_break_prefers_small_step_then_small_lambda(self):
         def cell(cid, lam, alpha, obj):

@@ -199,13 +199,13 @@ class TestMakeSynthetic:
     def test_deterministic(self):
         a = make_synthetic(4, 2, seed=7)
         b = make_synthetic(4, 2, seed=7)
-        assert np.array_equal(a._dense, b._dense)
+        assert np.array_equal(a._X, b._X)
         assert np.array_equal(a.labels, b.labels)
         assert make_synthetic(4, 2, seed=8).labels.shape == (4,)
 
     def test_smoothness_matches_formula(self):
         obj = make_synthetic(30, 6, seed=1, lam=1e-2)
-        recomputed = (np.max((obj._dense ** 2).sum(axis=1)) * 1.0 + 1e-2)
+        recomputed = (np.max((obj._X ** 2).sum(axis=1)) * 1.0 + 1e-2)
         assert math.isclose(obj.smoothness, recomputed, rel_tol=1e-12)
 
     def test_unbiasedness_identity(self):

@@ -11,7 +11,7 @@ from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset
 from svrgkit.losses import LossKind
 from svrgkit.objectives import ErmObjective, QuadraticObjective, make_synthetic
-from svrgkit.optim import (AdaGradRate, AdaGradState, ConstantRate,
+from svrgkit.optim import (AdaGradRate, ConstantRate,
                            DivergenceError, PolynomialRate, SvrgSchedule,
                            adagrad_step, beta_weights, default_svrg_params,
                            draw_epoch_stop, epoch_end_weights, gd_run,
@@ -48,17 +48,17 @@ class TestBetaWeights:
 
 class TestEpochEndWeights:
     def test_m0_one_point_mass(self):
-        weights, probs = epoch_end_weights(1, beta_weights(1))
+        weights, probs = epoch_end_weights(1)
         assert weights.tolist() == [1.0]
         assert probs.tolist() == [1.0]
 
     def test_m0_two_hand_values(self):
-        weights, probs = epoch_end_weights(2, beta_weights(2))
+        weights, probs = epoch_end_weights(2)
         assert np.allclose(weights, [2.0 / 3.0, 20.0 / 27.0], rtol=1e-12)
         assert np.allclose(probs, [9.0 / 19.0, 10.0 / 19.0], rtol=1e-12)
 
     def test_m0_three_hand_values(self):
-        weights, probs = epoch_end_weights(3, beta_weights(3))
+        weights, probs = epoch_end_weights(3)
         assert np.allclose(weights, [0.5625, 0.625, 1.4583333333333333],
                            rtol=1e-12)
         assert np.allclose(probs, [0.21259843, 0.23622047, 0.55118110],
@@ -66,13 +66,9 @@ class TestEpochEndWeights:
 
     def test_probabilities_normalized_and_positive(self):
         for m0 in (1, 2, 5, 17, 256, 4096):
-            _, probs = epoch_end_weights(m0, beta_weights(m0))
+            _, probs = epoch_end_weights(m0)
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert probs.min() > 0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            epoch_end_weights(3, beta_weights(2))
 
 
 class TestDefaultSvrgParams:
@@ -107,9 +103,11 @@ class TestDefaultSvrgParams:
         assert s.m == 12 and s.m0 == 4 and s.d_sub == 3
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            SvrgSchedule(10, 3, 3, 0.1,
-                         epoch_end_weights(3, beta_weights(3))[1], True)
+        with pytest.raises(ValueError):  # m0 does not divide m
+            SvrgSchedule(10, 3, 0.1, True)
+        s = SvrgSchedule(12, 4, 0.1, True)
+        assert s.d_sub == 3
+        assert np.array_equal(s.end_probs, epoch_end_weights(4)[1])
 
 
 def two_component_quadratic():
@@ -519,32 +517,31 @@ class TestSgdRun:
 
 class TestAdagrad:
     def test_first_step_normalizes(self):
-        state = AdaGradState(2)
-        step = adagrad_step(state, np.array([3.0, 4.0]), alpha=1.0, delta=0.0)
+        acc = np.zeros(2)
+        step = adagrad_step(acc, np.array([3.0, 4.0]), alpha=1.0, delta=0.0)
         assert np.allclose(step, [1.0, 1.0], rtol=1e-15)
-        assert np.allclose(state.acc, [9.0, 16.0], rtol=1e-15)
+        assert np.allclose(acc, [9.0, 16.0], rtol=1e-15)
 
     def test_zero_gradient_is_noop(self):
-        state = AdaGradState(2)
-        adagrad_step(state, np.array([1.0, 2.0]), 1.0, 1e-8)
-        before = state.acc.copy()
-        step = adagrad_step(state, np.zeros(2), 1.0, 1e-8)
+        acc = np.zeros(2)
+        adagrad_step(acc, np.array([1.0, 2.0]), 1.0, 1e-8)
+        before = acc.copy()
+        step = adagrad_step(acc, np.zeros(2), 1.0, 1e-8)
         assert np.array_equal(step, np.zeros(2))
-        assert np.array_equal(state.acc, before)
+        assert np.array_equal(acc, before)
 
     def test_accumulator_non_decreasing(self):
-        state = AdaGradState(3)
+        acc = np.zeros(3)
         rng = RandomSource(0)
-        prev = state.acc.copy()
+        prev = acc.copy()
         for _ in range(50):
-            adagrad_step(state, rng.normals(3), 0.5, 1e-8)
-            assert np.all(state.acc >= prev)
-            prev = state.acc.copy()
+            adagrad_step(acc, rng.normals(3), 0.5, 1e-8)
+            assert np.all(acc >= prev)
+            prev = acc.copy()
 
     def test_dimension_mismatch(self):
-        state = AdaGradState(2)
         with pytest.raises(ValueError):
-            adagrad_step(state, np.ones(3), 1.0, 1e-8)
+            adagrad_step(np.zeros(2), np.ones(3), 1.0, 1e-8)
 
     def test_adagrad_rate_on_svrg(self):
         obj = make_synthetic(16, 3, seed=10, lam=1e-3)
