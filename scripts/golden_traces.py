@@ -73,9 +73,10 @@ def _train_runs() -> dict[str, tuple[str, ...]]:
     runs["nonunit-svrg2-recompute-b4"] = NONUNIT + (
         "--optimizer", "svrg2", "--batch-size", "4", "--accounting",
         "recompute")
-    runs["net-svrg1-b1"] = ("--dataset", "{net}", "--objective", "net",
-                            "--optimizer", "svrg1", "--batch-size", "1",
-                            "--epochs", "1", "--seed", "5")
+    for opt, b in (("svrg1", "1"), ("svrg2", "10")):
+        runs[f"net-{opt}-b{b}"] = ("--dataset", "{net}", "--objective", "net",
+                                   "--optimizer", opt, "--batch-size", b,
+                                   "--epochs", "1", "--seed", "5")
     return {name: ("train",) + args for name, args in runs.items()}
 
 

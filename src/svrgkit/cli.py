@@ -256,11 +256,13 @@ def build_objective(cfg: RunConfig, rng: RandomSource):
         ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))
     if cfg.objective == "erm":
         return ErmObjective(ds, cfg.loss_kind, lam=cfg.lam)
-    net_cfg = dict(cfg.net)
-    net = TwoLayerNet(ds, hidden_dim=net_cfg.get("hidden", 64),
-                      class_count=net_cfg.get("classes", ds.class_count()),
-                      lam=cfg.lam, smoothness=cfg.smoothness)
-    return net
+    classes = cfg.net.get("classes", ds.class_count())
+    if classes < ds.class_count():
+        raise ConfigError(f"net.classes is {classes} but the dataset has "
+                          f"labels up to {ds.class_count()}")
+    return TwoLayerNet(ds, hidden_dim=cfg.net.get("hidden", 64),
+                       class_count=classes, lam=cfg.lam,
+                       smoothness=cfg.smoothness)
 
 
 def _objective_smoothness(cfg: RunConfig, obj, rng: RandomSource) -> float:
@@ -273,15 +275,18 @@ def _objective_smoothness(cfg: RunConfig, obj, rng: RandomSource) -> float:
 
 def run_configured(obj, cfg: RunConfig, rng: RandomSource,
                    ) -> tuple[RunResult, dict]:
-    """Run cfg's optimizer on obj from the origin, turning the pass budget
-    into steps, iterations or epochs; returns the result and the
-    schedule/metadata echo."""
+    """Run cfg's optimizer on obj, turning the pass budget into steps,
+    iterations or epochs; returns the result and the schedule/metadata echo.
+
+    Linear ERM starts at the origin, a network at a random point drawn from
+    ``rng``'s fork 17, which no other draw uses."""
     n, b = obj.n, cfg.batch_size
     if cfg.optimizer != "gd" and b > n:
         raise ConfigError(f"batch_size {b} exceeds n={n}")
     lr = cfg.rate
     meta: dict = {"n": n, "dim": obj.dim, "batch_size": b}
-    x0 = np.zeros(obj.dim)
+    x0 = (obj.initial_point(rng.fork(17)) if isinstance(obj, TwoLayerNet)
+          else np.zeros(obj.dim))
 
     if cfg.optimizer == "gd":
         steps = cfg.steps if cfg.steps is not None else cfg.epochs

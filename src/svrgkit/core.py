@@ -14,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class DimensionMismatch(ValueError):
-    """Operands disagree on the coordinate dimension."""
-
-
 def zeros(dim: int) -> np.ndarray:
     return np.zeros(int(dim), dtype=np.float64)
 
@@ -51,17 +47,6 @@ class SparseFeatures:
 
     def pairs(self) -> list[tuple[int, float]]:
         return list(zip(self.indices.tolist(), self.values.tolist()))
-
-    def max_index(self) -> int:
-        return int(self.indices[-1]) if self.indices.size else 0
-
-    def to_dense(self, dim: int) -> np.ndarray:
-        if self.max_index() > dim:
-            raise DimensionMismatch(
-                f"sparse index {self.max_index()} exceeds dimension {dim}")
-        out = zeros(dim)
-        out[self.idx0] = self.values
-        return out
 
     def __len__(self) -> int:
         return int(self.indices.size)

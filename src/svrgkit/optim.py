@@ -264,7 +264,6 @@ class RunResult:
     output: np.ndarray
     trace: list[TraceRecord]
     grad_evals: int
-    seed: int
     final_value: float = math.nan
     final_grad_norm_sq: float = math.nan
     probe_samples: list[ProbeSample] = field(default_factory=list)
@@ -334,10 +333,9 @@ class _Ledger:
                                       time.perf_counter() - self.t0, epoch))
         return gns
 
-    def result(self, output, seed: int, value: float, gns: float,
-               **extra) -> RunResult:
+    def result(self, output, value: float, gns: float, **extra) -> RunResult:
         return RunResult(output=output, trace=self.trace,
-                         grad_evals=self.evals, seed=seed, final_value=value,
+                         grad_evals=self.evals, final_value=value,
                          final_grad_norm_sq=gns, **extra)
 
 
@@ -422,7 +420,7 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     k_global = 0
 
     def finish(output, value, gns, evals_to_target=None) -> RunResult:
-        return ledger.result(output, rng.seed, value, gns,
+        return ledger.result(output, value, gns,
                              probe_samples=probes, epoch_stops=stops,
                              evals_to_target=evals_to_target,
                              epoch_iterates=iterates)
@@ -561,10 +559,10 @@ def gd_run(obj, x_start, steps: int, step: float | None = None,
         if k == steps:
             break
         if target_grad_sq is not None and gns <= target_grad_sq:
-            return ledger.result(x, 0, value, gns,
+            return ledger.result(x, value, gns,
                                  evals_to_target=ledger.evals - obj.n)
         x = x - step * grad
-    return ledger.result(x, 0, value, gns)
+    return ledger.result(x, value, gns)
 
 
 def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
@@ -613,13 +611,13 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
                 gns = ledger.checkpoint(value, grad, k + 1,
                                         f"iteration {k + 1}")
                 if target_grad_sq is not None and gns <= target_grad_sq:
-                    return ledger.result(x, rng.seed, value, gns,
+                    return ledger.result(x, value, gns,
                                          evals_to_target=ledger.evals - n)
     value, grad = obj.full_value_and_gradient(x)
     gns = ledger.checkpoint(value, grad, iterations, f"iteration {iterations}")
     out = reservoir.pick if (output == "random" and reservoir.pick is not None
                              ) else x
-    return ledger.result(out, rng.seed, value, gns)
+    return ledger.result(out, value, gns)
 
 
 def grad_dominated_drive(obj, x_start, tau: float, rounds: int,
@@ -661,7 +659,7 @@ def grad_dominated_drive(obj, x_start, tau: float, rounds: int,
         pass_base += result.trace[-1].passes
         evals += result.grad_evals
         round_values.append(result.final_value)
-    return RunResult(output=x, trace=trace, grad_evals=evals, seed=rng.seed,
+    return RunResult(output=x, trace=trace, grad_evals=evals,
                      final_value=result.final_value,
                      final_grad_norm_sq=result.final_grad_norm_sq,
                      round_values=round_values)

@@ -95,6 +95,19 @@ class TestTrain:
         assert traces["--passes"][-1].passes == 12.0
         assert traces["--passes"] == traces["--epochs"][:2]
 
+    def test_net_starts_off_the_balanced_stationary_point(self, tmp_path):
+        # All-zero parameters are exactly stationary on balanced labels;
+        # the seeded start is not.
+        data = tmp_path / "balanced.libsvm"
+        rng = np.random.default_rng(4)
+        data.write_text("".join(f"{1 + i % 2} 1:{rng.normal():.3f} "
+                                f"2:{rng.normal():.3f}\n" for i in range(20)))
+        out = tmp_path / "trace.csv"
+        assert run_cli("train", "--dataset", str(data), "--objective", "net",
+                       "--optimizer", "svrg1", "--batch-size", "2",
+                       "--epochs", "1", "--seed", "3", "--out", str(out)) == 0
+        assert read_trace(out)[0].grad_norm_sq > 1e-8
+
     def test_rerun_byte_identical_every_optimizer(self, tmp_path):
         for opt in ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
             extra = ["--lr", "poly:0.3,0.5"] if opt == "sgd" else []
@@ -172,6 +185,12 @@ class TestTrain:
         assert run_cli("train", "--dataset", str(multiclass), "--objective",
                        "net", "--optimizer", "svrg2", "--accounting",
                        "stored", "--epochs", "1", "--batch-size", "2") == 1
+        # fewer network classes than the data's labels
+        net2 = tmp_path / "net2.json"
+        net2.write_text(json.dumps({"net": {"classes": 2}}))
+        assert run_cli("train", "--config", str(net2), "--dataset",
+                       str(multiclass), "--objective", "net", "--optimizer",
+                       "svrg1", "--epochs", "1", "--batch-size", "1") == 1
         for top, tune in (({}, {"train_fraction": 0.0}),
                           ({}, {"train_fraction": 1.0}),
                           ({"passes": 2}, {}), ({"iterations": 5}, {}),

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from svrgkit.core import (DimensionMismatch, RandomSource, SparseFeatures,
-                          sq_norm)
+from svrgkit.core import RandomSource, SparseFeatures, sq_norm
 
 
 class TestSqNorm:
@@ -34,12 +33,6 @@ class TestSparseFeatures:
     def test_drops_explicit_zeros(self):
         sf = SparseFeatures([1, 2, 3], [1.0, 0.0, 2.0])
         assert sf.pairs() == [(1, 1.0), (3, 2.0)]
-
-    def test_to_dense(self):
-        sf = SparseFeatures([1, 3], [0.5, 2.0])
-        assert np.array_equal(sf.to_dense(4), [0.5, 0.0, 2.0, 0.0])
-        with pytest.raises(DimensionMismatch):
-            sf.to_dense(2)
 
 
 class TestRandomSource:

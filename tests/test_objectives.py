@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrgkit.core import RandomSource, SparseFeatures
-from svrgkit.dataio import Dataset
+from svrgkit.dataio import Dataset, parse_libsvm
 from svrgkit.losses import ALL_ERM_LOSSES, LossKind
-from svrgkit.objectives import (ErmObjective, QuadraticObjective, TwoLayerNet,
-                                make_synthetic)
+from svrgkit.objectives import (_BLOCK_ROWS, ErmObjective, QuadraticObjective,
+                                TwoLayerNet, make_synthetic)
 from svrgkit.optim import svrg_estimator
 from svrgkit.verify import fd_gradient
 
@@ -368,3 +368,62 @@ def test_row_loops_agree_with_components(case):
                           for i in singletons], axis=0), full)
     assert_close(np.mean([obj.batch_mean_grad([i], x) for i in singletons],
                          axis=0), full)
+
+
+@st.composite
+def net_instances(draw):
+    """A small dense network over random data (up to three blocks of a
+    full pass), with or without a connectivity mask, and a parameter
+    point."""
+    n, d = draw(st.integers(1, 2 * _BLOCK_ROWS + 1)), draw(st.integers(1, 6))
+    hidden, classes = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    feats = rng.normal(size=(n, d))
+    feats[rng.random((n, d)) < 0.3] = 0.0
+    ds = multiclass_dataset(feats.tolist(), rng.integers(1, classes + 1, n), d)
+    connectivity = None
+    if draw(st.booleans()):
+        fan_in = draw(st.integers(1, d))
+        connectivity = rng.integers(0, d, size=(hidden, fan_in))
+    net = TwoLayerNet(ds, hidden_dim=hidden, class_count=classes,
+                      connectivity=connectivity,
+                      lam=draw(st.sampled_from([0.0, 1e-2])))
+    return net, rng.normal(size=net.dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=net_instances())
+def test_net_full_pass_is_the_mean_of_components(case):
+    net, p = case
+    value, grad = net.full_value_and_gradient(p)
+    rows = [net.component(i, p) for i in range(1, net.n + 1)]
+    mean_value = math.fsum(v for v, _ in rows) / net.n
+    assert abs(value - mean_value) <= 1e-12 * (1 + abs(mean_value))
+    assert_close(grad, np.mean([g for _, g in rows], axis=0))
+
+
+def test_net_retains_only_dense_features(tmp_path):
+    n, d, classes = 300, 20, 5
+    rng = np.random.default_rng(3)
+    path = tmp_path / "mc.libsvm"
+    path.write_text("".join(
+        f"{rng.integers(1, classes + 1)} " + " ".join(
+            f"{j}:{v!r}" for j, v in enumerate(rng.normal(size=d).tolist(), 1))
+        + "\n" for _ in range(n)))
+
+    def build():
+        return TwoLayerNet(parse_libsvm(path, binary=False), hidden_dim=4,
+                           class_count=classes)
+
+    tracemalloc.start()
+    try:
+        nets = [build()]    # first-call caches of the parse and scipy paths
+        before = tracemalloc.get_traced_memory()[0]
+        nets.append(build())
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert nets[1].n == n
+    # The (n, d) float64 features, n int64 labels and a few small objects;
+    # the Dataset's CSR arrays alone would be 16 bytes per entry.
+    assert retained <= n * d * 8 + 8 * n + 8192
