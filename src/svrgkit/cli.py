@@ -252,6 +252,8 @@ def build_objective(cfg: RunConfig, rng: RandomSource):
         return make_synthetic(spec["n"], spec["d"], spec["seed"],
                               loss=cfg.loss_kind, lam=cfg.lam)
     ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
+    if len(ds) == 0:
+        raise ConfigError(f"dataset {cfg.dataset} has no examples")
     if cfg.flip_fraction:
         ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))
     if cfg.objective == "erm":
@@ -269,8 +271,13 @@ def _objective_smoothness(cfg: RunConfig, obj, rng: RandomSource) -> float:
     if cfg.smoothness is not None:
         return cfg.smoothness
     if isinstance(obj, TwoLayerNet) and obj._smoothness is None:
-        return obj.estimate_smoothness(200, rng.fork(13))
-    return obj.smoothness
+        L = obj.estimate_smoothness(200, rng.fork(13))
+    else:
+        L = obj.smoothness
+    if not L > 0:
+        raise ConfigError(f"the data give a smoothness constant of {L} (all "
+                          "features zero, or one class); set --smoothness")
+    return L
 
 
 def run_configured(obj, cfg: RunConfig, rng: RandomSource,
@@ -294,8 +301,8 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
             steps = round(cfg.passes)
         if not steps:
             raise ConfigError("gd needs steps/epochs/passes")
-        L = _objective_smoothness(cfg, obj, rng)
-        meta["step"] = cfg.eta if cfg.eta is not None else 1.0 / L
+        meta["step"] = (cfg.eta if cfg.eta is not None
+                        else 1.0 / _objective_smoothness(cfg, obj, rng))
         result = gd_run(obj, x0, steps, step=meta["step"])
     elif cfg.optimizer == "sgd":
         iters = cfg.iterations

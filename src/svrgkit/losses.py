@@ -11,7 +11,11 @@ Every loss is a function of the margin t = l * <a, x>.  Definitions:
   softplus    log(1 + e^t), the smooth ReLU used as a network activation
 
 All evaluations are overflow-safe for arbitrarily large |t| and accept
-scalars or numpy arrays.
+scalars or numpy arrays.  The sigmoid, logistic and softplus derivatives
+go through one falling-sigmoid formula, 1/(1+e^t) from e = exp(-|t|) (as
+e/(1+e) for t >= 0 and 1/(1+e) below), which never overflows; the
+vectorized path (``_falling_sigmoid``) and the scalar fast path of
+:func:`make_scalar_derivative` write it with numpy and with ``math``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 # 1 / max |d^2/dt^2 1/(1+e^t)|, so the scaled sigmoid is exactly 1-smooth.
 SIGMOID_SCALE = 6.0 * math.sqrt(3.0)
@@ -87,16 +90,23 @@ def _out(t, arr):
     return float(arr) if np.isscalar(t) or np.ndim(t) == 0 else arr
 
 
+def _falling_sigmoid(t: np.ndarray) -> np.ndarray:
+    """1/(1+e^t) elementwise: e/(1+e) for t >= 0 and 1/(1+e) below, with
+    e = exp(-|t|), as the scalar path of make_scalar_derivative has it."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, e, 1.0) / (1.0 + e)
+
+
 def eval_loss(kind: LossKind, t) -> LossEval:
     """Evaluate the loss and its derivative at margin(s) t."""
     ta = np.asarray(t, dtype=np.float64)
     if kind.name == "sigmoid":
-        s = expit(-ta)
+        s = _falling_sigmoid(ta)
         value = SIGMOID_SCALE * s
         deriv = -SIGMOID_SCALE * s * (1.0 - s)
     elif kind.name == "logistic":
         value = np.logaddexp(0.0, -ta)
-        deriv = -expit(-ta)
+        deriv = -_falling_sigmoid(ta)
     elif kind.name == "squared":
         value = 0.5 * (1.0 - ta) ** 2
         deriv = ta - 1.0
@@ -110,7 +120,7 @@ def eval_loss(kind: LossKind, t) -> LossEval:
         deriv = np.where(flat, 0.0, np.where(linear, -1.0, -(1.0 - ta) / g))
     elif kind.name == "softplus":
         value = np.logaddexp(0.0, ta)
-        deriv = expit(ta)
+        deriv = _falling_sigmoid(-ta)
     else:  # pragma: no cover - LossKind validates names
         raise ValueError(kind.name)
     return LossEval(_out(t, value), _out(t, deriv))

@@ -7,19 +7,20 @@ every component gradient), 1-based per-component value/gradient, the exact
 full average, and snapshot caches for variance-reduced estimators.
 
 Linear ERM over a Dataset views the Dataset's int64 CSR arrays and never
-holds an index copy.  scipy's ``csr_array`` keeps them as they are for the
-full-pass matvecs; ``csr_matrix`` would store int32 indices, and every
-per-row gather ``x[cols]`` and scatter ``out[cols] +=`` would then cast
-its index slice back to intp.  The per-row loop of the inner steps
-(``_add_rows``) slices the same arrays and reads row bounds, labels and
-reference derivatives as Python scalars.
+holds an index copy, so every per-row gather ``x[cols]`` and scatter
+``out[cols] +=`` indexes with intp as it is.  The full-pass products are
+numpy only (``ErmObjective._times``): ``X @ x`` is a ``bincount`` over each
+entry's row and ``X.T @ v`` one over its column, both adding every row or
+column in storage order as a CSR matvec does, so they equal scipy's
+products bit for bit.  Their O(nnz) temporaries (each entry's row, its
+weight) are rebuilt per product and never stored.  The per-row loop of
+the inner steps (``_add_rows``) slices the same arrays and reads row
+bounds, labels and reference derivatives as Python scalars.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .core import RandomSource, sq_norm, zeros
 from .dataio import Dataset
@@ -151,8 +152,8 @@ class ErmObjective(FiniteSumObjective):
     Components are f_i(x) = loss(l_i <a_i, x>) + lam/2 ||x||^2.  The
     smoothness constant is the conservative per-component bound
     L_loss * max_i ||a_i||^2 + lam.  Features may be a Dataset (sparse) or a
-    dense (n, d) matrix with a label vector; ``_X`` holds them as a scipy
-    ``csr_array`` or as that ndarray, and both take the same ``@``.
+    dense (n, d) matrix with a label vector; ``_X`` holds that ndarray, or
+    None for a Dataset, whose CSR arrays the objective views.
     """
 
     def __init__(self, data, loss: LossKind, lam: float = 0.0, labels=None):
@@ -169,12 +170,14 @@ class ErmObjective(FiniteSumObjective):
             self.n = len(data)
             self.dim = data.dim
             self.labels = data.labels.astype(np.float64)
-            # csr_array keeps the int64 indices; csr_matrix copies them to int32.
-            self._X = sp.csr_array(
-                (data.val, data.col_idx, data.indptr), shape=(self.n, self.dim))
+            self._X = None
             self._indptr, self._cols, self._vals = (
                 data.indptr, data.col_idx, data.val)
-            row_norms = self._X.multiply(self._X).sum(axis=1)
+            # Sums of the non-empty rows; reduceat adds a row in storage
+            # order, as scipy's row sums do (np.add.reduce pairs terms).
+            starts = self._indptr[:-1][np.diff(self._indptr) > 0]
+            row_norms = (np.add.reduceat(self._vals * self._vals, starts)
+                         if starts.size else np.zeros(1))
         else:
             self._X = np.ascontiguousarray(data, dtype=np.float64)
             if self._X.ndim != 2 or self._X.shape[0] == 0:
@@ -208,8 +211,24 @@ class ErmObjective(FiniteSumObjective):
             out[cols] += scale * (deriv - ref_of(i - 1)) * label * vals
         return out
 
+    def _times(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """X @ v, or X.T @ v with ``transpose``; the one place that tells
+        dense features from CSR arrays."""
+        if self._X is not None:
+            return (self._X.T if transpose else self._X) @ v
+        counts = np.diff(self._indptr)
+        if transpose:
+            # v at each entry's row, without building the rows
+            weights = np.repeat(v, counts)
+            weights *= self._vals
+            return np.bincount(self._cols, weights, minlength=self.dim)
+        weights = v[self._cols]
+        weights *= self._vals
+        return np.bincount(np.repeat(np.arange(self.n), counts), weights,
+                           minlength=self.n)
+
     def margins(self, x: np.ndarray) -> np.ndarray:
-        return self.labels * (self._X @ x)
+        return self.labels * self._times(x)
 
     # -- finite-sum surface -------------------------------------------------
 
@@ -228,7 +247,7 @@ class ErmObjective(FiniteSumObjective):
 
     def full_value_and_gradient(self, x):
         values, derivs = eval_loss(self.loss, self.margins(x))
-        grad = self._X.T @ (derivs * self.labels / self.n)
+        grad = self._times(derivs * self.labels / self.n, transpose=True)
         value = float(values.mean())
         if self.lam:
             grad = grad + self.lam * x
@@ -267,7 +286,7 @@ class ErmObjective(FiniteSumObjective):
 
     def accuracy(self, x: np.ndarray) -> float:
         """Fraction of examples with sign(<a, x>) matching the label."""
-        pred = np.where(self._X @ x >= 0, 1.0, -1.0)
+        pred = np.where(self._times(x) >= 0, 1.0, -1.0)
         return float((pred == self.labels).mean())
 
 
@@ -299,8 +318,9 @@ class TwoLayerNet(FiniteSumObjective):
             raise ValueError("dataset labels exceed class_count")
         self.n = len(dataset)
         self.input_dim = dataset.dim
-        self._X = sp.csr_array((dataset.val, dataset.col_idx, dataset.indptr),
-                               shape=(self.n, self.input_dim)).toarray()
+        self._X = np.zeros((self.n, self.input_dim))
+        self._X[np.repeat(np.arange(self.n), np.diff(dataset.indptr)),
+                dataset.col_idx] = dataset.val
         self._y = dataset.labels - 1
         self.hidden_dim = int(hidden_dim)
         self.class_count = int(class_count)
@@ -397,12 +417,17 @@ class TwoLayerNet(FiniteSumObjective):
         picks = np.arange(0, z2.size, self.class_count) + labels
         value = np.add.reduce(np.log(norm).ravel() - z2.ravel()[picks]) / count
 
-        # Backward pass on the mean: dz2 carries the 1/count of every row.
+        # Backward pass on the mean: dz2 carries the 1/count of every row
+        # (a one-row block, the component path, skips the exact /1).
         dz2 /= norm
         dz2.ravel()[picks] -= 1.0
-        dz2 /= count
+        if count > 1:
+            dz2 /= count
         dz1 = np.dot(dz2, w2)
-        dz1 *= expit(z1)                                    # softplus' = expit
+        # softplus'(z) = 1/(1+e^-z) = exp(z - softplus(z)), from the a1 at
+        # hand in two ufunc calls (relative error about |z| * 2^-53).
+        z1 -= a1
+        dz1 *= np.exp(z1, out=z1)
 
         grad = np.empty_like(params)
         gw1, gb1, gw2, gb2 = self.unpack(grad)

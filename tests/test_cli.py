@@ -1,19 +1,27 @@
+import io
 import json
 import math
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svrgkit.cli import (RunConfig, TuneCell, build_objective, main,
-                         run_configured, select_step_winners)
+from svrgkit.cli import (OPTIMIZERS, RunConfig, TuneCell, build_objective,
+                         main, run_configured, select_step_winners)
 from svrgkit.core import RandomSource
-from svrgkit.dataio import flip_labels, parse_libsvm, read_trace, split
+from svrgkit.dataio import (Dataset, flip_labels, parse_libsvm, read_trace,
+                            split, write_trace)
 from svrgkit.losses import LossKind
-from svrgkit.objectives import ErmObjective
-from svrgkit.optim import ConstantRate, sgd_run
+from svrgkit.objectives import ErmObjective, TwoLayerNet
+from svrgkit.optim import ConstantRate, DivergenceError, sgd_run
 from svrgkit.verify import run_verification
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -191,6 +199,18 @@ class TestTrain:
         assert run_cli("train", "--config", str(net2), "--dataset",
                        str(multiclass), "--objective", "net", "--optimizer",
                        "svrg1", "--epochs", "1", "--batch-size", "1") == 1
+        # degenerate network data: one class gives a smoothness estimate
+        # of 0, and an empty file has nothing to estimate it from
+        one_class = tmp_path / "one.libsvm"
+        one_class.write_text("1 1:0.5\n")
+        empty = tmp_path / "empty.libsvm"
+        empty.write_text("")
+        for data, opt in ((one_class, ("gd", "--steps", "1")),
+                          (one_class, ("svrg1", "--batch-size", "1",
+                                       "--epochs", "1")),
+                          (empty, ("gd", "--steps", "1"))):
+            assert run_cli("train", "--dataset", str(data), "--objective",
+                           "net", "--optimizer", *opt) == 1, (data, opt)
         for top, tune in (({}, {"train_fraction": 0.0}),
                           ({}, {"train_fraction": 1.0}),
                           ({"passes": 2}, {}), ({"iterations": 5}, {}),
@@ -317,6 +337,101 @@ def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
         inner = epochs * meta["m"] * cfg.batch_size * cost
     assert len(passes) == checkpoints
     assert result.grad_evals == checkpoints * n + inner
+
+
+@st.composite
+def determinism_cases(draw):
+    """A small sparse ERM, dense ERM or network instance (as a function that
+    builds it afresh) and a random config that runs on it."""
+    kind = draw(st.sampled_from(["sparse", "dense", "net"]))
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    optimizer = draw(st.sampled_from(OPTIMIZERS))
+    accounting = draw(st.sampled_from(
+        ["auto", "recompute"] + (["stored"] if kind != "net" else [])))
+    cfg = RunConfig(
+        dataset=None if kind == "dense" else "in-memory",
+        synthetic={"n": n, "d": d, "seed": draw(st.integers(0, 5))}
+        if kind == "dense" else None,
+        objective="net" if kind == "net" else "erm",
+        loss=draw(st.sampled_from(["sigmoid", "logistic", "hinge:0.1"])),
+        lam=draw(st.sampled_from([0.0, 1e-3])), optimizer=optimizer,
+        batch_size=draw(st.integers(1, n)),
+        passes=draw(st.floats(1.0, 4.0)), accounting=accounting,
+        eval_every=draw(st.one_of(st.none(), st.integers(1, 3))),
+        lr="constant:0.05" if optimizer == "sgd" else None,
+        seed=draw(st.integers(0, 3)))
+    feats = rng.normal(size=(n, d))
+    feats[rng.random((n, d)) < 0.3] = 0.0
+    feats[0, d - 1] = 1.0                   # the largest column is d - 1
+    rows, cols = np.nonzero(feats)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    if kind == "sparse":
+        labels = rng.choice([-1, 1], n)
+        data = Dataset.from_csr(indptr, cols, feats[rows, cols], labels)
+        return lambda: ErmObjective(data, cfg.loss_kind, lam=cfg.lam), cfg
+    if kind == "dense":
+        return lambda: build_objective(cfg, RandomSource(cfg.seed)), cfg
+    classes = draw(st.integers(2, 3))
+    data = Dataset.from_csr(indptr, cols, feats[rows, cols],
+                            rng.integers(1, classes + 1, n), binary=False)
+    return lambda: TwoLayerNet(data, hidden_dim=3, class_count=classes,
+                               lam=cfg.lam), cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=determinism_cases())
+def test_same_data_config_and_seed_give_the_same_trace_bytes(case):
+    make, cfg = case
+
+    def trace_bytes():
+        result, meta = run_configured(make(), cfg, RandomSource(cfg.seed))
+        sink = io.StringIO()
+        write_trace([replace(r, wall_seconds=0.0) for r in result.trace],
+                    sink, [json.dumps(meta, sort_keys=True)])
+        return sink.getvalue(), result.output.tobytes()
+
+    try:
+        first = trace_bytes()
+    except DivergenceError as e:
+        with pytest.raises(DivergenceError) as again:
+            trace_bytes()
+        assert str(again.value) == str(e)
+        return
+    assert trace_bytes() == first
+
+
+def test_runtime_imports_no_scipy(small_file, tmp_path):
+    multiclass = tmp_path / "mc.libsvm"
+    multiclass.write_text("".join(f"{1 + i % 3} 1:{i}.5 2:-1.25\n"
+                                  for i in range(12)))
+    tune = tmp_path / "tune.json"
+    tune.write_text(json.dumps({"tune": {
+        "passes": 1, "lambdas": [1e-3], "alphas": [0.1], "betas": [0.0]}}))
+    out = tmp_path / "out.csv"
+    runs = [
+        ["train", "--dataset", str(small_file), "--optimizer", "svrg2",
+         "--batch-size", "1", "--passes", "2"],
+        ["train", "--synthetic", "16,3,1", "--optimizer", "svrg1",
+         "--batch-size", "2", "--passes", "2"],
+        ["train", "--dataset", str(multiclass), "--objective", "net",
+         "--optimizer", "svrg2", "--batch-size", "2", "--passes", "3"],
+        ["tune", "--dataset", str(small_file), "--optimizer", "sgd",
+         "--batch-size", "4", "--config", str(tune)],
+    ]
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        "import svrgkit.cli",
+        f"for argv in {json.dumps(runs)}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        f"        assert svrgkit.cli.main(argv + ['--out', {str(out)!r}]) == 0",
+        "print(json.dumps(sorted(m for m in sys.modules",
+        "                        if m.split('.')[0] == 'scipy')))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == []
 
 
 class TestTune:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from svrgkit.losses import (ALL_ERM_LOSSES, SIGMOID_SCALE, LossKind,
                             eval_loss, loss_smoothness,
@@ -137,6 +138,50 @@ class TestDerivativeProperties:
                 one = eval_loss(kind, float(t))
                 assert one.value == vec.value[i]
                 assert one.derivative == vec.derivative[i]
+
+
+# Both tails past exp's range, the subnormal edge (+-745), signed zeros and
+# values too small to move 1 + e^t.
+SIGMOID_GRID = np.concatenate([np.linspace(-800.0, 800.0, 16001),
+                               [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0]])
+
+
+def expit_reference(kind, t):
+    """(value or None, derivative) of a sigmoid-based loss from scipy."""
+    if kind.name == "sigmoid":
+        s = expit(-t)
+        return SIGMOID_SCALE * s, -SIGMOID_SCALE * s * (1.0 - s)
+    if kind.name == "logistic":
+        return None, -expit(-t)
+    return None, expit(t)
+
+
+SIGMOID_KINDS = (LossKind.sigmoid(), LossKind.logistic(), LossKind.softplus())
+
+
+class TestSigmoidFormula:
+    @pytest.mark.parametrize("kind", SIGMOID_KINDS, ids=loss_id)
+    def test_agrees_with_scipy_expit(self, kind):
+        # Relative agreement down to the smallest normal double (times the
+        # sigmoid's scale): scipy's expit returns 0 once e^-t overflows
+        # (t < -709.78), while e^t is still about 1e-308 there.
+        got = eval_loss(kind, SIGMOID_GRID)
+        value, deriv = expit_reference(kind, SIGMOID_GRID)
+        tiny = SIGMOID_SCALE * np.finfo(np.float64).tiny
+        assert np.allclose(got.derivative, deriv, rtol=1e-14, atol=tiny)
+        if value is not None:
+            assert np.allclose(got.value, value, rtol=1e-14, atol=tiny)
+
+    @pytest.mark.parametrize("kind", SIGMOID_KINDS, ids=loss_id)
+    def test_raises_no_floating_point_error(self, kind):
+        deriv = make_scalar_derivative(kind)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            vec = eval_loss(kind, SIGMOID_GRID)
+            for t in SIGMOID_GRID[-6:]:
+                eval_loss(kind, float(t))
+                deriv(float(t))
+        assert np.all(np.isfinite(vec.value))
+        assert np.all(np.isfinite(vec.derivative))
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -304,10 +305,27 @@ class TestErmSharesDatasetArrays:
     def test_views_the_int64_csr_arrays(self):
         ds = random_csr_dataset(50, 300, 20, seed=1)
         obj = ErmObjective(ds, LossKind.logistic(), lam=1e-3)
-        for held, own in ((obj._X.indices, ds.col_idx),
-                          (obj._X.indptr, ds.indptr)):
-            assert held.dtype == np.intp
+        assert obj._X is None
+        for held, own, dtype in ((obj._cols, ds.col_idx, np.intp),
+                                 (obj._indptr, ds.indptr, np.intp),
+                                 (obj._vals, ds.val, np.float64)):
+            assert held.dtype == dtype
             assert np.shares_memory(held, own)
+
+    def test_retains_only_float_labels(self):
+        n = 500
+        ds = random_csr_dataset(n, 300, 20, seed=4)
+        tracemalloc.start()
+        try:
+            objs = [ErmObjective(ds, LossKind.logistic())]  # first-call caches
+            before = tracemalloc.get_traced_memory()[0]
+            objs.append(ErmObjective(ds, LossKind.logistic()))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # The float64 labels and a few small objects; a stored row index
+        # per nonzero would be 8 * nnz = 80,000 bytes.
+        assert retained <= 8 * n + 4096
 
     def test_tune_sized_objectives_retain_no_index_copy(self):
         # A tune grid builds one objective per cell over one training split.
@@ -326,6 +344,33 @@ class TestErmSharesDatasetArrays:
         assert len(objs) == 12
         # An int32 copy of the column indices alone would be 4 * nnz bytes.
         assert retained / 11 < nnz
+
+
+@st.composite
+def csr_instances(draw):
+    """A random CSR Dataset with empty rows, n down to 1 and a dim that may
+    exceed the largest column, and a vector for each side of the product."""
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    feats = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, (n, dim))
+    feats[rng.random((n, dim)) < draw(st.sampled_from([0.2, 0.6, 1.0]))] = 0.0
+    feats[:, dim - draw(st.integers(0, dim - 1)):] = 0.0
+    rows, cols = np.nonzero(feats)
+    ds = Dataset.from_csr(np.searchsorted(rows, np.arange(n + 1)), cols,
+                          feats[rows, cols], rng.choice([-1, 1], n), dim=dim)
+    return ds, rng.normal(size=dim), rng.normal(size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csr_instances())
+def test_csr_products_equal_scipy_bit_for_bit(case):
+    ds, x, v = case
+    X = sp.csr_array((ds.val, ds.col_idx, ds.indptr), shape=(len(ds), ds.dim))
+    obj = ErmObjective(ds, LossKind.squared())
+    assert np.array_equal(obj._times(x), X @ x)
+    assert np.array_equal(obj._times(v, transpose=True), X.T @ v)
+    # squared loss is 1-smooth: the bound is the largest row norm itself
+    assert obj.smoothness == float(X.multiply(X).sum(axis=1).max())
 
 
 @st.composite
@@ -417,7 +462,7 @@ def test_net_retains_only_dense_features(tmp_path):
 
     tracemalloc.start()
     try:
-        nets = [build()]    # first-call caches of the parse and scipy paths
+        nets = [build()]    # first-call caches of the parse path
         before = tracemalloc.get_traced_memory()[0]
         nets.append(build())
         retained = tracemalloc.get_traced_memory()[0] - before
