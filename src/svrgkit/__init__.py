@@ -8,7 +8,7 @@ the estimator's variance bounds and convergence rate as executable
 properties.
 """
 
-from .core import RandomSource, SparseFeatures, sq_norm
+from .core import RandomSource, sq_norm
 from .dataio import (Dataset, LibsvmFormatError, TraceRecord, flip_labels,
                      parse_libsvm, read_trace, split, write_libsvm,
                      write_trace)

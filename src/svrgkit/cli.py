@@ -31,7 +31,6 @@ import re
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -482,6 +481,9 @@ def cmd_tune(args) -> int:
     with ExitStack() as stack:
         run_map = map
         if args.threads > 1:
+            # imported here: the process pool machinery would add 28
+            # modules to every other command's start-up
+            from concurrent.futures import ProcessPoolExecutor
             run_map = stack.enter_context(
                 ProcessPoolExecutor(max_workers=args.threads)).map
         results = list(run_map(partial(_run_cell, train), range(len(cfgs)),
@@ -583,10 +585,11 @@ def cmd_synth(args) -> int:
     if not args.out:
         raise ConfigError("synth needs --out")
     obj = make_synthetic(args.n, args.d, args.seed or 0)
-    rows, cols = np.nonzero(obj._X)
-    indptr = np.searchsorted(rows, np.arange(obj.n + 1))
-    write_libsvm(Dataset.from_csr(indptr, cols, obj._X[rows, cols],
-                                  obj.labels, dim=obj.dim), args.out)
+    # from_csr drops the dense rows' zeros
+    write_libsvm(Dataset.from_csr(np.arange(0, obj._X.size + 1, obj.dim),
+                                  np.tile(np.arange(obj.dim), obj.n),
+                                  obj._X.ravel(), obj.labels, dim=obj.dim),
+                 args.out)
     print(f"wrote {args.out} ({obj.n} examples, dim {obj.dim})")
     return 0
 

@@ -1,9 +1,8 @@
-"""Dense/sparse vector primitives and the deterministic random-number contract.
+"""Vector primitives and the deterministic random-number contract.
 
 All arithmetic is 64-bit floating point.  Parameter vectors are plain 1-D
-``numpy.float64`` arrays; :class:`SparseFeatures` holds one example's feature
-pairs with 1-based indices (LibSVM convention), converted to 0-based exactly
-once, at construction.  :class:`RandomSource` wraps numpy's Philox bit
+``numpy.float64`` arrays; sparse features live in a Dataset's CSR arrays
+(``dataio``).  :class:`RandomSource` wraps numpy's Philox bit
 generator (counter-based) so that identical seed + identical call sequence
 reproduces identical output streams bit-exactly, and child streams for
 parallel runs are derived from (seed, child_id) alone.
@@ -16,43 +15,6 @@ import numpy as np
 
 def zeros(dim: int) -> np.ndarray:
     return np.zeros(int(dim), dtype=np.float64)
-
-
-class SparseFeatures:
-    """One example's features as (index, value) pairs with 1-based indices.
-
-    Indices are strictly increasing and >= 1; explicit zeros are dropped.
-    """
-
-    __slots__ = ("indices", "values", "idx0")
-
-    def __init__(self, indices, values):
-        idx = np.asarray(indices, dtype=np.int64)
-        val = np.asarray(values, dtype=np.float64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be 1-D and the same length")
-        if idx.size and idx[0] < 1:
-            raise ValueError("feature indices are 1-based; got index < 1")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
-            raise ValueError("feature indices must be strictly increasing")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("feature values must be finite")
-        keep = val != 0.0
-        if not keep.all():
-            idx, val = idx[keep], val[keep]
-        self.indices = idx
-        self.values = val
-        # The single 1-based -> 0-based conversion point.
-        self.idx0 = idx - 1
-
-    def pairs(self) -> list[tuple[int, float]]:
-        return list(zip(self.indices.tolist(), self.values.tolist()))
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def __repr__(self) -> str:
-        return f"SparseFeatures({self.pairs()!r})"
 
 
 def sq_norm(v: np.ndarray) -> float:

@@ -4,18 +4,22 @@ The two stable on-disk formats live here: LibSVM text lines
 ("label idx:val idx:val ...", indices 1-based strictly increasing) and the
 trace CSV with header ``passes,objective,grad_norm_sq,wall_seconds,epoch``.
 Floats are written with ``repr`` so a round trip through text is exact.
+
+A :class:`Dataset` is built only by :meth:`Dataset.from_csr`, which holds
+the row contract (columns in range and strictly increasing within a row,
+finite values, no explicit zeros); the parser, subsets, splits, label
+flips and every library caller go through it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .core import RandomSource, SparseFeatures
+from .core import RandomSource
 
 TRACE_HEADER = "passes,objective,grad_norm_sq,wall_seconds,epoch"
 
@@ -29,6 +33,14 @@ def bundled_dataset_path(name: str = "a9a_like_2000") -> Path:
 
 class LibsvmFormatError(ValueError):
     """Malformed LibSVM input; message names the offending line."""
+
+
+class RowError(ValueError):
+    """A CSR row breaks the row contract; ``row`` is its 0-based position."""
+
+    def __init__(self, row: int, detail: str):
+        super().__init__(f"row {row + 1}: {detail}")
+        self.row, self.detail = row, detail
 
 
 @dataclass
@@ -46,56 +58,72 @@ class Dataset:
     """Labeled sparse examples backing a finite-sum objective.
 
     Binary datasets carry labels in {-1, +1}; multiclass ones in {1..C}.
-    Feature storage is CSR-style (indptr/indices/values) with 0-based
-    internal indices; per-example access returns 1-based SparseFeatures.
+    Feature storage is CSR-style (indptr/col_idx/val) with 0-based
+    columns; per-example access returns 1-based indices (the LibSVM
+    convention).  :meth:`from_csr` is the only constructor.
     """
-
-    def __init__(self, examples, dim: int | None = None, binary: bool = True):
-        """Dataset from (SparseFeatures, label) pairs."""
-        examples = list(examples)
-        rows = [feats for feats, _ in examples]
-        self._set(np.cumsum([0] + [len(f) for f in rows]),
-                  np.concatenate([np.empty(0, dtype=np.int64)]
-                                 + [f.idx0 for f in rows]),
-                  np.concatenate([np.empty(0)] + [f.values for f in rows]),
-                  [int(label) for _, label in examples], dim, binary)
 
     @classmethod
     def from_csr(cls, indptr, col_idx, val, labels, dim: int | None = None,
                  binary: bool = True) -> "Dataset":
-        """Dataset over CSR arrays: 0-based columns, no explicit zeros."""
-        ds = cls.__new__(cls)
-        ds._set(indptr, col_idx, val, labels, dim, binary)
-        return ds
+        """Dataset over CSR arrays with 0-based columns.
 
-    def _set(self, indptr, col_idx, val, labels, dim, binary):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.col_idx = np.asarray(col_idx, dtype=np.int64)
-        self.val = np.asarray(val, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.binary = bool(binary)
-        max_idx = int(self.col_idx.max()) + 1 if self.col_idx.size else 0
+        The one place the row contract is checked: within each row the
+        columns lie in [0, dim) and strictly increase, and the values are
+        finite.  Explicit zeros are then dropped (``dim`` defaults to one
+        past the largest column left).  A row breaking the contract raises
+        :class:`RowError` for the first such row; its message numbers rows
+        and indices from 1, as :meth:`example` does.
+        """
+        indptr = np.asarray(indptr, dtype=np.int64)
+        cols = np.asarray(col_idx, dtype=np.int64)
+        vals = np.asarray(val, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if (cols.ndim != 1 or cols.shape != vals.shape or labels.ndim != 1
+                or indptr.shape != (labels.size + 1,) or indptr[0] != 0
+                or indptr[-1] != cols.size or np.any(np.diff(indptr) < 0)):
+            raise ValueError("CSR arrays disagree: indptr must rise from 0 "
+                             "to the entry count, one row per label")
+        rows = np.repeat(np.arange(labels.size), np.diff(indptr))
+        keep = vals != 0.0
         if dim is None:
-            dim = max_idx
-        elif dim < max_idx:
-            raise ValueError(f"dim {dim} below max feature index {max_idx}")
-        self.dim = int(dim)
-        if self.binary:
-            if not np.all(np.isin(self.labels, (-1, 1))):
+            dim = int(cols[keep].max()) + 1 if keep.any() else 0
+        falling = (np.diff(cols, prepend=0) <= 0) & (
+            np.diff(rows, prepend=-1) == 0)
+        bad = (cols < 0) | falling | (keep & (cols >= dim)) | ~np.isfinite(vals)
+        if bad.any():
+            at = int(np.argmax(bad))
+            index = int(cols[at]) + 1
+            if index < 1:
+                detail = f"index {index} < 1"
+            elif falling[at]:
+                detail = f"indices not strictly increasing at {index}"
+            elif index > dim:
+                detail = f"index {index} > dim {dim}"
+            else:
+                detail = f"non-finite value {float(vals[at])!r}"
+            raise RowError(int(rows[at]), detail)
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            cols, vals = cols[keep], vals[keep]
+        if binary:
+            if not np.all(np.isin(labels, (-1, 1))):
                 raise ValueError("binary dataset labels must be in {-1,+1}")
-        elif self.labels.size and self.labels.min() < 1:
+        elif labels.size and labels.min() < 1:
             raise ValueError("multiclass labels must be >= 1")
+        ds = cls.__new__(cls)
+        ds.indptr, ds.col_idx, ds.val, ds.labels = indptr, cols, vals, labels
+        ds.dim, ds.binary = int(dim), bool(binary)
+        return ds
 
     def __len__(self) -> int:
         return int(self.labels.size)
 
-    def features(self, i: int) -> SparseFeatures:
-        """1-based example index -> that example's SparseFeatures."""
+    def example(self, i: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """1-based example index -> its 1-based feature indices, its
+        feature values (a view) and its label."""
         lo, hi = self.indptr[i - 1], self.indptr[i]
-        return SparseFeatures(self.col_idx[lo:hi] + 1, self.val[lo:hi])
-
-    def example(self, i: int) -> tuple[SparseFeatures, int]:
-        return self.features(i), int(self.labels[i - 1])
+        return self.col_idx[lo:hi] + 1, self.val[lo:hi], int(self.labels[i - 1])
 
     def subset(self, rows0: np.ndarray) -> "Dataset":
         """New dataset from 0-based row positions, preserving dim/mode."""
@@ -106,11 +134,6 @@ class Dataset:
         take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return Dataset.from_csr(indptr, self.col_idx[take], self.val[take],
                                 self.labels[rows0], self.dim, self.binary)
-
-    def with_labels(self, labels: np.ndarray) -> "Dataset":
-        """New dataset sharing this one's features but with new labels."""
-        return Dataset.from_csr(self.indptr, self.col_idx, self.val, labels,
-                                self.dim, self.binary)
 
     def class_count(self) -> int:
         if self.binary:
@@ -147,48 +170,41 @@ def parse_libsvm(source, binary: bool = True, dim: int | None = None,
                  ) -> Dataset:
     """Parse LibSVM text (path, file object, or iterable of lines).
 
-    Labels outside the declared mode's range are remapped by sort order of
-    the distinct observed labels.
+    Only converts text to numbers; :meth:`Dataset.from_csr` checks the rows,
+    and a row it rejects is reported by its line.  Labels outside the
+    declared mode's range are remapped by sort order of the distinct
+    observed labels.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
             return parse_libsvm(fh, binary=binary, dim=dim)
 
     raw_labels: list[float] = []
-    indptr, cols, vals = [0], [], []
+    linenos, indptr, cols, vals = [], [0], [], []
     for lineno, line in enumerate(source, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
         raw_labels.append(_parse_label(toks[0], lineno))
-        prev = 0
+        linenos.append(lineno)
         for tok in toks[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise LibsvmFormatError(f"line {lineno}: malformed token {tok!r}")
+            # no ':' leaves val_s empty, which float() rejects
+            idx_s, _, val_s = tok.partition(":")
             try:
-                idx = int(idx_s)
-                val = float(val_s)
+                cols.append(int(idx_s) - 1)
+                vals.append(float(val_s))
             except ValueError:
                 raise LibsvmFormatError(
                     f"line {lineno}: malformed token {tok!r}") from None
-            if idx < 1:
-                raise LibsvmFormatError(f"line {lineno}: index {idx} < 1")
-            if idx <= prev:
-                raise LibsvmFormatError(
-                    f"line {lineno}: indices not strictly increasing at {idx}")
-            if not math.isfinite(val):
-                raise LibsvmFormatError(
-                    f"line {lineno}: non-finite value {val_s!r}")
-            prev = idx
-            if val != 0.0:
-                cols.append(idx - 1)
-                vals.append(val)
         indptr.append(len(cols))
 
     labels = _remap_labels(raw_labels, binary)
-    return Dataset.from_csr(indptr, cols, vals, labels, dim=dim, binary=binary)
+    try:
+        return Dataset.from_csr(indptr, cols, vals, labels, dim=dim,
+                                binary=binary)
+    except RowError as e:
+        raise LibsvmFormatError(f"line {linenos[e.row]}: {e.detail}") from None
 
 
 def write_libsvm(ds: Dataset, sink) -> None:
@@ -197,10 +213,12 @@ def write_libsvm(ds: Dataset, sink) -> None:
         with open(sink, "w") as fh:
             write_libsvm(ds, fh)
             return
-    for i in range(1, len(ds) + 1):
-        feats, label = ds.example(i)
+    cuts = ds.indptr[1:-1]
+    for label, idx, vals in zip(ds.labels.tolist(),
+                                np.split(ds.col_idx + 1, cuts),
+                                np.split(ds.val, cuts)):
         parts = [f"{label:+d}" if ds.binary else str(label)]
-        parts += [f"{idx}:{repr(val)}" for idx, val in feats.pairs()]
+        parts += [f"{i}:{v!r}" for i, v in zip(idx.tolist(), vals.tolist())]
         sink.write(" ".join(parts) + "\n")
 
 
@@ -222,7 +240,7 @@ def flip_labels(ds: Dataset, fraction: float, rng: RandomSource) -> Dataset:
     chosen = rng.sample_without_replacement(len(ds), k)
     labels = ds.labels.copy()
     labels[chosen] = -labels[chosen]
-    return ds.with_labels(labels)
+    return Dataset.from_csr(ds.indptr, ds.col_idx, ds.val, labels, ds.dim)
 
 
 def split(ds: Dataset, train_fraction: float, rng: RandomSource,

@@ -153,7 +153,8 @@ class ErmObjective(FiniteSumObjective):
     smoothness constant is the conservative per-component bound
     L_loss * max_i ||a_i||^2 + lam.  Features may be a Dataset (sparse) or a
     dense (n, d) matrix with a label vector; ``_X`` holds that ndarray, or
-    None for a Dataset, whose CSR arrays the objective views.
+    None for a Dataset, whose CSR arrays and int64 labels the objective
+    views.
     """
 
     def __init__(self, data, loss: LossKind, lam: float = 0.0, labels=None):
@@ -169,7 +170,8 @@ class ErmObjective(FiniteSumObjective):
                 raise ValueError("empty dataset")
             self.n = len(data)
             self.dim = data.dim
-            self.labels = data.labels.astype(np.float64)
+            # int64 labels: +-1 times a float is exact, so no float copy
+            self.labels = data.labels
             self._X = None
             self._indptr, self._cols, self._vals = (
                 data.indptr, data.col_idx, data.val)
@@ -246,13 +248,18 @@ class ErmObjective(FiniteSumObjective):
         return value, grad
 
     def full_value_and_gradient(self, x):
+        return self._full_pass(x)[:2]
+
+    def _full_pass(self, x):
+        """Full value and gradient at x, and every row's loss derivative
+        at its margin, from one loss evaluation."""
         values, derivs = eval_loss(self.loss, self.margins(x))
         grad = self._times(derivs * self.labels / self.n, transpose=True)
         value = float(values.mean())
         if self.lam:
             grad = grad + self.lam * x
             value += 0.5 * self.lam * sq_norm(x)
-        return value, grad
+        return value, grad, derivs
 
     def batch_mean_grad(self, idx, x):
         if min(idx) < 1 or max(idx) > self.n:
@@ -264,11 +271,9 @@ class ErmObjective(FiniteSumObjective):
         return "recompute" if mode == "recompute" else "stored"
 
     def build_snapshot(self, x, mode: str = "auto"):
-        value, grad = self.full_value_and_gradient(x)
-        if self.snapshot_mode(mode) == "recompute":
-            return SnapshotCache(x, grad, value)
-        residuals = eval_loss(self.loss, self.margins(x)).derivative
-        return SnapshotCache(x, grad, value, residuals=residuals)
+        value, grad, derivs = self._full_pass(x)
+        stored = self.snapshot_mode(mode) == "stored"
+        return SnapshotCache(x, grad, value, derivs if stored else None)
 
     def fused_svrg_estimator(self, cache: SnapshotCache, x, idx,
                              out=None) -> np.ndarray:

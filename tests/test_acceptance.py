@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import chisquare
 
 from svrgkit.cli import default_alpha_grid, main
-from svrgkit.core import RandomSource, SparseFeatures
+from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset, bundled_dataset_path, parse_libsvm
 from svrgkit.losses import ALL_ERM_LOSSES, LossKind
 from svrgkit.objectives import ErmObjective, TwoLayerNet, make_synthetic
@@ -115,9 +115,9 @@ def test_05_stop_sampling_distribution():
 
 def _multiclass(rng, n, d, classes):
     rows = rng.normals((n, d))
-    examples = [(SparseFeatures(range(1, d + 1), rows[i]),
-                 1 + i % classes) for i in range(n)]
-    return Dataset(examples, dim=d, binary=False)
+    return Dataset.from_csr(np.arange(0, n * d + 1, d),
+                            np.tile(np.arange(d), n), rows.ravel(),
+                            1 + np.arange(n) % classes, dim=d, binary=False)
 
 
 def test_06_gradient_correctness():

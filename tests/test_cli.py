@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -426,12 +428,14 @@ def test_runtime_imports_no_scipy(small_file, tmp_path):
         f"for argv in {json.dumps(runs)}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         f"        assert svrgkit.cli.main(argv + ['--out', {str(out)!r}]) == 0",
-        "print(json.dumps(sorted(m for m in sys.modules",
-        "                        if m.split('.')[0] == 'scipy')))",
+        "print(json.dumps([sorted(m for m in sys.modules",
+        "                         if m.split('.')[0] == 'scipy'),",
+        "                  'concurrent.futures.process' in sys.modules]))",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
-    assert json.loads(done.stdout) == []
+    # no scipy module, and no process pool for a one-thread tune
+    assert json.loads(done.stdout) == [[], False]
 
 
 class TestTune:
@@ -607,6 +611,34 @@ class TestVerify:
         names = {c.name for c in checks}
         assert {"estimator-unbiasedness", "variance-bound",
                 "component-smoothness", "gradient-fd-erm"} <= names
+
+
+# One malformed LibSVM line each: bad tokens, a repeated, decreasing or zero
+# index, non-finite values, a bad label.
+_BAD_LINES = ["+1 1:2:3", "+1 :5", "+1 5:", "+1 a:1", "+1 3:1 3:2",
+              "-1 4:1 2:1", "+1 0:1", "-1 1:nan", "+1 2:inf", "-1 1:1 3:-inf",
+              "yes 1:1"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=st.sampled_from(_BAD_LINES),
+       before=st.lists(st.sampled_from(["+1 1:1 2:0.5", "-1 2:2", "",
+                                        "# comment"]), max_size=4),
+       command=st.sampled_from(["flip", "train"]))
+def test_malformed_line_exits_1_naming_the_line(bad, before, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "bad.libsvm", str(Path(tmp) / "out")
+        src.write_text("\n".join(before + [bad, "+1 1:1", "-1 2:1"]) + "\n")
+        argv = (["flip", str(src), "--fraction", "0.5", "--out", out]
+                if command == "flip" else
+                ["train", "--dataset", str(src), "--optimizer", "gd",
+                 "--steps", "1", "--out", out])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)  # an escaping exception fails the test
+    assert rc == 1
+    assert f"line {len(before) + 1}:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestDatasetCommands:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svrgkit.core import RandomSource, SparseFeatures, sq_norm
+from svrgkit.core import RandomSource, sq_norm
 
 
 class TestSqNorm:
@@ -19,20 +19,6 @@ class TestSqNorm:
         for _ in range(20):
             v = rng.normal(size=8)
             assert sq_norm(v) == float(np.dot(v, v))
-
-
-class TestSparseFeatures:
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            SparseFeatures([3, 2], [1.0, 1.0])
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(ValueError):
-            SparseFeatures([0], [1.0])
-
-    def test_drops_explicit_zeros(self):
-        sf = SparseFeatures([1, 2, 3], [1.0, 0.0, 2.0])
-        assert sf.pairs() == [(1, 1.0), (3, 2.0)]
 
 
 class TestRandomSource:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svrgkit.core import RandomSource, SparseFeatures
+from svrgkit.core import RandomSource
 from svrgkit.dataio import (Dataset, LibsvmFormatError, TraceRecord,
                             bundled_dataset_path, flip_labels, parse_libsvm,
                             read_trace, round_half_up, split, write_libsvm,
@@ -24,14 +24,14 @@ class TestParseLibsvm:
     def test_basic_line(self):
         ds = parse_libsvm(["+1 1:0.5 3:2"])
         assert len(ds) == 1 and ds.dim == 3
-        feats, label = ds.example(1)
+        idx, vals, label = ds.example(1)
         assert label == 1
-        assert feats.pairs() == [(1, 0.5), (3, 2.0)]
+        assert (idx.tolist(), vals.tolist()) == ([1, 3], [0.5, 2.0])
 
     def test_label_only_line(self):
         ds = parse_libsvm(["-1"])
-        feats, label = ds.example(1)
-        assert label == -1 and len(feats) == 0
+        idx, vals, label = ds.example(1)
+        assert label == -1 and len(idx) == len(vals) == 0
 
     def test_malformed_token_names_line(self):
         with pytest.raises(LibsvmFormatError, match="line 1"):
@@ -56,7 +56,8 @@ class TestParseLibsvm:
 
     def test_scientific_notation_values(self):
         ds = parse_libsvm(["-1 2:1.5e-3 7:-2E2"])
-        assert ds.example(1)[0].pairs() == [(2, 0.0015), (7, -200.0)]
+        idx, vals, _ = ds.example(1)
+        assert (idx.tolist(), vals.tolist()) == ([2, 7], [0.0015, -200.0])
 
     def test_blank_lines_and_comments_skipped(self):
         ds = parse_libsvm(["", "# comment", "+1 1:1 # trailing", "  ", "-1"])
@@ -92,26 +93,79 @@ class TestParseLibsvm:
         assert set(np.unique(ds.labels)) == {-1, 1}
 
 
+def _csr_by_rows(rows) -> dict[str, np.ndarray]:
+    """CSR arrays of ``_ROW`` rows built one row at a time: 0-based
+    columns in increasing order, explicit zeros dropped."""
+    indptr, cols, vals = [0], [], []
+    for _, feats in rows:
+        kept = [i for i in sorted(feats) if feats[i] != 0.0]
+        cols += [i - 1 for i in kept]
+        vals += [feats[i] for i in kept]
+        indptr.append(len(cols))
+    return {"indptr": np.array(indptr, dtype=np.int64),
+            "col_idx": np.array(cols, dtype=np.int64),
+            "val": np.array(vals, dtype=np.float64),
+            "labels": np.array([label for label, _ in rows], dtype=np.int64)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(_ROW, min_size=1, max_size=12),
        picks=st.lists(st.integers(0, 11), max_size=20))
 def test_csr_path_matches_per_row_reference(rows, picks):
-    lines, examples = [], []
-    for label, feats in rows:
-        idx = sorted(feats)
-        lines.append(" ".join([f"{label:+d}"]
-                              + [f"{i}:{feats[i]!r}" for i in idx]))
-        examples.append((SparseFeatures(idx, [feats[i] for i in idx]), label))
-    ds, ref = parse_libsvm(lines), Dataset(examples)
+    lines = [" ".join([f"{label:+d}"] + [f"{i}:{feats[i]!r}"
+                                         for i in sorted(feats)])
+             for label, feats in rows]
+    ds = parse_libsvm(lines)
+    ref = _csr_by_rows(rows)
+    dim = int(ref["col_idx"].max()) + 1 if ref["col_idx"].size else 0
     picks = [p % len(rows) for p in picks]
     pairs = [(ds, ref), (ds.subset(np.array(picks, dtype=np.int64)),
-                         Dataset([ref.example(p + 1) for p in picks],
-                                 dim=ref.dim))]
+                         _csr_by_rows([rows[p] for p in picks]))]
     for got, want in pairs:
-        for name in ("indptr", "col_idx", "val", "labels"):
-            a, b = getattr(got, name), getattr(want, name)
+        for name, b in want.items():
+            a = getattr(got, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert (got.dim, got.binary) == (want.dim, want.binary)
+        assert (got.dim, got.binary) == (dim, True)
+
+
+class TestFromCsr:
+    def test_rejects_unsorted(self):
+        with pytest.raises(ValueError, match="row 1: .* increasing at 2"):
+            Dataset.from_csr([0, 2], [2, 1], [1.0, 1.0], [1])
+
+    def test_rejects_zero_index(self):
+        # column -1 is LibSVM index 0; it would wrap to the last column
+        with pytest.raises(ValueError, match="row 2: index 0 < 1"):
+            Dataset.from_csr([0, 1, 2], [0, -1], [1.0, 1.0], [1, -1], dim=3)
+
+    def test_drops_explicit_zeros(self):
+        ds = Dataset.from_csr([0, 3, 4], [0, 1, 2, 1], [1.0, 0.0, 2.0, -0.0],
+                              [1, -1])
+        assert ds.indptr.tolist() == [0, 2, 2]
+        assert (ds.col_idx.tolist(), ds.val.tolist()) == ([0, 2], [1.0, 2.0])
+        assert ds.dim == 3
+
+    def test_rejects_duplicate_column(self):
+        # both entries of row 1 would be read by a component, and only the
+        # last one by the full pass
+        with pytest.raises(ValueError, match="row 1: .* increasing at 2"):
+            Dataset.from_csr([0, 2, 3], [1, 1, 0], [1.0, 2.0, 1.0], [1, -1],
+                             dim=3)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="row 2: non-finite"):
+                Dataset.from_csr([0, 1, 2], [0, 1], [1.0, bad], [1, -1])
+
+    def test_rejects_column_beyond_dim(self):
+        with pytest.raises(ValueError, match="row 1: index 4 > dim 3"):
+            Dataset.from_csr([0, 1], [3], [1.0], [1], dim=3)
+
+    def test_rejects_inconsistent_arrays(self):
+        for indptr, cols in (([0, 2], [0]), ([0, 1, 2], [0, 1]),
+                             ([1, 1], [0])):
+            with pytest.raises(ValueError, match="CSR arrays"):
+                Dataset.from_csr(indptr, cols, np.ones(len(cols)), [1])
 
 
 class TestFlipLabels:

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svrgkit.core import RandomSource, SparseFeatures
+from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset, parse_libsvm
 from svrgkit.losses import ALL_ERM_LOSSES, LossKind
 from svrgkit.objectives import (_BLOCK_ROWS, ErmObjective, QuadraticObjective,
@@ -21,11 +21,17 @@ def loss_id(kind):
     return kind.name if kind.gamma is None else f"{kind.name}:{kind.gamma:g}"
 
 
+def dense_dataset(rows, labels, binary=True):
+    """Dataset over dense rows; from_csr drops their zeros."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n, d = rows.shape
+    return Dataset.from_csr(np.arange(0, n * d + 1, d),
+                            np.tile(np.arange(d), n), rows.ravel(), labels,
+                            dim=d, binary=binary)
+
+
 def erm_from_rows(rows, labels, loss, lam=0.0):
-    examples = [(SparseFeatures([j + 1 for j, v in enumerate(row) if v != 0],
-                                [v for v in row if v != 0]), int(l))
-                for row, l in zip(rows, labels)]
-    return ErmObjective(Dataset(examples, dim=len(rows[0])), loss, lam=lam)
+    return ErmObjective(dense_dataset(rows, labels), loss, lam=lam)
 
 
 class TestErmComponent:
@@ -90,7 +96,8 @@ class TestFullValueAndGradient:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            ErmObjective(Dataset([], dim=3), LossKind.logistic())
+            ErmObjective(Dataset.from_csr([0], [], [], [], dim=3),
+                         LossKind.logistic())
 
 
 class TestErmSmoothness:
@@ -120,33 +127,27 @@ class TestErmSmoothness:
         assert np.allclose(ga, gb, rtol=1e-12)
 
 
-def multiclass_dataset(rows, labels, dim):
-    examples = [(SparseFeatures([j + 1 for j, v in enumerate(row) if v != 0],
-                                [v for v in row if v != 0]), int(l))
-                for row, l in zip(rows, labels)]
-    return Dataset(examples, dim=dim, binary=False)
-
-
 class TestTwoLayerNet:
     def test_param_vector_length(self):
-        ds = multiclass_dataset([[1.0, 0.0, 0.0]], [1], 3)
+        ds = dense_dataset([[1.0, 0.0, 0.0]], [1], binary=False)
         net = TwoLayerNet(ds, hidden_dim=4, class_count=2)
         assert net.dim == 4 * (3 + 1) + 2 * (4 + 1)
 
     def test_zero_params_loss_is_log_classcount(self):
-        ds = multiclass_dataset([[0.5, -1.0], [2.0, 0.0]], [1, 2], 2)
+        ds = dense_dataset([[0.5, -1.0], [2.0, 0.0]], [1, 2], binary=False)
         net = TwoLayerNet(ds, hidden_dim=3, class_count=2)
         for i in (1, 2):
             value, _ = net.component(i, np.zeros(net.dim))
             assert math.isclose(value, math.log(2), rel_tol=1e-12)
-        ds10 = multiclass_dataset([[1.0]], [7], 1)
+        ds10 = dense_dataset([[1.0]], [7], binary=False)
         net10 = TwoLayerNet(ds10, hidden_dim=2, class_count=10)
         value, _ = net10.component(1, np.zeros(net10.dim))
         assert math.isclose(value, math.log(10), rel_tol=1e-12)
 
     def test_gradient_matches_finite_differences_342(self):
         rng = RandomSource(5)
-        ds = multiclass_dataset(rng.normals((6, 3)), [1, 2, 1, 2, 1, 2], 3)
+        ds = dense_dataset(rng.normals((6, 3)), [1, 2, 1, 2, 1, 2],
+                           binary=False)
         net = TwoLayerNet(ds, hidden_dim=4, class_count=2, lam=1e-2)
         for trial in range(5):
             p = 0.7 * rng.normals(net.dim)
@@ -158,7 +159,7 @@ class TestTwoLayerNet:
     def test_zero_features_zero_params_gradient(self):
         # with empty features and zero parameters, only output-layer
         # entries are nonzero: dz2 through the constant softplus activation
-        ds = multiclass_dataset([[0.0, 0.0]], [2], 2)
+        ds = dense_dataset([[0.0, 0.0]], [2], binary=False)
         net = TwoLayerNet(ds, hidden_dim=3, class_count=2, lam=0.5)
         value, grad = net.component(1, np.zeros(net.dim))
         w1, b1, w2, b2 = net.unpack(grad)
@@ -170,13 +171,13 @@ class TestTwoLayerNet:
                                         np.full(3, math.log(2))), atol=1e-15)
 
     def test_label_out_of_range(self):
-        ds = multiclass_dataset([[1.0]], [2], 1)
+        ds = dense_dataset([[1.0]], [2], binary=False)
         with pytest.raises(ValueError):
             TwoLayerNet(ds, hidden_dim=2, class_count=1)
 
     def test_connectivity_mask(self):
         rng = RandomSource(6)
-        ds = multiclass_dataset(rng.normals((4, 6)), [1, 2, 1, 2], 6)
+        ds = dense_dataset(rng.normals((4, 6)), [1, 2, 1, 2], binary=False)
         mask = np.array([[0, 1], [2, 3], [4, 5], [0, 3]])
         net = TwoLayerNet(ds, hidden_dim=4, class_count=2, connectivity=mask,
                           lam=1e-3)
@@ -187,7 +188,7 @@ class TestTwoLayerNet:
         assert np.linalg.norm(fd - grad) / (1 + np.linalg.norm(grad)) <= 1e-5
 
     def test_smoothness_requires_estimate(self):
-        ds = multiclass_dataset([[1.0]], [1], 1)
+        ds = dense_dataset([[1.0]], [1], binary=False)
         net = TwoLayerNet(ds, hidden_dim=2, class_count=2)
         with pytest.raises(ValueError):
             _ = net.smoothness
@@ -247,7 +248,7 @@ class TestSnapshotCache:
         assert math.isclose(cache.value, value, rel_tol=1e-12)
 
     def test_net_snapshot_is_recompute_mode(self):
-        ds = multiclass_dataset([[1.0, 0.5], [0.0, 2.0]], [1, 2], 2)
+        ds = dense_dataset([[1.0, 0.5], [0.0, 2.0]], [1, 2], binary=False)
         net = TwoLayerNet(ds, hidden_dim=2, class_count=2)
         cache = net.build_snapshot(np.zeros(net.dim))
         assert cache.mode == "recompute"
@@ -308,7 +309,8 @@ class TestErmSharesDatasetArrays:
         assert obj._X is None
         for held, own, dtype in ((obj._cols, ds.col_idx, np.intp),
                                  (obj._indptr, ds.indptr, np.intp),
-                                 (obj._vals, ds.val, np.float64)):
+                                 (obj._vals, ds.val, np.float64),
+                                 (obj.labels, ds.labels, np.int64)):
             assert held.dtype == dtype
             assert np.shares_memory(held, own)
 
@@ -425,7 +427,7 @@ def net_instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     feats = rng.normal(size=(n, d))
     feats[rng.random((n, d)) < 0.3] = 0.0
-    ds = multiclass_dataset(feats.tolist(), rng.integers(1, classes + 1, n), d)
+    ds = dense_dataset(feats, rng.integers(1, classes + 1, n), binary=False)
     connectivity = None
     if draw(st.booleans()):
         fan_in = draw(st.integers(1, d))
