@@ -155,8 +155,9 @@ class RunConfig:
         if self.objective == "net" and self.accounting == "stored":
             raise ConfigError("networks recompute reference gradients; "
                               "accounting 'stored' is for linear ERM")
-        if not self.lam >= 0:
-            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be non-negative and finite, "
+                              f"got {self.lam}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for key, value in self.net.items():
@@ -168,8 +169,9 @@ class RunConfig:
         for key in ("m0", "eta", "steps", "epochs", "iterations", "passes",
                     "batch_size", "eval_every", "smoothness"):
             value = getattr(self, key)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, "
+                                  f"got {value}")
         if self.batch_size is None:
             self.batch_size = 16 if self.optimizer == "svrg4" else 100
 
@@ -262,14 +264,13 @@ def build_objective(cfg: RunConfig, rng: RandomSource):
         raise ConfigError(f"net.classes is {classes} but the dataset has "
                           f"labels up to {ds.class_count()}")
     return TwoLayerNet(ds, hidden_dim=cfg.net.get("hidden", 64),
-                       class_count=classes, lam=cfg.lam,
-                       smoothness=cfg.smoothness)
+                       class_count=classes, lam=cfg.lam)
 
 
 def _objective_smoothness(cfg: RunConfig, obj, rng: RandomSource) -> float:
     if cfg.smoothness is not None:
         return cfg.smoothness
-    if isinstance(obj, TwoLayerNet) and obj._smoothness is None:
+    if isinstance(obj, TwoLayerNet):
         L = obj.estimate_smoothness(200, rng.fork(13))
     else:
         L = obj.smoothness
@@ -422,6 +423,8 @@ _TUNE_TYPES = {"passes": (float,), "lambdas": (list,), "alphas": (list,),
 
 
 def cmd_tune(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg, tune = load_config(args)
     _check_type("tune", tune, (dict,))
     for key, value in tune.items():
@@ -564,6 +567,8 @@ def cmd_verify(args) -> int:
 def cmd_flip(args) -> int:
     if not args.out:
         raise ConfigError("flip needs --out")
+    if not 0 <= args.fraction <= 1:
+        raise ConfigError(f"--fraction must be in [0, 1], got {args.fraction}")
     ds = parse_libsvm(args.dataset)
     out = flip_labels(ds, args.fraction, RandomSource(args.seed or 0))
     write_libsvm(out, args.out)
@@ -584,6 +589,9 @@ def cmd_split(args) -> int:
 def cmd_synth(args) -> int:
     if not args.out:
         raise ConfigError("synth needs --out")
+    for flag, value in (("--n", args.n), ("--d", args.d)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     obj = make_synthetic(args.n, args.d, args.seed or 0)
     # from_csr drops the dense rows' zeros
     write_libsvm(Dataset.from_csr(np.arange(0, obj._X.size + 1, obj.dim),

@@ -65,12 +65,6 @@ class RandomSource:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """k distinct 0-based positions drawn uniformly from {0..n-1}."""
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        return self._gen.permutation(n)[:k]
-
     def choice_weighted(self, probs: np.ndarray) -> int:
         """0-based index drawn with the given probabilities (must sum to 1)."""
         cum = np.cumsum(probs)

@@ -22,6 +22,8 @@ import numpy as np
 from .core import RandomSource
 
 TRACE_HEADER = "passes,objective,grad_norm_sq,wall_seconds,epoch"
+# LibSVM's own feature index is a C int.
+_MAX_INDEX = 2 ** 31 - 1
 
 
 def bundled_dataset_path(name: str = "a9a_like_2000") -> Path:
@@ -170,17 +172,17 @@ def parse_libsvm(source, binary: bool = True, dim: int | None = None,
                  ) -> Dataset:
     """Parse LibSVM text (path, file object, or iterable of lines).
 
-    Only converts text to numbers; :meth:`Dataset.from_csr` checks the rows,
-    and a row it rejects is reported by its line.  Labels outside the
-    declared mode's range are remapped by sort order of the distinct
-    observed labels.
+    Only converts text to numbers and bounds the indices to 1..2^31-1;
+    :meth:`Dataset.from_csr` checks the rows, and a row it rejects is
+    reported by its line.  Labels outside the declared mode's range are
+    remapped by sort order of the distinct observed labels.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
             return parse_libsvm(fh, binary=binary, dim=dim)
 
     raw_labels: list[float] = []
-    linenos, indptr, cols, vals = [], [0], [], []
+    linenos, indptr, idxs, vals = [], [0], [], []
     for lineno, line in enumerate(source, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -192,17 +194,23 @@ def parse_libsvm(source, binary: bool = True, dim: int | None = None,
             # no ':' leaves val_s empty, which float() rejects
             idx_s, _, val_s = tok.partition(":")
             try:
-                cols.append(int(idx_s) - 1)
+                idxs.append(int(idx_s))
                 vals.append(float(val_s))
             except ValueError:
                 raise LibsvmFormatError(
                     f"line {lineno}: malformed token {tok!r}") from None
-        indptr.append(len(cols))
+        indptr.append(len(idxs))
 
+    # One pass each over the indices; only a bad file looks for its line.
+    if idxs and (min(idxs) < 1 or max(idxs) > _MAX_INDEX):
+        at = next(k for k, i in enumerate(idxs) if not 1 <= i <= _MAX_INDEX)
+        row = int(np.searchsorted(indptr, at, side="right")) - 1
+        raise LibsvmFormatError(f"line {linenos[row]}: index {idxs[at]} "
+                                f"outside 1..{_MAX_INDEX}")
     labels = _remap_labels(raw_labels, binary)
     try:
-        return Dataset.from_csr(indptr, cols, vals, labels, dim=dim,
-                                binary=binary)
+        return Dataset.from_csr(indptr, np.array(idxs, dtype=np.int64) - 1,
+                                vals, labels, dim=dim, binary=binary)
     except RowError as e:
         raise LibsvmFormatError(f"line {linenos[e.row]}: {e.detail}") from None
 
@@ -237,7 +245,7 @@ def flip_labels(ds: Dataset, fraction: float, rng: RandomSource) -> Dataset:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0,1], got {fraction}")
     k = round_half_up(fraction * len(ds))
-    chosen = rng.sample_without_replacement(len(ds), k)
+    chosen = rng.permutation(len(ds))[:k]
     labels = ds.labels.copy()
     labels[chosen] = -labels[chosen]
     return Dataset.from_csr(ds.indptr, ds.col_idx, ds.val, labels, ds.dim)

@@ -298,12 +298,10 @@ class ErmObjective(FiniteSumObjective):
 class TwoLayerNet(FiniteSumObjective):
     """Two-layer softplus network with multiclass cross-entropy loss.
 
-    First layer is dense by default; ``connectivity`` (hidden x fan_in,
-    0-based input indices) restricts each hidden unit to a patch of inputs.
-    Parameters are flattened as [W1, b1, W2, b2]; the l2 regularizer covers
-    all parameters including biases.  No closed-form global smoothness
-    exists; ``smoothness`` is user-supplied or probed empirically and is
-    flagged as a heuristic via ``smoothness_is_estimate``.
+    Both layers are dense.  Parameters are flattened as [W1, b1, W2, b2];
+    the l2 regularizer covers all parameters including biases.  No
+    closed-form global smoothness exists; ``smoothness`` is known only after
+    :meth:`estimate_smoothness` has probed it, and is a heuristic.
 
     The features are held as one dense (n, d) float64 matrix built from the
     Dataset's CSR arrays, with 0-based labels; no reference to the Dataset
@@ -313,8 +311,7 @@ class TwoLayerNet(FiniteSumObjective):
     """
 
     def __init__(self, dataset: Dataset, hidden_dim: int = 64,
-                 class_count: int = 10, connectivity=None, lam: float = 0.0,
-                 smoothness: float | None = None):
+                 class_count: int = 10, lam: float = 0.0):
         if dataset.binary:
             raise ValueError("network objective needs a multiclass dataset")
         if lam < 0:
@@ -330,21 +327,11 @@ class TwoLayerNet(FiniteSumObjective):
         self.hidden_dim = int(hidden_dim)
         self.class_count = int(class_count)
         self.lam = float(lam)
-        if connectivity is not None:
-            connectivity = np.asarray(connectivity, dtype=np.int64)
-            if connectivity.shape[0] != self.hidden_dim:
-                raise ValueError("connectivity must have one row per hidden unit")
-            if connectivity.min() < 0 or connectivity.max() >= self.input_dim:
-                raise ValueError("connectivity indices out of input range")
-        self.connectivity = connectivity
-        self.fan_in = (self.input_dim if connectivity is None
-                       else connectivity.shape[1])
-        self.dim = (self.hidden_dim * (self.fan_in + 1)
+        self.dim = (self.hidden_dim * (self.input_dim + 1)
                     + self.class_count * (self.hidden_dim + 1))
-        self._smoothness = smoothness
-        self.smoothness_is_estimate = False
+        self._smoothness = None
         # flat layout offsets: [W1 | b1 | W2 | b2]
-        h, f, c = self.hidden_dim, self.fan_in, self.class_count
+        h, f, c = self.hidden_dim, self.input_dim, self.class_count
         self._o_b1 = h * f
         self._o_w2 = self._o_b1 + h
         self._o_b2 = self._o_w2 + c * h
@@ -353,8 +340,8 @@ class TwoLayerNet(FiniteSumObjective):
     def smoothness(self) -> float:
         if self._smoothness is None:
             raise ValueError(
-                "network smoothness is not known in closed form; supply one "
-                "or call estimate_smoothness()")
+                "network smoothness is not known in closed form; call "
+                "estimate_smoothness()")
         return self._smoothness
 
     def estimate_smoothness(self, trials: int, rng: RandomSource) -> float:
@@ -372,22 +359,21 @@ class TwoLayerNet(FiniteSumObjective):
             if dist > 0:
                 worst = max(worst, np.sqrt(sq_norm(gx - gy)) / dist)
         self._smoothness = 2.0 * worst
-        self.smoothness_is_estimate = True
         return self._smoothness
 
     def initial_point(self, rng: RandomSource) -> np.ndarray:
-        """Random start W1 ~ N(0, 1/fan_in), W2 ~ N(0, 1/hidden), biases 0.
+        """Random start W1 ~ N(0, 1/input_dim), W2 ~ N(0, 1/hidden), biases 0.
 
         All-zero parameters give every hidden unit the same output, and on
         balanced labels they are an exact stationary point."""
         params = zeros(self.dim)
         w1, _, w2, _ = self.unpack(params)
-        w1[:] = rng.normals(w1.shape) / np.sqrt(self.fan_in)
+        w1[:] = rng.normals(w1.shape) / np.sqrt(self.input_dim)
         w2[:] = rng.normals(w2.shape) / np.sqrt(self.hidden_dim)
         return params
 
     def unpack(self, params: np.ndarray):
-        h, f, c = self.hidden_dim, self.fan_in, self.class_count
+        h, f, c = self.hidden_dim, self.input_dim, self.class_count
         w1 = params[:self._o_b1].reshape(h, f)
         b1 = params[self._o_b1:self._o_w2]
         w2 = params[self._o_w2:self._o_b2].reshape(c, h)
@@ -404,12 +390,7 @@ class TwoLayerNet(FiniteSumObjective):
         feats, labels = self._X[rows], self._y[rows]
         count = labels.shape[0]
         w1, b1, w2, b2 = self.unpack(params)
-        if self.connectivity is None:
-            z1 = np.dot(feats, w1.T)                        # (rows, hidden)
-        else:
-            # (rows, hidden, fan_in): each hidden unit's patch of inputs
-            feats = feats[:, self.connectivity]
-            z1 = np.einsum("rhf,hf->rh", feats, w1)
+        z1 = np.dot(feats, w1.T)                            # (rows, hidden)
         z1 += b1
         a1 = np.logaddexp(0.0, z1)                          # softplus
         z2 = np.dot(a1, w2.T)                               # (rows, classes)
@@ -436,10 +417,7 @@ class TwoLayerNet(FiniteSumObjective):
 
         grad = np.empty_like(params)
         gw1, gb1, gw2, gb2 = self.unpack(grad)
-        if self.connectivity is None:
-            np.dot(dz1.T, feats, out=gw1)
-        else:
-            np.einsum("rh,rhf->hf", dz1, feats, out=gw1)
+        np.dot(dz1.T, feats, out=gw1)
         np.add.reduce(dz1, axis=0, out=gb1)
         np.dot(dz2.T, a1, out=gw2)
         np.add.reduce(dz2, axis=0, out=gb2)

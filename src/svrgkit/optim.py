@@ -253,7 +253,6 @@ class ProbeSample:
     epoch: int
     k: int
     grad_norm_sq: float
-    evals: int            # component evaluations spent when the point existed
     eligible: bool = True
 
 
@@ -462,9 +461,7 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
             if probe_stride and k % probe_stride == 0:
                 g2 = gns if k == 0 else sq_norm(
                     obj.full_value_and_gradient(x)[1])
-                probes.append(ProbeSample(s, k, g2,
-                                          ledger.evals + k * inner_cost,
-                                          eligible=(k <= m - m0)))
+                probes.append(ProbeSample(s, k, g2, eligible=(k <= m - m0)))
                 if target_grad_sq is not None and g2 <= target_grad_sq:
                     ledger.charge(k * inner_cost)
                     spent = ledger.evals
@@ -566,9 +563,9 @@ def gd_run(obj, x_start, steps: int, step: float | None = None,
 
 
 def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
-            lr, output: str = "final", eval_every: int | None = None,
+            lr, eval_every: int | None = None,
             target_grad_sq: float | None = None) -> RunResult:
-    """Mini-batch stochastic gradient descent.
+    """Mini-batch stochastic gradient descent returning its last iterate.
 
     ``lr`` is a ConstantRate, PolynomialRate, or AdaGradRate.  Each
     iteration costs batch_size/n passes; exact-evaluation checkpoints
@@ -580,20 +577,16 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
         raise ValueError("need at least one iteration")
     if not 1 <= batch_size <= obj.n:
         raise ValueError(f"batch size must be in 1..{obj.n}")
-    if output not in ("final", "random"):
-        raise ValueError(output)
     adagrad = lr if isinstance(lr, AdaGradRate) else None
     ada_acc = np.zeros(obj.dim) if adagrad else None
     n, b = obj.n, batch_size
     x = np.array(x_start, dtype=np.float64)
     ledger = _Ledger(n)
-    reservoir = _Reservoir()
 
     chunk = 8192
     for base in range(0, iterations, chunk):
         count = min(chunk, iterations - base)
         idx = rng.draw_indices(n, size=count * b).reshape(count, b)
-        us = rng.uniforms(count) if output == "random" else None
         for j in range(count):
             k = base + j
             grad = obj.batch_mean_grad(idx[j].tolist(), x)
@@ -602,8 +595,6 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
                 x -= adagrad_step(ada_acc, grad, adagrad.alpha, adagrad.delta)
             else:
                 x -= lr.value(k, n) * grad
-            if output == "random":
-                reservoir.feed(x, us[j])
             if k % _GUARD_STRIDE == 0 and not np.all(np.isfinite(x)):
                 raise DivergenceError(f"non-finite iterate at iteration {k}")
             if eval_every and (k + 1) % eval_every == 0 and k + 1 < iterations:
@@ -615,9 +606,7 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
                                          evals_to_target=ledger.evals - n)
     value, grad = obj.full_value_and_gradient(x)
     gns = ledger.checkpoint(value, grad, iterations, f"iteration {iterations}")
-    out = reservoir.pick if (output == "random" and reservoir.pick is not None
-                             ) else x
-    return ledger.result(out, value, gns)
+    return ledger.result(x, value, gns)
 
 
 def grad_dominated_drive(obj, x_start, tau: float, rounds: int,

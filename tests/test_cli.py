@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrgkit.cli import (OPTIMIZERS, RunConfig, TuneCell, build_objective,
-                         main, run_configured, select_step_winners)
+                         build_parser, main, run_configured,
+                         select_step_winners)
 from svrgkit.core import RandomSource
 from svrgkit.dataio import (Dataset, flip_labels, parse_libsvm, read_trace,
                             split, write_trace)
@@ -174,6 +176,21 @@ class TestTrain:
                     ("svrg1", "--smoothness", "-1", "--epochs", "1")):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
+        # non-finite numbers: exit 1 naming the key, not a traceback or a
+        # diverged run
+        capsys.readouterr()
+        for key, bad in (("smoothness", ("svrg1", "--smoothness", "inf",
+                                         "--epochs", "1")),
+                         ("eta", ("svrg1", "--eta", "inf", "--epochs", "1")),
+                         ("passes", ("svrg1", "--passes", "inf")),
+                         ("passes", ("gd", "--passes", "inf")),
+                         ("passes", ("sgd", "--lr", "constant:0.1",
+                                     "--passes", "inf")),
+                         ("lambda", ("gd", "--lambda", "inf", "--steps",
+                                     "2"))):
+            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
+                           *bad) == 1, bad
+            assert key in capsys.readouterr().err, bad
         # malformed values fail at the boundary, not as tracebacks or runs
         for bad in (("--synthetic", "16,2"), ("--synthetic", "0,2,1"),
                     ("--synthetic", "16,0,1"), ("--loss", "bogus"),
@@ -614,10 +631,11 @@ class TestVerify:
 
 
 # One malformed LibSVM line each: bad tokens, a repeated, decreasing or zero
-# index, non-finite values, a bad label.
+# index, non-finite values, a bad label, indices beyond a C int.
 _BAD_LINES = ["+1 1:2:3", "+1 :5", "+1 5:", "+1 a:1", "+1 3:1 3:2",
               "-1 4:1 2:1", "+1 0:1", "-1 1:nan", "+1 2:inf", "-1 1:1 3:-inf",
-              "yes 1:1"]
+              "yes 1:1", "+1 99999999999999999999:1",
+              "+1 9223372036854775807:1", "-1 -99999999999999999999:1"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -639,6 +657,40 @@ def test_malformed_line_exits_1_naming_the_line(bad, before, command):
     assert rc == 1
     assert f"line {len(before) + 1}:" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _numeric_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) for every int or float flag of the subcommands
+    that take numbers, read from the parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command in ("train", "tune", "flip", "split", "synth")
+            for action in sub.choices[command]._actions
+            if action.type in (int, float)]
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command,flag", _numeric_flags())
+def test_numeric_flag_rejects_bad_value(command, flag, value, small_file,
+                                        tmp_path, capsys):
+    # Valid runs of each subcommand; the bad flag comes last, so it wins.
+    tune_cfg = tmp_path / "tune.json"
+    tune_cfg.write_text(json.dumps({"tune": {
+        "passes": 1, "lambdas": [1e-3], "alphas": [0.1], "betas": [0.0]}}))
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "train": ["--synthetic", "16,2,1", "--optimizer", "sgd", "--lr",
+                  "constant:0.1", "--batch-size", "2", "--passes", "1", *out],
+        "tune": ["--config", str(tune_cfg), "--dataset", str(small_file),
+                 "--optimizer", "sgd", "--batch-size", "2", *out],
+        "flip": [str(small_file), "--fraction", "0.5", *out],
+        "split": [str(small_file), "--out-train", str(tmp_path / "a"),
+                  "--out-validation", str(tmp_path / "b")],
+        "synth": ["--n", "4", "--d", "2", *out],
+    }[command]
+    assert main([command, *argv, flag, value]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 class TestDatasetCommands:

@@ -75,9 +75,3 @@ class TestRandomSource:
         rng = RandomSource(1)
         assert all(rng.choice_weighted(np.array([1.0])) == 0
                    for _ in range(5))
-
-    def test_sample_without_replacement(self):
-        rng = RandomSource(2)
-        got = rng.sample_without_replacement(10, 4)
-        assert len(set(got.tolist())) == 4
-        assert got.min() >= 0 and got.max() < 10

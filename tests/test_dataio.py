@@ -54,6 +54,12 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmFormatError, match="index 0"):
             parse_libsvm(["+1 0:1"])
 
+    def test_index_bounded_by_a_c_int(self):
+        assert parse_libsvm(["+1 2147483647:1"]).dim == 2 ** 31 - 1
+        with pytest.raises(LibsvmFormatError,
+                           match="line 3: index 2147483648 outside"):
+            parse_libsvm(["+1 1:1", "", "-1 2:1 2147483648:1"])
+
     def test_scientific_notation_values(self):
         ds = parse_libsvm(["-1 2:1.5e-3 7:-2E2"])
         idx, vals, _ = ds.example(1)

@@ -175,18 +175,6 @@ class TestTwoLayerNet:
         with pytest.raises(ValueError):
             TwoLayerNet(ds, hidden_dim=2, class_count=1)
 
-    def test_connectivity_mask(self):
-        rng = RandomSource(6)
-        ds = dense_dataset(rng.normals((4, 6)), [1, 2, 1, 2], binary=False)
-        mask = np.array([[0, 1], [2, 3], [4, 5], [0, 3]])
-        net = TwoLayerNet(ds, hidden_dim=4, class_count=2, connectivity=mask,
-                          lam=1e-3)
-        assert net.dim == 4 * (2 + 1) + 2 * (4 + 1)
-        p = 0.5 * rng.normals(net.dim)
-        _, grad = net.full_value_and_gradient(p)
-        fd = fd_gradient(lambda q: net.full_value_and_gradient(q)[0], p)
-        assert np.linalg.norm(fd - grad) / (1 + np.linalg.norm(grad)) <= 1e-5
-
     def test_smoothness_requires_estimate(self):
         ds = dense_dataset([[1.0]], [1], binary=False)
         net = TwoLayerNet(ds, hidden_dim=2, class_count=2)
@@ -194,7 +182,6 @@ class TestTwoLayerNet:
             _ = net.smoothness
         est = net.estimate_smoothness(20, RandomSource(0))
         assert est > 0 and net.smoothness == est
-        assert net.smoothness_is_estimate
 
 
 class TestMakeSynthetic:
@@ -420,20 +407,14 @@ def test_row_loops_agree_with_components(case):
 @st.composite
 def net_instances(draw):
     """A small dense network over random data (up to three blocks of a
-    full pass), with or without a connectivity mask, and a parameter
-    point."""
+    full pass) and a parameter point."""
     n, d = draw(st.integers(1, 2 * _BLOCK_ROWS + 1)), draw(st.integers(1, 6))
     hidden, classes = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     feats = rng.normal(size=(n, d))
     feats[rng.random((n, d)) < 0.3] = 0.0
     ds = dense_dataset(feats, rng.integers(1, classes + 1, n), binary=False)
-    connectivity = None
-    if draw(st.booleans()):
-        fan_in = draw(st.integers(1, d))
-        connectivity = rng.integers(0, d, size=(hidden, fan_in))
     net = TwoLayerNet(ds, hidden_dim=hidden, class_count=classes,
-                      connectivity=connectivity,
                       lam=draw(st.sampled_from([0.0, 1e-2])))
     return net, rng.normal(size=net.dim)
 

@@ -430,8 +430,8 @@ class TestEarlyExit:
         lambda obj, sched: gd_run(obj, np.zeros(5), 10_000,
                                   target_grad_sq=0.05),
         lambda obj, sched: sgd_run(obj, np.zeros(5), 3000, 1, RandomSource(0),
-                                   ConstantRate(0.5), output="random",
-                                   eval_every=50, target_grad_sq=1e-3),
+                                   ConstantRate(0.5), eval_every=50,
+                                   target_grad_sq=1e-3),
         lambda obj, sched: svrg_simple_run(obj, np.zeros(5), sched, 30, 1,
                                            RandomSource(2),
                                            target_grad_sq=0.05),
@@ -498,14 +498,6 @@ class TestSgdRun:
         runs = [sgd_run(obj, np.zeros(3), 40, 2, RandomSource(9),
                         PolynomialRate(0.2, 0.4)) for _ in range(2)]
         assert np.array_equal(runs[0].output, runs[1].output)
-
-    def test_random_output_mode(self):
-        obj = make_synthetic(16, 3, seed=8, lam=1e-3)
-        res = sgd_run(obj, np.zeros(3), 30, 1, RandomSource(1),
-                      ConstantRate(0.05), output="random")
-        rerun = sgd_run(obj, np.zeros(3), 30, 1, RandomSource(1),
-                        ConstantRate(0.05), output="random")
-        assert np.array_equal(res.output, rerun.output)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence(self):
