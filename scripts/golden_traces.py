@@ -36,10 +36,12 @@ BUNDLED = ("--dataset", "{bundled}", "--loss", "sigmoid", "--batch-size", "1",
            "--passes", "6", "--seed", "3", "--lambda", "1e-4")
 SYNTH = ("--synthetic", "128,4,1", "--batch-size", "4", "--passes", "8",
          "--seed", "3", "--lambda", "1e-3")
-# Gaussian rows written by `svrgkit synth`: sparse-format values that are
-# not all 1.0, so a change in summation order shows in the hashes.
-NONUNIT = ("--dataset", "{nonunit}", "--loss", "logistic", "--passes", "6",
-           "--seed", "5", "--lambda", "1e-3")
+# Values that are not all 1.0, so a change in summation order shows in the
+# hashes.  {nonunit} holds the full Gaussian rows `svrgkit synth` writes
+# (ERM's dense layout); {sparse} holds Gaussian rows with most entries
+# zero, some rows empty (the CSR layout's bincount products).
+NONUNIT = ("--loss", "logistic", "--passes", "6", "--seed", "5",
+           "--lambda", "1e-3")
 SVRG2_VARIANTS = {
     "lam0": ("--lambda", "0"),
     "recompute-b4": ("--accounting", "recompute", "--batch-size", "4"),
@@ -66,13 +68,15 @@ def _train_runs() -> dict[str, tuple[str, ...]]:
                                              "--loss", "hinge:0.1")
     runs["bundled-svrg2-logistic-b4"] = BUNDLED + (
         "--optimizer", "svrg2", "--loss", "logistic", "--batch-size", "4")
-    for opt, b in (("gd", "1"), ("sgd", "8"), ("svrg2", "1"), ("svrg2", "4")):
-        lr = ("--lr", "constant:0.5") if opt == "sgd" else ()
-        runs[f"nonunit-{opt}-b{b}"] = NONUNIT + ("--optimizer", opt,
-                                                 "--batch-size", b) + lr
-    runs["nonunit-svrg2-recompute-b4"] = NONUNIT + (
-        "--optimizer", "svrg2", "--batch-size", "4", "--accounting",
-        "recompute")
+    for tag in ("nonunit", "sparse"):
+        base = ("--dataset", f"{{{tag}}}") + NONUNIT
+        for opt, b in (("gd", "1"), ("sgd", "8"), ("svrg2", "1"),
+                       ("svrg2", "4")):
+            lr = ("--lr", "constant:0.5") if opt == "sgd" else ()
+            runs[f"{tag}-{opt}-b{b}"] = base + ("--optimizer", opt,
+                                                "--batch-size", b) + lr
+    runs["nonunit-svrg2-recompute-b4"] = runs["nonunit-svrg2-b4"] + (
+        "--accounting", "recompute")
     for opt, b in (("svrg1", "1"), ("svrg2", "10")):
         runs[f"net-{opt}-b{b}"] = ("--dataset", "{net}", "--objective", "net",
                                    "--optimizer", opt, "--batch-size", b,
@@ -103,6 +107,13 @@ def _write_inputs(tmp: Path) -> dict[str, str]:
                        "--out", str(nonunit)])
     if rc != 0:
         raise SystemExit(f"synth exited {rc}")
+    rng = np.random.default_rng(13)
+    n, d = 160, 12
+    sparse = tmp / "sparse.libsvm"
+    feats = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.25)
+    write_libsvm(Dataset.from_csr(np.arange(0, n * d + 1, d),
+                                  np.tile(np.arange(d), n), feats.ravel(),
+                                  rng.choice([-1, 1], size=n), dim=d), sparse)
     rng = np.random.default_rng(11)
     n, d, classes = 120, 6, 4
     net = tmp / "net.libsvm"
@@ -112,7 +123,7 @@ def _write_inputs(tmp: Path) -> dict[str, str]:
                                   rng.integers(1, classes + 1, size=n),
                                   dim=d, binary=False), net)
     return {"bundled": str(bundled_dataset_path()), "nonunit": str(nonunit),
-            "net": str(net)}
+            "sparse": str(sparse), "net": str(net)}
 
 
 def _run(name: str, tmp: Path, inputs: dict[str, str]) -> str:

@@ -42,7 +42,7 @@ from .core import RandomSource
 from .dataio import (Dataset, LibsvmFormatError, flip_labels, parse_libsvm,
                      split, write_libsvm, write_trace)
 from .losses import LossKind
-from .objectives import ErmObjective, TwoLayerNet, make_synthetic
+from .objectives import ErmObjective, TwoLayerNet, synthetic_dataset
 from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     PolynomialRate, RunResult, default_svrg_params,
                     epochs_for_passes, gd_run, parse_rate, sgd_run,
@@ -51,6 +51,9 @@ from .verify import run_verification
 
 OPTIMIZERS = ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4")
 TUNE_OPTIMIZERS = ("sgd", "svrg1", "svrg2")
+# An SVRG epoch draws its m*b component indices at once, 8 bytes each; the
+# bound keeps that block within 1 GiB.
+_MAX_EPOCH_DRAWS = 2 ** 27
 
 
 class ConfigError(ValueError):
@@ -249,14 +252,13 @@ def _parse_m(expr, n: int, b: int) -> int:
 
 def build_objective(cfg: RunConfig, rng: RandomSource):
     if cfg.synthetic is not None:
-        spec = dict(cfg.synthetic)
-        return make_synthetic(spec["n"], spec["d"], spec["seed"],
-                              loss=cfg.loss_kind, lam=cfg.lam)
-    ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
-    if len(ds) == 0:
-        raise ConfigError(f"dataset {cfg.dataset} has no examples")
-    if cfg.flip_fraction:
-        ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))
+        ds = synthetic_dataset(**cfg.synthetic)
+    else:
+        ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
+        if len(ds) == 0:
+            raise ConfigError(f"dataset {cfg.dataset} has no examples")
+        if cfg.flip_fraction:
+            ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))
     if cfg.objective == "erm":
         return ErmObjective(ds, cfg.loss_kind, lam=cfg.lam)
     classes = cfg.net.get("classes", ds.class_count())
@@ -319,6 +321,10 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
         L = _objective_smoothness(cfg, obj, rng)
         default_m = "5n/b" if cfg.objective == "net" else "n"
         m = _parse_m(cfg.m if cfg.m is not None else default_m, n, b)
+        steps = max(m, cfg.m0 or 1)     # m rounds up to a multiple of m0
+        if steps * b > _MAX_EPOCH_DRAWS:
+            raise ConfigError(f"an epoch of m={steps} steps at batch size "
+                              f"b={b} draws over {_MAX_EPOCH_DRAWS} indices")
         schedule = default_svrg_params(n, L, m_override=m,
                                        m0_override=cfg.m0,
                                        eta_override=cfg.eta)
@@ -592,13 +598,9 @@ def cmd_synth(args) -> int:
     for flag, value in (("--n", args.n), ("--d", args.d)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
-    obj = make_synthetic(args.n, args.d, args.seed or 0)
-    # from_csr drops the dense rows' zeros
-    write_libsvm(Dataset.from_csr(np.arange(0, obj._X.size + 1, obj.dim),
-                                  np.tile(np.arange(obj.dim), obj.n),
-                                  obj._X.ravel(), obj.labels, dim=obj.dim),
-                 args.out)
-    print(f"wrote {args.out} ({obj.n} examples, dim {obj.dim})")
+    ds = synthetic_dataset(args.n, args.d, args.seed or 0)
+    write_libsvm(ds, args.out)
+    print(f"wrote {args.out} ({len(ds)} examples, dim {ds.dim})")
     return 0
 
 

@@ -6,16 +6,19 @@ dimension ``dim``, a smoothness constant ``smoothness`` (Lipschitz bound on
 every component gradient), 1-based per-component value/gradient, the exact
 full average, and snapshot caches for variance-reduced estimators.
 
-Linear ERM over a Dataset views the Dataset's int64 CSR arrays and never
-holds an index copy, so every per-row gather ``x[cols]`` and scatter
-``out[cols] +=`` indexes with intp as it is.  The full-pass products are
-numpy only (``ErmObjective._times``): ``X @ x`` is a ``bincount`` over each
-entry's row and ``X.T @ v`` one over its column, both adding every row or
-column in storage order as a CSR matvec does, so they equal scipy's
-products bit for bit.  Their O(nnz) temporaries (each entry's row, its
-weight) are rebuilt per product and never stored.  The per-row loop of
-the inner steps (``_add_rows``) slices the same arrays and reads row
-bounds, labels and reference derivatives as Python scalars.
+Linear ERM is built from a Dataset only and views its int64 CSR arrays;
+it never holds an index copy, so every per-row gather ``x[cols]`` and
+scatter ``out[cols] +=`` indexes with intp as it is.  The layout follows
+the data.  When every row is full, the values are viewed as a dense
+(n, d) matrix: the full-pass products are BLAS ones and a row reads all
+of x.  Otherwise the products are numpy only (``ErmObjective._times``):
+``X @ x`` is a ``bincount`` over each entry's row and ``X.T @ v`` one over
+its column, both adding every row or column in storage order as a CSR
+matvec does, so they equal scipy's products bit for bit.  Their O(nnz)
+temporaries (each entry's row, its weight) are rebuilt per product and
+never stored.  The per-row loop of the inner steps (``_add_rows``) slices
+the same arrays in both layouts and reads row bounds, labels and
+reference derivatives as Python scalars.
 """
 
 from __future__ import annotations
@@ -147,51 +150,45 @@ class QuadraticObjective(FiniteSumObjective):
 
 
 class ErmObjective(FiniteSumObjective):
-    """l2-regularized linear ERM over a margin loss.
+    """l2-regularized linear ERM over a margin loss and a binary Dataset.
 
     Components are f_i(x) = loss(l_i <a_i, x>) + lam/2 ||x||^2.  The
     smoothness constant is the conservative per-component bound
-    L_loss * max_i ||a_i||^2 + lam.  Features may be a Dataset (sparse) or a
-    dense (n, d) matrix with a label vector; ``_X`` holds that ndarray, or
-    None for a Dataset, whose CSR arrays and int64 labels the objective
-    views.
+    L_loss * max_i ||a_i||^2 + lam.  The objective views the Dataset's CSR
+    arrays and int64 labels.  When every row is full (``val.size ==
+    n * dim``; ``from_csr`` drops zeros, so the test is exact), ``_X`` is
+    the values viewed as an (n, dim) matrix and the products are BLAS
+    ones; otherwise ``_X`` is None.
     """
 
-    def __init__(self, data, loss: LossKind, lam: float = 0.0, labels=None):
+    def __init__(self, data: Dataset, loss: LossKind, lam: float = 0.0):
         if lam < 0:
             raise ValueError("lambda must be non-negative")
+        if not data.binary:
+            raise ValueError("linear ERM needs a binary dataset")
+        if len(data) == 0:
+            raise ValueError("empty dataset")
         self.loss = loss
         self.lam = float(lam)
         self._deriv1 = make_scalar_derivative(loss)
-        if isinstance(data, Dataset):
-            if not data.binary:
-                raise ValueError("linear ERM needs a binary dataset")
-            if len(data) == 0:
-                raise ValueError("empty dataset")
-            self.n = len(data)
-            self.dim = data.dim
-            # int64 labels: +-1 times a float is exact, so no float copy
-            self.labels = data.labels
+        self.n = len(data)
+        self.dim = data.dim
+        # int64 labels: +-1 times a float is exact, so no float copy
+        self.labels = data.labels
+        self._indptr, self._cols, self._vals = (
+            data.indptr, data.col_idx, data.val)
+        if self._vals.size == self.n * self.dim:
+            # The full rows end to end, read by the row loops like CSR rows.
+            self._X = self._vals.reshape(self.n, self.dim)
+            self._cols = _EVERY_COLUMN
+            row_norms = (self._X ** 2).sum(axis=1)
+        else:
             self._X = None
-            self._indptr, self._cols, self._vals = (
-                data.indptr, data.col_idx, data.val)
             # Sums of the non-empty rows; reduceat adds a row in storage
             # order, as scipy's row sums do (np.add.reduce pairs terms).
             starts = self._indptr[:-1][np.diff(self._indptr) > 0]
             row_norms = (np.add.reduceat(self._vals * self._vals, starts)
                          if starts.size else np.zeros(1))
-        else:
-            self._X = np.ascontiguousarray(data, dtype=np.float64)
-            if self._X.ndim != 2 or self._X.shape[0] == 0:
-                raise ValueError("dense features must be a non-empty 2-D array")
-            self.n, self.dim = self._X.shape
-            self.labels = np.asarray(labels, dtype=np.float64)
-            if self.labels.shape != (self.n,):
-                raise ValueError("labels must match the feature row count")
-            # The rows end to end, read by the row loops like CSR rows.
-            self._indptr = np.arange(0, (self.n + 1) * self.dim, self.dim)
-            self._cols, self._vals = _EVERY_COLUMN, self._X.ravel()
-            row_norms = (self._X ** 2).sum(axis=1)
         self.smoothness = (loss_smoothness(loss) * float(row_norms.max())
                            + self.lam)
 
@@ -215,7 +212,7 @@ class ErmObjective(FiniteSumObjective):
 
     def _times(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
         """X @ v, or X.T @ v with ``transpose``; the one place that tells
-        dense features from CSR arrays."""
+        the dense layout (full rows) from the CSR one."""
         if self._X is not None:
             return (self._X.T if transpose else self._X) @ v
         counts = np.diff(self._indptr)
@@ -427,11 +424,10 @@ class TwoLayerNet(FiniteSumObjective):
         return float(value), grad
 
 
-def make_synthetic(n: int, d: int, seed: int, loss: LossKind | None = None,
-                   lam: float = 1e-3) -> ErmObjective:
-    """Deterministic synthetic ERM instance: Gaussian features N(0, 0.5^2 I)
-    shifted by 1 along the first axis, labels +1 with probability 0.75 and
-    -1 otherwise, sigmoid loss by default.
+def synthetic_dataset(n: int, d: int, seed: int) -> Dataset:
+    """Deterministic synthetic binary Dataset: Gaussian features
+    N(0, 0.5^2 I) shifted by 1 along the first axis, labels +1 with
+    probability 0.75 and -1 otherwise.
 
     The Gaussian has a nonzero mean along the first axis and the label coin
     is biased, so the landscape carries an order-one gradient and genuine
@@ -448,5 +444,14 @@ def make_synthetic(n: int, d: int, seed: int, loss: LossKind | None = None,
     norms = np.linalg.norm(feats, axis=1)
     norms[norms == 0] = 1.0
     feats /= norms[:, None]
-    labels = np.where(rng.uniforms(n) < 0.75, 1.0, -1.0)
-    return ErmObjective(feats, loss or LossKind.sigmoid(), lam=lam, labels=labels)
+    labels = np.where(rng.uniforms(n) < 0.75, 1, -1)
+    return Dataset.from_csr(np.arange(0, n * d + 1, d),
+                            np.tile(np.arange(d), n), feats.ravel(), labels,
+                            dim=d)
+
+
+def make_synthetic(n: int, d: int, seed: int, loss: LossKind | None = None,
+                   lam: float = 1e-3) -> ErmObjective:
+    """ERM over :func:`synthetic_dataset`, sigmoid loss by default."""
+    return ErmObjective(synthetic_dataset(n, d, seed),
+                        loss or LossKind.sigmoid(), lam=lam)

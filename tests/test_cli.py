@@ -230,6 +230,23 @@ class TestTrain:
                           (empty, ("gd", "--steps", "1"))):
             assert run_cli("train", "--dataset", str(data), "--objective",
                            "net", "--optimizer", *opt) == 1, (data, opt)
+        # all-zero features: dim 0, so every row is full, and smoothness 0
+        zeros = tmp_path / "zeros.libsvm"
+        zeros.write_text("+1 1:0\n-1\n")
+        for opt in (("gd", "--steps", "1"),
+                    ("svrg1", "--batch-size", "1", "--epochs", "1")):
+            assert run_cli("train", "--dataset", str(zeros), "--optimizer",
+                           *opt) == 1, opt
+        # an epoch's index block over the bound names m and b (10^15
+        # indices exceed any address space, so an unbounded draw fails at
+        # once rather than touching memory)
+        capsys.readouterr()
+        for m, m0 in (("1000000000000000", "1"), ("16", "1000000000000000")):
+            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
+                           "svrg1", "--batch-size", "1", "--m", m, "--m0", m0,
+                           "--epochs", "1") == 1, (m, m0)
+            err = capsys.readouterr().err
+            assert "m=1000000000000000" in err and "b=1" in err, err
         for top, tune in (({}, {"train_fraction": 0.0}),
                           ({}, {"train_fraction": 1.0}),
                           ({"passes": 2}, {}), ({"iterations": 5}, {}),

@@ -9,7 +9,8 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "golden_traces.py"
 GOLDEN = ROOT / "GOLDEN_TRACES.txt"
-SUBSET = ["synth-svrg2", "nonunit-svrg2-b4", "nonunit-sgd-b8", "net-svrg1-b1"]
+# ERM's dense layout (synth, nonunit), its CSR layout (sparse) and a network
+SUBSET = ["synth-svrg2", "nonunit-svrg2-b4", "sparse-sgd-b8", "net-svrg1-b1"]
 
 
 def hashes(names):

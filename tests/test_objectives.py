@@ -63,10 +63,12 @@ class TestErmComponent:
             obj.component(0, np.zeros(1))
 
     def test_batch_index_out_of_range(self):
-        rows, labels = [[1.0, 0.0], [0.0, 2.0]], [1, -1]
-        sparse = erm_from_rows(rows, labels, LossKind.logistic())
-        dense = ErmObjective(np.array(rows), LossKind.logistic(),
-                             labels=labels)
+        labels = [1, -1]
+        sparse = erm_from_rows([[1.0, 0.0], [0.0, 2.0]], labels,
+                               LossKind.logistic())
+        dense = erm_from_rows([[1.0, 0.5], [-0.5, 2.0]], labels,
+                              LossKind.logistic())
+        assert sparse._X is None and dense._X is not None
         for obj in (sparse, dense):
             for batch in ([0], [3], [1, 0], [2, 3]):
                 with pytest.raises(IndexError):
@@ -290,6 +292,13 @@ def random_csr_dataset(n, d, per_row, seed):
 
 
 class TestErmSharesDatasetArrays:
+    def test_full_rows_view_the_values_as_a_matrix(self):
+        ds = dense_dataset([[1.0, 2.0], [3.0, -4.0], [0.5, 6.0]], [1, -1, 1])
+        obj = ErmObjective(ds, LossKind.logistic())
+        assert obj._X.shape == (3, 2)
+        assert np.shares_memory(obj._X, ds.val)
+        assert np.shares_memory(obj.labels, ds.labels)
+
     def test_views_the_int64_csr_arrays(self):
         ds = random_csr_dataset(50, 300, 20, seed=1)
         obj = ErmObjective(ds, LossKind.logistic(), lam=1e-3)
@@ -337,12 +346,14 @@ class TestErmSharesDatasetArrays:
 
 @st.composite
 def csr_instances(draw):
-    """A random CSR Dataset with empty rows, n down to 1 and a dim that may
-    exceed the largest column, and a vector for each side of the product."""
+    """A random CSR Dataset with empty rows or every row full, n down to 1
+    and a dim that may exceed the largest column, and a vector for each
+    side of the product."""
     n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     feats = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, (n, dim))
-    feats[rng.random((n, dim)) < draw(st.sampled_from([0.2, 0.6, 1.0]))] = 0.0
+    zero_share = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    feats[rng.random((n, dim)) < zero_share] = 0.0
     feats[:, dim - draw(st.integers(0, dim - 1)):] = 0.0
     rows, cols = np.nonzero(feats)
     ds = Dataset.from_csr(np.searchsorted(rows, np.arange(n + 1)), cols,
@@ -354,8 +365,15 @@ def csr_instances(draw):
 @given(case=csr_instances())
 def test_csr_products_equal_scipy_bit_for_bit(case):
     ds, x, v = case
-    X = sp.csr_array((ds.val, ds.col_idx, ds.indptr), shape=(len(ds), ds.dim))
     obj = ErmObjective(ds, LossKind.squared())
+    if ds.val.size == len(ds) * ds.dim:
+        # every row full: the dense layout, whose products are BLAS ones
+        dense = ds.val.reshape(len(ds), ds.dim)
+        assert np.array_equal(obj._times(x), dense @ x)
+        assert np.array_equal(obj._times(v, transpose=True), dense.T @ v)
+        assert obj.smoothness == float((dense ** 2).sum(axis=1).max())
+        return
+    X = sp.csr_array((ds.val, ds.col_idx, ds.indptr), shape=(len(ds), ds.dim))
     assert np.array_equal(obj._times(x), X @ x)
     assert np.array_equal(obj._times(v, transpose=True), X.T @ v)
     # squared loss is 1-smooth: the bound is the largest row norm itself
@@ -364,19 +382,18 @@ def test_csr_products_equal_scipy_bit_for_bit(case):
 
 @st.composite
 def erm_batches(draw):
-    """A small sparse or dense ERM instance, two points and a 1-based batch
-    of any size up to n, repeated rows allowed."""
+    """A small ERM instance with full rows (the dense layout) or sparse ones,
+    two points and a 1-based batch of any size up to n, repeated rows
+    allowed."""
     n, d = draw(st.integers(1, 7)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     feats = rng.normal(size=(n, d))
-    labels = rng.choice([-1.0, 1.0], size=n)
+    labels = rng.choice([-1, 1], size=n)
     loss = draw(st.sampled_from(ALL_ERM_LOSSES))
     lam = draw(st.sampled_from([0.0, 1e-2]))
-    if draw(st.booleans()):
-        obj = ErmObjective(feats, loss, lam=lam, labels=labels)
-    else:
+    if not draw(st.booleans()):
         feats[rng.random((n, d)) < 0.4] = 0.0   # empty rows included
-        obj = erm_from_rows(feats.tolist(), labels.tolist(), loss, lam=lam)
+    obj = erm_from_rows(feats, labels, loss, lam=lam)
     b = draw(st.integers(1, n))
     batch = draw(st.lists(st.integers(1, n), min_size=b, max_size=b))
     return obj, rng.normal(size=d), rng.normal(size=d), batch
