@@ -77,10 +77,12 @@ def _train_runs() -> dict[str, tuple[str, ...]]:
                                                 "--batch-size", b) + lr
     runs["nonunit-svrg2-recompute-b4"] = runs["nonunit-svrg2-b4"] + (
         "--accounting", "recompute")
+    # One epoch at m = 5n/b with recomputed references costs 1 + 2*5 = 11
+    # passes at any b.
     for opt, b in (("svrg1", "1"), ("svrg2", "10")):
         runs[f"net-{opt}-b{b}"] = ("--dataset", "{net}", "--objective", "net",
                                    "--optimizer", opt, "--batch-size", b,
-                                   "--epochs", "1", "--seed", "5")
+                                   "--passes", "11", "--seed", "5")
     return {name: ("train",) + args for name, args in runs.items()}
 
 

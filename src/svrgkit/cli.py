@@ -51,9 +51,10 @@ from .verify import run_verification
 
 OPTIMIZERS = ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4")
 TUNE_OPTIMIZERS = ("sgd", "svrg1", "svrg2")
-# An SVRG epoch draws its m*b component indices at once, 8 bytes each; the
-# bound keeps that block within 1 GiB.
-_MAX_EPOCH_DRAWS = 2 ** 27
+# Arrays sized by the input, 8 bytes an entry, stay within 1 GiB: an SVRG
+# epoch's m*b component indices, drawn at once, and a synthetic instance's
+# n*d features (with as many column indices).
+_MAX_ENTRIES = 2 ** 27
 
 
 class ConfigError(ValueError):
@@ -100,12 +101,8 @@ class RunConfig:
     optimizer: str = "svrg1"
     batch_size: int | None = None
     passes: float | None = None
-    epochs: int | None = None
-    iterations: int | None = None
-    steps: int | None = None
     m: str | int | None = None
     m0: int | None = None
-    eta: float | None = None
     lr: str | None = None
     seed: int = 0
     accounting: str = "auto"
@@ -150,11 +147,18 @@ class RunConfig:
                 if spec[key] < low:
                     raise ConfigError(f"synthetic.{key} must be >= {low}, "
                                       f"got {spec[key]}")
+            _check_synthetic_size(spec["n"], spec["d"])
         if self.synthetic is not None and self.objective != "erm":
             raise ConfigError("synthetic inputs are linear ERM instances; "
                               "objective 'net' needs a dataset")
         if self.synthetic is not None and self.flip_fraction:
             raise ConfigError("flip_fraction applies to dataset inputs only")
+        if self.optimizer in ("gd", "sgd"):
+            for key, unset in (("m", None), ("m0", None),
+                               ("accounting", "auto")):
+                if getattr(self, key) != unset:
+                    raise ConfigError(f"{key} is an SVRG setting; optimizer "
+                                      f"{self.optimizer!r} does not read it")
         if self.objective == "net" and self.accounting == "stored":
             raise ConfigError("networks recompute reference gradients; "
                               "accounting 'stored' is for linear ERM")
@@ -169,8 +173,7 @@ class RunConfig:
             _check_type(f"net.{key}", value, (int,))
             if value < 1:
                 raise ConfigError(f"net.{key} must be positive, got {value}")
-        for key in ("m0", "eta", "steps", "epochs", "iterations", "passes",
-                    "batch_size", "eval_every", "smoothness"):
+        for key in ("m0", "passes", "batch_size", "eval_every", "smoothness"):
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, "
@@ -231,6 +234,12 @@ def load_config(args) -> tuple[RunConfig, dict]:
     return cfg, tune
 
 
+def _check_synthetic_size(n: int, d: int) -> None:
+    if n * d > _MAX_ENTRIES:
+        raise ConfigError(f"a synthetic instance of n={n} by d={d} holds "
+                          f"over {_MAX_ENTRIES} feature entries")
+
+
 def _parse_m(expr, n: int, b: int) -> int:
     """m is a positive int or an expression 'n', '2n', '5n/b', ..."""
     if expr is None:
@@ -282,10 +291,28 @@ def _objective_smoothness(cfg: RunConfig, obj, rng: RandomSource) -> float:
     return L
 
 
+def _run_length(cfg: RunConfig, obj, m: int | None = None) -> int:
+    """cfg's pass budget as gd steps, sgd iterations, or SVRG epochs of m
+    steps (:func:`epochs_for_passes`); every run adds a final exact
+    evaluation on top."""
+    if cfg.passes is None:
+        raise ConfigError(f"{cfg.optimizer} needs a pass budget (passes)")
+    if cfg.optimizer == "gd":
+        count = round(cfg.passes)
+    elif cfg.optimizer == "sgd":
+        count = round(cfg.passes * obj.n / cfg.batch_size)
+    else:
+        count = epochs_for_passes(obj, cfg.passes, m, cfg.batch_size,
+                                  cfg.accounting)
+    if count < 1:
+        raise ConfigError(f"passes={cfg.passes} buys no {cfg.optimizer} step")
+    return count
+
+
 def run_configured(obj, cfg: RunConfig, rng: RandomSource,
                    ) -> tuple[RunResult, dict]:
-    """Run cfg's optimizer on obj, turning the pass budget into steps,
-    iterations or epochs; returns the result and the schedule/metadata echo.
+    """Run cfg's optimizer on obj for its pass budget; returns the result
+    and the schedule/metadata echo.
 
     Linear ERM starts at the origin, a network at a random point drawn from
     ``rng``'s fork 17, which no other draw uses."""
@@ -298,20 +325,15 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
           else np.zeros(obj.dim))
 
     if cfg.optimizer == "gd":
-        steps = cfg.steps if cfg.steps is not None else cfg.epochs
-        if steps is None and cfg.passes is not None:
-            steps = round(cfg.passes)
-        if not steps:
-            raise ConfigError("gd needs steps/epochs/passes")
-        meta["step"] = (cfg.eta if cfg.eta is not None
+        steps = _run_length(cfg, obj)
+        if lr is not None and not isinstance(lr, ConstantRate):
+            raise ConfigError(f"gd takes a constant step; lr must be "
+                              f"constant:ETA, got {cfg.lr!r}")
+        meta["step"] = (lr.eta if lr is not None
                         else 1.0 / _objective_smoothness(cfg, obj, rng))
         result = gd_run(obj, x0, steps, step=meta["step"])
     elif cfg.optimizer == "sgd":
-        iters = cfg.iterations
-        if iters is None and cfg.passes is not None:
-            iters = round(cfg.passes * n / b)
-        if not iters:
-            raise ConfigError("sgd needs iterations or passes")
+        iters = _run_length(cfg, obj)
         if lr is None:
             raise ConfigError("sgd needs an lr spec")
         result = sgd_run(obj, x0, iters, b, rng, lr,
@@ -322,27 +344,26 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
         default_m = "5n/b" if cfg.objective == "net" else "n"
         m = _parse_m(cfg.m if cfg.m is not None else default_m, n, b)
         steps = max(m, cfg.m0 or 1)     # m rounds up to a multiple of m0
-        if steps * b > _MAX_EPOCH_DRAWS:
+        if steps * b > _MAX_ENTRIES:
             raise ConfigError(f"an epoch of m={steps} steps at batch size "
-                              f"b={b} draws over {_MAX_EPOCH_DRAWS} indices")
-        schedule = default_svrg_params(n, L, m_override=m,
-                                       m0_override=cfg.m0,
-                                       eta_override=cfg.eta)
-        meta.update(m=schedule.m, m0=schedule.m0, d_sub=schedule.d_sub,
-                    eta=schedule.eta, theory_ok=schedule.theory_ok)
-        epochs = cfg.epochs
-        if epochs is None and cfg.passes is not None:
-            epochs = epochs_for_passes(obj, cfg.passes, schedule.m, b,
-                                       cfg.accounting)
-        if epochs is None:
-            raise ConfigError("svrg needs epochs or passes")
-        meta["epochs"] = epochs
+                              f"b={b} draws over {_MAX_ENTRIES} indices")
         if cfg.optimizer in ("svrg3", "svrg4"):
             if lr is None:
                 lr = AdaGradRate(alpha=1.0 / L)
             elif not isinstance(lr, AdaGradRate):
                 raise ConfigError(f"{cfg.optimizer} scales its estimator "
                                   "adaptively; lr must be adagrad:...")
+        eta = None
+        if isinstance(lr, ConstantRate):
+            # The schedule takes the constant step, so the echo below is
+            # the step the run takes.
+            eta, lr = lr.eta, None
+        schedule = default_svrg_params(n, L, m_override=m,
+                                       m0_override=cfg.m0, eta_override=eta)
+        epochs = _run_length(cfg, obj, schedule.m)
+        meta.update(m=schedule.m, m0=schedule.m0, d_sub=schedule.d_sub,
+                    eta=schedule.eta, theory_ok=schedule.theory_ok,
+                    epochs=epochs)
         runner = svrg_simple_run if cfg.optimizer == "svrg1" else svrg_full_run
         result = runner(obj, x0, schedule, epochs, b, rng, lr=lr,
                         accounting=cfg.accounting,
@@ -445,10 +466,9 @@ def cmd_tune(args) -> int:
     if cfg.optimizer not in TUNE_OPTIMIZERS:
         raise ConfigError(f"tune runs {', '.join(TUNE_OPTIMIZERS)}, "
                           f"not {cfg.optimizer!r}")
-    for key in ("passes", "iterations", "epochs", "steps"):
-        if getattr(cfg, key) is not None:
-            raise ConfigError(f"tune's budget is tune.passes; remove the "
-                              f"top-level {key!r}")
+    if cfg.passes is not None:
+        raise ConfigError("tune's budget is tune.passes; remove the "
+                          "top-level 'passes'")
     rng = RandomSource(cfg.seed)
     full = parse_libsvm(cfg.dataset)
     if cfg.flip_fraction:
@@ -474,7 +494,9 @@ def cmd_tune(args) -> int:
     betas = (tune.get("betas") if tune.get("betas") is not None
              else ([round(0.1 * i, 1) for i in range(11)]
                    if cfg.optimizer == "sgd" else [None]))
-    m = _parse_m(cfg.m if cfg.m is not None else "2n", len(train), b)
+    # m is an SVRG setting: sgd cells take none
+    svrg = {} if cfg.optimizer == "sgd" else {
+        "m": _parse_m(cfg.m if cfg.m is not None else "2n", len(train), b)}
 
     cells: list[TuneCell] = []
     cfgs: list[RunConfig] = []
@@ -485,7 +507,7 @@ def cmd_tune(args) -> int:
                       else f"poly:{alpha!r},{beta!r}")
                 cells.append(TuneCell(len(cells), lam, alpha, beta))
                 cfgs.append(replace(cfg, lam=lam, lr=lr, batch_size=b,
-                                    passes=passes, m=m))
+                                    passes=passes, **svrg))
 
     with ExitStack() as stack:
         run_map = map
@@ -598,6 +620,7 @@ def cmd_synth(args) -> int:
     for flag, value in (("--n", args.n), ("--d", args.d)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
+    _check_synthetic_size(args.n, args.d)
     ds = synthetic_dataset(args.n, args.d, args.seed or 0)
     write_libsvm(ds, args.out)
     print(f"wrote {args.out} ({len(ds)} examples, dim {ds.dim})")
@@ -629,14 +652,18 @@ def build_parser() -> _Parser:
     p_train.add_argument("--flip-fraction", dest="flip_fraction", type=float)
     p_train.add_argument("--optimizer", choices=OPTIMIZERS)
     p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--passes", type=float)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--iterations", type=int)
-    p_train.add_argument("--steps", type=int)
+    p_train.add_argument("--passes", type=float,
+                         help="run length in data passes: gd runs "
+                              "round(P) steps, sgd round(P*n/b) iterations, "
+                              "svrg the whole epochs that fit (at least one)")
     p_train.add_argument("--m")
     p_train.add_argument("--m0", type=int)
-    p_train.add_argument("--eta", type=float)
-    p_train.add_argument("--lr")
+    p_train.add_argument("--lr",
+                         help="step: constant:ETA, poly:ALPHA,BETA or "
+                              "adagrad:ALPHA[,DELTA]; gd takes constant "
+                              "(default 1/L), sgd needs one, svrg1/svrg2 "
+                              "default to 1/(m0*L), svrg3/svrg4 take "
+                              "adagrad (default adagrad:1/L)")
     p_train.add_argument("--accounting",
                          choices=("auto", "stored", "recompute"))
     p_train.add_argument("--smoothness", type=float)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,22 +15,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svrgkit.cli import (OPTIMIZERS, RunConfig, TuneCell, build_objective,
-                         build_parser, main, run_configured,
+from svrgkit import cli
+from svrgkit.cli import (OPTIMIZERS, ConfigError, RunConfig, TuneCell,
+                         build_objective, build_parser, main, run_configured,
                          select_step_winners)
 from svrgkit.core import RandomSource
 from svrgkit.dataio import (Dataset, flip_labels, parse_libsvm, read_trace,
                             split, write_trace)
 from svrgkit.losses import LossKind
-from svrgkit.objectives import ErmObjective, TwoLayerNet
-from svrgkit.optim import ConstantRate, DivergenceError, sgd_run
+from svrgkit.objectives import ErmObjective, TwoLayerNet, synthetic_dataset
+from svrgkit.optim import (ConstantRate, DivergenceError, default_svrg_params,
+                           gd_run, sgd_run, svrg_full_run)
 from svrgkit.verify import run_verification
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# Run lengths and step settings that train no longer takes: passes is the
+# only run length and lr the only step setting.
+_REMOVED_TRAIN_FLAGS = ("--epochs", "--iterations", "--steps", "--eta")
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def schedule_echo(trace: Path) -> dict:
+    line = next(l for l in trace.read_text().splitlines() if "schedule" in l)
+    return json.loads(line.split("schedule: ")[1])
 
 
 @pytest.fixture()
@@ -49,7 +60,7 @@ class TestTrain:
     def test_synthetic_run_writes_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         rc = run_cli("train", "--synthetic", "64,4,1", "--optimizer",
-                     "svrg2", "--batch-size", "1", "--epochs", "3",
+                     "svrg2", "--batch-size", "1", "--passes", "6",
                      "--seed", "5", "--lambda", "1e-3", "--out", str(out))
         assert rc == 0
         stdout = capsys.readouterr().out
@@ -67,10 +78,7 @@ class TestTrain:
                      "--loss", "logistic", "--m", "2n", "--seed", "1",
                      "--out", str(out))
         assert rc == 0
-        header = out.read_text().splitlines()
-        sched = json.loads(next(l for l in header if "schedule" in l)
-                           .split("schedule: ")[1])
-        assert sched["m"] == 80  # 2n honored
+        assert schedule_echo(out)["m"] == 80  # 2n honored
 
     def test_net_m_default_five_n_over_b(self, tmp_path):
         data = tmp_path / "mc.libsvm"
@@ -81,31 +89,30 @@ class TestTrain:
         out = tmp_path / "trace.csv"
         rc = run_cli("train", "--dataset", str(data), "--objective", "net",
                      "--optimizer", "svrg2", "--batch-size", "5",
-                     "--epochs", "2", "--seed", "2", "--lambda", "1e-3",
+                     "--passes", "22", "--seed", "2", "--lambda", "1e-3",
                      "--out", str(out))
         assert rc == 0
-        header = out.read_text().splitlines()
-        sched = json.loads(next(l for l in header if "schedule" in l)
-                           .split("schedule: ")[1])
-        assert sched["m"] == 30  # 5n/b = 5*30/5
+        assert schedule_echo(out)["m"] == 30  # 5n/b = 5*30/5
 
     def test_net_pass_budget_counts_recomputed_references(self, tmp_path):
         # Networks recompute reference gradients: with m = 5n/b an epoch
         # costs 1 + 2m*b/n = 11 passes, so a 12-pass budget buys one epoch
-        # plus the final exact evaluation.
+        # plus the final exact evaluation, and a 22-pass budget two.
         data = tmp_path / "mc.libsvm"
         rng = np.random.default_rng(1)
         data.write_text("".join(f"{1 + i % 3} 1:{rng.normal():.3f} "
                                 f"2:{rng.normal():.3f}\n" for i in range(30)))
         traces = {}
-        for budget in (("--passes", "12"), ("--epochs", "2")):
-            out = tmp_path / f"{budget[0][2:]}.csv"
+        for budget in ("12", "22"):
+            out = tmp_path / f"passes{budget}.csv"
             assert run_cli("train", "--dataset", str(data), "--objective",
                            "net", "--optimizer", "svrg2", "--batch-size", "5",
-                           "--seed", "2", "--out", str(out), *budget) == 0
-            traces[budget[0]] = read_trace(out)
-        assert traces["--passes"][-1].passes == 12.0
-        assert traces["--passes"] == traces["--epochs"][:2]
+                           "--seed", "2", "--out", str(out), "--passes",
+                           budget) == 0
+            traces[budget] = read_trace(out)
+        assert traces["12"][-1].passes == 12.0
+        assert traces["22"][-1].passes == 23.0
+        assert traces["12"] == traces["22"][:2]
 
     def test_net_starts_off_the_balanced_stationary_point(self, tmp_path):
         # All-zero parameters are exactly stationary on balanced labels;
@@ -117,7 +124,7 @@ class TestTrain:
         out = tmp_path / "trace.csv"
         assert run_cli("train", "--dataset", str(data), "--objective", "net",
                        "--optimizer", "svrg1", "--batch-size", "2",
-                       "--epochs", "1", "--seed", "3", "--out", str(out)) == 0
+                       "--passes", "11", "--seed", "3", "--out", str(out)) == 0
         assert read_trace(out)[0].grad_norm_sq > 1e-8
 
     def test_rerun_byte_identical_every_optimizer(self, tmp_path):
@@ -139,7 +146,7 @@ class TestTrain:
         for frac in ("0.0", "0.25"):
             out = tmp_path / f"f{frac}.csv"
             rc = run_cli("train", "--dataset", str(small_file),
-                         "--optimizer", "gd", "--steps", "3",
+                         "--optimizer", "gd", "--passes", "3",
                          "--loss", "logistic", "--seed", "1",
                          "--flip-fraction", frac, "--out", str(out))
             assert rc == 0
@@ -150,43 +157,44 @@ class TestTrain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "synthetic": {"n": 32, "d": 3, "seed": 2}, "optimizer": "gd",
-            "steps": 2, "lambda": 1e-3, "seed": 9}))
-        rc = run_cli("train", "--config", str(cfg), "--steps", "4")
+            "passes": 2, "lambda": 1e-3, "seed": 9}))
+        rc = run_cli("train", "--config", str(cfg), "--passes", "4")
         assert rc == 0
 
     def test_config_error_exit_code(self, small_file, tmp_path, capsys):
         assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                        "sgd", "--passes", "2") == 1  # sgd needs lr
-        assert run_cli("train", "--optimizer", "gd", "--steps", "1") == 1
+        assert run_cli("train", "--optimizer", "gd", "--passes", "1") == 1
         assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
-                       "nope", "--steps", "1") == 1
+                       "nope", "--passes", "1") == 1
         assert run_cli("train", "--synthetic", "8,2,1", "--optimizer",
-                       "svrg1", "--batch-size", "100", "--epochs", "1") == 1
+                       "svrg1", "--batch-size", "100", "--passes", "2") == 1
         # zero or negative numbers are rejected, not read as "absent"
-        for bad in (("gd", "--eta", "0", "--steps", "2"),
-                    ("svrg2", "--m0", "0", "--epochs", "1"),
-                    ("gd", "--steps", "0", "--epochs", "2"),
+        for bad in (("gd", "--lr", "constant:0", "--passes", "2"),
+                    ("svrg2", "--m0", "0", "--passes", "2"),
+                    ("gd", "--passes", "0"),
                     ("sgd", "--lr", "constant:0.1", "--batch-size", "0",
                      "--passes", "1"),
-                    ("sgd", "--lr", "constant:0.1", "--iterations", "-3"),
+                    ("sgd", "--lr", "constant:0.1", "--passes", "-3"),
                     ("svrg1", "--passes", "-1"),
-                    ("svrg1", "--epochs", "2", "--eval-every", "0"),
-                    ("svrg1", "--m", "0", "--epochs", "1"),
-                    ("gd", "--lambda", "-1", "--steps", "2"),
-                    ("svrg1", "--smoothness", "-1", "--epochs", "1")):
+                    ("svrg1", "--passes", "4", "--eval-every", "0"),
+                    ("svrg1", "--m", "0", "--passes", "2"),
+                    ("gd", "--lambda", "-1", "--passes", "2"),
+                    ("svrg1", "--smoothness", "-1", "--passes", "2")):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
         # non-finite numbers: exit 1 naming the key, not a traceback or a
         # diverged run
         capsys.readouterr()
         for key, bad in (("smoothness", ("svrg1", "--smoothness", "inf",
-                                         "--epochs", "1")),
-                         ("eta", ("svrg1", "--eta", "inf", "--epochs", "1")),
+                                         "--passes", "2")),
+                         ("lr", ("svrg1", "--lr", "constant:inf",
+                                 "--passes", "2")),
                          ("passes", ("svrg1", "--passes", "inf")),
                          ("passes", ("gd", "--passes", "inf")),
                          ("passes", ("sgd", "--lr", "constant:0.1",
                                      "--passes", "inf")),
-                         ("lambda", ("gd", "--lambda", "inf", "--steps",
+                         ("lambda", ("gd", "--lambda", "inf", "--passes",
                                      "2"))):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
@@ -204,37 +212,37 @@ class TestTrain:
                            "--lr", "constant:0.1", *bad) == 1, bad
         # synthetic inputs are linear ERM; a network needs a dataset
         assert run_cli("train", "--synthetic", "16,2,1", "--objective", "net",
-                       "--optimizer", "svrg1", "--epochs", "1",
+                       "--optimizer", "svrg1", "--passes", "2",
                        "--batch-size", "2") == 1
         multiclass = tmp_path / "mc.libsvm"
         multiclass.write_text("".join(f"{1 + i % 3} 1:{i}.5\n"
                                       for i in range(12)))
         assert run_cli("train", "--dataset", str(multiclass), "--objective",
                        "net", "--optimizer", "svrg2", "--accounting",
-                       "stored", "--epochs", "1", "--batch-size", "2") == 1
+                       "stored", "--passes", "11", "--batch-size", "2") == 1
         # fewer network classes than the data's labels
         net2 = tmp_path / "net2.json"
         net2.write_text(json.dumps({"net": {"classes": 2}}))
         assert run_cli("train", "--config", str(net2), "--dataset",
                        str(multiclass), "--objective", "net", "--optimizer",
-                       "svrg1", "--epochs", "1", "--batch-size", "1") == 1
+                       "svrg1", "--passes", "11", "--batch-size", "1") == 1
         # degenerate network data: one class gives a smoothness estimate
         # of 0, and an empty file has nothing to estimate it from
         one_class = tmp_path / "one.libsvm"
         one_class.write_text("1 1:0.5\n")
         empty = tmp_path / "empty.libsvm"
         empty.write_text("")
-        for data, opt in ((one_class, ("gd", "--steps", "1")),
+        for data, opt in ((one_class, ("gd", "--passes", "1")),
                           (one_class, ("svrg1", "--batch-size", "1",
-                                       "--epochs", "1")),
-                          (empty, ("gd", "--steps", "1"))):
+                                       "--passes", "11")),
+                          (empty, ("gd", "--passes", "1"))):
             assert run_cli("train", "--dataset", str(data), "--objective",
                            "net", "--optimizer", *opt) == 1, (data, opt)
         # all-zero features: dim 0, so every row is full, and smoothness 0
         zeros = tmp_path / "zeros.libsvm"
         zeros.write_text("+1 1:0\n-1\n")
-        for opt in (("gd", "--steps", "1"),
-                    ("svrg1", "--batch-size", "1", "--epochs", "1")):
+        for opt in (("gd", "--passes", "1"),
+                    ("svrg1", "--batch-size", "1", "--passes", "2")):
             assert run_cli("train", "--dataset", str(zeros), "--optimizer",
                            *opt) == 1, opt
         # an epoch's index block over the bound names m and b (10^15
@@ -244,7 +252,7 @@ class TestTrain:
         for m, m0 in (("1000000000000000", "1"), ("16", "1000000000000000")):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            "svrg1", "--batch-size", "1", "--m", m, "--m0", m0,
-                           "--epochs", "1") == 1, (m, m0)
+                           "--passes", "1") == 1, (m, m0)
             err = capsys.readouterr().err
             assert "m=1000000000000000" in err and "b=1" in err, err
         for top, tune in (({}, {"train_fraction": 0.0}),
@@ -262,11 +270,11 @@ class TestTrain:
         # int is no bool and no float; a float may be written as an int)
         capsys.readouterr()
         train = {"synthetic": {"n": 16, "d": 2, "seed": 1},
-                 "optimizer": "svrg1", "epochs": 1, "batch_size": 2}
+                 "optimizer": "svrg1", "passes": 2, "batch_size": 2}
         for key, bad in (("loss", {"loss": 5}), ("lr", {"lr": 5}),
                          ("synthetic.n",
                           {"synthetic": {"n": 16.5, "d": 2, "seed": 1}}),
-                         ("epochs", {"epochs": 1.5}), ("seed", {"seed": "a"}),
+                         ("passes", {"passes": "2"}), ("seed", {"seed": "a"}),
                          ("m0", {"m0": 2.5}), ("seed", {"seed": 1.5}),
                          ("batch_size", {"batch_size": True}),
                          ("lambda", {"lambda": "0.1"}), ("m", {"m": 2.5}),
@@ -276,7 +284,7 @@ class TestTrain:
             cfg.write_text(json.dumps({**train, **bad}))
             assert run_cli("train", "--config", str(cfg)) == 1, bad
             assert key in capsys.readouterr().err, bad
-        cfg.write_text(json.dumps({**train, "lambda": 0, "eta": 1}))
+        cfg.write_text(json.dumps({**train, "lambda": 0, "smoothness": 1}))
         assert run_cli("train", "--config", str(cfg)) == 0
         for key, bad in (("pases", {"pases": 2}), ("passes", {"passes": "2"}),
                          ("alphas", {"alphas": 0.1}),
@@ -293,7 +301,7 @@ class TestTrain:
     def test_negative_seed_is_config_error(self, small_file, tmp_path, capsys):
         out = str(tmp_path / "o")
         for argv in (("train", "--synthetic", "16,2,1", "--optimizer", "gd",
-                      "--steps", "1"),
+                      "--passes", "1"),
                      ("tune", "--dataset", str(small_file), "--optimizer",
                       "sgd"),
                      ("verify",), ("synth", "--n", "4", "--d", "2",
@@ -305,10 +313,10 @@ class TestTrain:
             assert run_cli(*argv, "--seed", "-1") == 1, argv
             assert "seed" in capsys.readouterr().err, argv
         assert run_cli("train", "--synthetic", "16,2,-1", "--optimizer", "gd",
-                       "--steps", "1") == 1
+                       "--passes", "1") == 1
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synthetic": {"n": 16, "d": 2, "seed": 1},
-                                   "optimizer": "gd", "steps": 1,
+                                   "optimizer": "gd", "passes": 1,
                                    "seed": -1}))
         assert run_cli("train", "--config", str(cfg)) == 1
         assert "seed" in capsys.readouterr().err
@@ -322,6 +330,107 @@ class TestTrain:
             cfg.write_text(json.dumps(top))
             assert run_cli("train", "--config", str(cfg)) == 1, top
 
+    def test_removed_run_keys_exit_1(self, tmp_path, capsys):
+        # Each removed key, with a value its optimizer used to read, next
+        # to a run that succeeds without it.
+        heads = {"gd": {"optimizer": "gd"},
+                 "sgd": {"optimizer": "sgd", "lr": "constant:0.1",
+                         "batch_size": 2},
+                 "svrg1": {"optimizer": "svrg1", "batch_size": 2}}
+        cfg = tmp_path / "cfg.json"
+        for key, optimizer, value in (("steps", "gd", 2),
+                                      ("iterations", "sgd", 5),
+                                      ("epochs", "svrg1", 2),
+                                      ("eta", "svrg1", 0.1),
+                                      ("eta", "gd", 0.1)):
+            run = {"synthetic": {"n": 16, "d": 2, "seed": 1}, "passes": 2,
+                   **heads[optimizer]}
+            cfg.write_text(json.dumps(run))
+            assert run_cli("train", "--config", str(cfg)) == 0
+            assert run_cli("train", "--config", str(cfg), f"--{key}",
+                           str(value)) == 1, key
+            assert f"--{key}" in capsys.readouterr().err, key
+            cfg.write_text(json.dumps({**run, key: value}))
+            assert run_cli("train", "--config", str(cfg)) == 1, key
+            assert repr(key) in capsys.readouterr().err, key
+
+    def test_gd_takes_a_constant_lr_only(self, tmp_path, capsys):
+        out = tmp_path / "gd.csv"
+        argv = ("train", "--synthetic", "16,2,1", "--optimizer", "gd",
+                "--passes", "3", "--out", str(out))
+        for spec in ("poly:1,2", "adagrad:0.1"):
+            assert run_cli(*argv, "--lr", spec) == 1, spec
+            assert "gd takes a constant step" in capsys.readouterr().err
+        assert run_cli(*argv, "--lr", "constant:0.25") == 0
+        assert schedule_echo(out)["step"] == 0.25
+        obj = ErmObjective(synthetic_dataset(16, 2, 1), LossKind.sigmoid())
+        result = gd_run(obj, np.zeros(2), 3, step=0.25)
+        assert read_trace(out) == [replace(r, wall_seconds=0.0)
+                                   for r in result.trace]
+
+    def test_svrg_schedule_echoes_the_constant_step(self, tmp_path):
+        out = tmp_path / "svrg.csv"
+        argv = ("train", "--synthetic", "64,3,1", "--optimizer", "svrg2",
+                "--batch-size", "1", "--passes", "4", "--seed", "2",
+                "--out", str(out))
+        assert run_cli(*argv) == 0
+        theory = schedule_echo(out)
+        obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind.sigmoid())
+        assert theory["eta"] == 1.0 / (theory["m0"] * obj.smoothness)
+        assert run_cli(*argv, "--lr", "constant:0.5") == 0
+        echo = schedule_echo(out)
+        assert echo["eta"] == 0.5
+        # The run steps with the echoed float, exactly as a ConstantRate
+        # over the theory schedule does.
+        sched = default_svrg_params(64, obj.smoothness, m_override=64)
+        result = svrg_full_run(obj, np.zeros(3), sched, echo["epochs"], 1,
+                               RandomSource(2), lr=ConstantRate(0.5))
+        assert read_trace(out) == [replace(r, wall_seconds=0.0)
+                                   for r in result.trace]
+
+    def test_svrg_settings_are_config_errors_for_gd_and_sgd(
+            self, small_file, tmp_path, capsys):
+        for optimizer, lr in (("gd", ()), ("sgd", ("--lr", "constant:0.1"))):
+            argv = ("train", "--synthetic", "64,3,1", "--optimizer",
+                    optimizer, "--batch-size", "1", "--passes", "1", *lr)
+            assert run_cli(*argv, "--accounting", "auto") == 0
+            for key, value in (("m", "5"), ("m", "2n"), ("m0", "2"),
+                               ("accounting", "recompute"),
+                               ("accounting", "stored")):
+                assert run_cli(*argv, f"--{key}", value) == 1, (key, value)
+                err = capsys.readouterr().err
+                assert f"{key} is an SVRG setting" in err, err
+                assert repr(optimizer) in err, err
+        # tune hands m to SVRG cells only, so an sgd grid refuses one
+        cfg = tmp_path / "tune.json"
+        cfg.write_text(json.dumps({"tune": {
+            "passes": 1, "lambdas": [1e-3], "alphas": [0.1]}}))
+        argv = ("tune", "--config", str(cfg), "--dataset", str(small_file),
+                "--batch-size", "4")
+        assert run_cli(*argv, "--optimizer", "sgd") == 0
+        assert run_cli(*argv, "--optimizer", "sgd", "--m", "2n") == 1
+        assert run_cli(*argv, "--optimizer", "svrg1", "--m", "2n") == 0
+
+    def test_synthetic_size_is_bounded_before_allocation(
+            self, tmp_path, capsys, monkeypatch):
+        def allocate(*args):
+            raise AssertionError(f"synthetic_dataset{args} was called")
+
+        monkeypatch.setattr(cli, "synthetic_dataset", allocate)
+        for argv in (("synth", "--n", "1000000000", "--d", "1000000",
+                      "--out", str(tmp_path / "synth.libsvm")),
+                     ("train", "--synthetic", "1000000000,1000000,1",
+                      "--optimizer", "gd", "--passes", "1")):
+            assert run_cli(*argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "n=1000000000" in err and "d=1000000" in err, err
+        # The bound is on n*d; RunConfig checks it and allocates nothing.
+        for n, d in ((cli._MAX_ENTRIES, 1), (2 ** 13, cli._MAX_ENTRIES >> 13)):
+            RunConfig(synthetic={"n": n, "d": d, "seed": 0}, optimizer="gd")
+        with pytest.raises(ConfigError, match=f"d={2 ** 14}"):
+            RunConfig(synthetic={"n": (cli._MAX_ENTRIES >> 14) + 1,
+                                 "d": 2 ** 14, "seed": 0}, optimizer="gd")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, capsys):
         rc = run_cli("train", "--synthetic", "32,3,1", "--optimizer", "sgd",
@@ -333,7 +442,7 @@ class TestTrain:
     def test_wall_clock_flag_breaks_reproducibility_only(self, tmp_path):
         out = tmp_path / "wall.csv"
         rc = run_cli("train", "--synthetic", "32,3,1", "--optimizer", "gd",
-                     "--steps", "2", "--lambda", "1e-3", "--out", str(out),
+                     "--passes", "2", "--lambda", "1e-3", "--out", str(out),
                      "--wall-clock")
         assert rc == 0
         walls = [r.wall_seconds for r in read_trace(out)]
@@ -348,6 +457,8 @@ class TestTrain:
        accounting=st.sampled_from(["auto", "stored", "recompute"]),
        seed=st.integers(0, 3))
 def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
+    if optimizer in ("gd", "sgd"):
+        accounting = "auto"     # an SVRG setting
     cfg = RunConfig(synthetic={"n": n, "d": 3, "seed": seed},
                     optimizer=optimizer, batch_size=min(b, n), passes=budget,
                     eval_every=eval_every, accounting=accounting, lam=1e-3,
@@ -385,6 +496,8 @@ def determinism_cases(draw):
     optimizer = draw(st.sampled_from(OPTIMIZERS))
     accounting = draw(st.sampled_from(
         ["auto", "recompute"] + (["stored"] if kind != "net" else [])))
+    if optimizer in ("gd", "sgd"):
+        accounting = "auto"     # an SVRG setting
     cfg = RunConfig(
         dataset=None if kind == "dense" else "in-memory",
         synthetic={"n": n, "d": d, "seed": draw(st.integers(0, 5))}
@@ -667,7 +780,7 @@ def test_malformed_line_exits_1_naming_the_line(bad, before, command):
         argv = (["flip", str(src), "--fraction", "0.5", "--out", out]
                 if command == "flip" else
                 ["train", "--dataset", str(src), "--optimizer", "gd",
-                 "--steps", "1", "--out", out])
+                 "--passes", "1", "--out", out])
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = main(argv)  # an escaping exception fails the test
@@ -676,19 +789,24 @@ def test_malformed_line_exits_1_naming_the_line(bad, before, command):
     assert "Traceback" not in err.getvalue()
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _numeric_flags() -> list[tuple[str, str]]:
     """(subcommand, flag) for every int or float flag of the subcommands
     that take numbers, read from the parser."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     return [(command, action.option_strings[0])
             for command in ("train", "tune", "flip", "split", "synth")
-            for action in sub.choices[command]._actions
+            for action in _subcommands()[command]._actions
             if action.type in (int, float)]
 
 
+# The removed numeric flags stay listed: no value of theirs may run.
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-@pytest.mark.parametrize("command,flag", _numeric_flags())
+@pytest.mark.parametrize("command,flag", _numeric_flags() + [
+    ("train", flag) for flag in _REMOVED_TRAIN_FLAGS])
 def test_numeric_flag_rejects_bad_value(command, flag, value, small_file,
                                         tmp_path, capsys):
     # Valid runs of each subcommand; the bad flag comes last, so it wins.
@@ -708,6 +826,17 @@ def test_numeric_flag_rejects_bad_value(command, flag, value, small_file,
     }[command]
     assert main([command, *argv, flag, value]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_readme_flag_rows_match_the_parser():
+    readme = (SRC.parent / "README.md").read_text()
+    for command in ("train", "tune"):
+        row = re.search(rf"^\| `{command}` \|(.*)\|$", readme, re.M).group(1)
+        defined = [option for action in _subcommands()[command]._actions
+                   for option in action.option_strings
+                   if option not in ("-h", "--help")]
+        assert sorted(re.findall(r"--[a-z][a-z0-9-]*", row)) == sorted(
+            defined), command
 
 
 class TestDatasetCommands:
@@ -756,7 +885,7 @@ class TestDatasetCommands:
                      ("split", str(src), "--out", out, "--out-train", out,
                       "--out-validation", out),
                      ("train", "--synthetic", "16,2,1", "--optimizer", "gd",
-                      "--steps", "1", "--threads", "2"),
+                      "--passes", "1", "--threads", "2"),
                      ("flip", str(src), "--fraction", "0.5", "--out", out,
                       "--config", "c.json"),
                      ("synth", "--n", "4", "--d", "2", "--out", out,
