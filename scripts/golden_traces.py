@@ -32,10 +32,11 @@ from svrgkit import cli  # noqa: E402
 from svrgkit.dataio import (Dataset, bundled_dataset_path,  # noqa: E402
                             write_libsvm)
 
-BUNDLED = ("--dataset", "{bundled}", "--loss", "sigmoid", "--batch-size", "1",
-           "--passes", "6", "--seed", "3", "--lambda", "1e-4")
-SYNTH = ("--synthetic", "128,4,1", "--batch-size", "4", "--passes", "8",
-         "--seed", "3", "--lambda", "1e-3")
+# gd reads no batch size, so the base runs give one to the other optimizers.
+BUNDLED = ("--dataset", "{bundled}", "--loss", "sigmoid", "--passes", "6",
+           "--seed", "3", "--lambda", "1e-4")
+SYNTH = ("--synthetic", "128,4,1", "--passes", "8", "--seed", "3",
+         "--lambda", "1e-3")
 # Values that are not all 1.0, so a change in summation order shows in the
 # hashes.  {nonunit} holds the full Gaussian rows `svrgkit synth` writes
 # (ERM's dense layout); {sparse} holds Gaussian rows with most entries
@@ -56,16 +57,18 @@ TUNE_GRID = {"lambdas": [1e-4, 1e-2], "alphas": [0.05, 0.5], "passes": 4}
 
 def _train_runs() -> dict[str, tuple[str, ...]]:
     runs = {}
-    for tag, base in (("bundled", BUNDLED), ("synth", SYNTH)):
-        for opt in ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
+    for tag, base, b in (("bundled", BUNDLED, "1"), ("synth", SYNTH, "4")):
+        runs[f"{tag}-gd"] = base + ("--optimizer", "gd")
+        base += ("--batch-size", b)
+        for opt in ("sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
             lr = ("--lr", "poly:0.3,0.5") if opt == "sgd" else ()
             runs[f"{tag}-{opt}"] = base + ("--optimizer", opt) + lr
         for name, extra in SVRG2_VARIANTS.items():
             runs[f"{tag}-svrg2-{name}"] = base + ("--optimizer", "svrg2") + extra
         runs[f"{tag}-svrg1-evalevery1"] = base + ("--optimizer", "svrg1",
                                                   "--eval-every", "1")
-    runs["bundled-svrg2-hinge"] = BUNDLED + ("--optimizer", "svrg2",
-                                             "--loss", "hinge:0.1")
+    runs["bundled-svrg2-hinge"] = BUNDLED + (
+        "--optimizer", "svrg2", "--loss", "hinge:0.1", "--batch-size", "1")
     runs["bundled-svrg2-logistic-b4"] = BUNDLED + (
         "--optimizer", "svrg2", "--loss", "logistic", "--batch-size", "4")
     for tag in ("nonunit", "sparse"):
@@ -73,8 +76,9 @@ def _train_runs() -> dict[str, tuple[str, ...]]:
         for opt, b in (("gd", "1"), ("sgd", "8"), ("svrg2", "1"),
                        ("svrg2", "4")):
             lr = ("--lr", "constant:0.5") if opt == "sgd" else ()
-            runs[f"{tag}-{opt}-b{b}"] = base + ("--optimizer", opt,
-                                                "--batch-size", b) + lr
+            batch = () if opt == "gd" else ("--batch-size", b)
+            runs[f"{tag}-{opt}-b{b}"] = (base + ("--optimizer", opt) + batch
+                                         + lr)
     runs["nonunit-svrg2-recompute-b4"] = runs["nonunit-svrg2-b4"] + (
         "--accounting", "recompute")
     # One epoch at m = 5n/b with recomputed references costs 1 + 2*5 = 11

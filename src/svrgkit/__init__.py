@@ -20,8 +20,8 @@ from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     PolynomialRate, RunResult, SvrgSchedule, adagrad_step,
                     beta_weights, default_svrg_params, draw_epoch_stop,
                     epoch_end_weights, epochs_for_passes, gd_run,
-                    grad_dominated_drive, parse_rate, sgd_run,
-                    svrg_estimator, svrg_full_run, svrg_simple_run)
+                    parse_rate, sgd_run, svrg_estimator, svrg_full_run,
+                    svrg_simple_run)
 from .verify import (SlopeFit, epoch_variance_aggregate, exact_variance,
                      fd_gradient, fit_rate_slope, smoothness_probe)
 

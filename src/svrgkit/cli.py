@@ -16,8 +16,9 @@ Subcommands:
 Exit codes: 0 ok, 1 config error, 2 divergence, 3 every grid cell diverged,
 4 verification failure.
 
-Config files are JSON; every flag overrides its config key.  The effective
-config is echoed into the trace file as '#' comments.  Trace files are
+Config files are JSON; every flag overrides its config key.  The settings
+the run reads are echoed into the trace file as '#' comments, and any other
+setting off its default is a config error.  Trace files are
 byte-reproducible for a fixed config and seed; measured wall times go to
 stdout and enter the CSV only with --wall-clock.
 """
@@ -127,7 +128,7 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError(f"bad loss {self.loss!r}: {e}") from None
         try:
-            self.rate = parse_rate(self.lr) if self.lr else None
+            self.rate = parse_rate(self.lr) if self.lr is not None else None
         except ValueError as e:
             raise ConfigError(f"bad lr {self.lr!r}: {e}") from None
         if self.optimizer not in OPTIMIZERS:
@@ -153,12 +154,6 @@ class RunConfig:
                               "objective 'net' needs a dataset")
         if self.synthetic is not None and self.flip_fraction:
             raise ConfigError("flip_fraction applies to dataset inputs only")
-        if self.optimizer in ("gd", "sgd"):
-            for key, unset in (("m", None), ("m0", None),
-                               ("accounting", "auto")):
-                if getattr(self, key) != unset:
-                    raise ConfigError(f"{key} is an SVRG setting; optimizer "
-                                      f"{self.optimizer!r} does not read it")
         if self.objective == "net" and self.accounting == "stored":
             raise ConfigError("networks recompute reference gradients; "
                               "accounting 'stored' is for linear ERM")
@@ -178,15 +173,26 @@ class RunConfig:
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, "
                                   f"got {value}")
-        if self.batch_size is None:
+        # Every setting off its default is one the run reads, so the
+        # header echoes it.  A field's default is its class attribute,
+        # or {} for net's factory.
+        echoed = self.effective()
+        for key in _RUN_KEYS:
+            if key not in echoed and key not in ("out", "wall_clock") and (
+                    getattr(self, key) != getattr(RunConfig, key, {})):
+                when = " when lr is set" if key in _READS[self.optimizer] else ""
+                raise ConfigError(f"optimizer {self.optimizer} on objective "
+                                  f"{self.objective} does not read {key}{when}")
+        if self.batch_size is None and "batch_size" in _READS[self.optimizer]:
             self.batch_size = 16 if self.optimizer == "svrg4" else 100
 
     def effective(self) -> dict:
-        """Run semantics for the trace header: everything that changes the
-        numbers, nothing that doesn't (output location, wall-clock flag)."""
-        return {key: getattr(self, key) for key in _RUN_KEYS
-                if key not in ("out", "wall_clock")
-                and getattr(self, key) not in (None, {})}
+        """Run semantics for the trace header: the set values of the
+        settings the run reads (:data:`_READS`), and no other."""
+        unread = "smoothness" if self.optimizer == "gd" and self.lr else None
+        return {key: getattr(self, key) for key in
+                _ALWAYS_READ + _READS[self.objective] + _READS[self.optimizer]
+                if key != unread and getattr(self, key) not in (None, {})}
 
 
 # RunConfig's settable fields, which are also the flag destinations; the
@@ -199,6 +205,15 @@ _RUN_TYPES = {key: typing.get_args(hint) or (hint,)
               if key in _RUN_KEYS}
 _CONFIG_KEYS = {"lambda" if key == "lam" else key
                 for key in _RUN_KEYS if key != "wall_clock"} | {"tune"}
+# The settings each run reads: these, and its objective's and its
+# optimizer's rows below.  gd reads smoothness only without an lr; the SVRG
+# variants (OPTIMIZERS[2:]) read sgd's settings and their schedule's.
+_ALWAYS_READ = ("optimizer", "passes", "seed", "objective", "lam", "dataset",
+                "synthetic")
+_READS = {"erm": ("loss", "flip_fraction"), "net": ("net",),
+          "gd": ("lr", "smoothness"), "sgd": ("batch_size", "lr", "eval_every")}
+_READS.update(dict.fromkeys(OPTIMIZERS[2:], _READS["sgd"] + (
+    "m", "m0", "accounting", "smoothness")))
 
 
 def load_config(args) -> tuple[RunConfig, dict]:
@@ -317,10 +332,10 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
     Linear ERM starts at the origin, a network at a random point drawn from
     ``rng``'s fork 17, which no other draw uses."""
     n, b = obj.n, cfg.batch_size
-    if cfg.optimizer != "gd" and b > n:
+    if b is not None and b > n:
         raise ConfigError(f"batch_size {b} exceeds n={n}")
     lr = cfg.rate
-    meta: dict = {"n": n, "dim": obj.dim, "batch_size": b}
+    meta: dict = {"n": n, "dim": obj.dim}
     x0 = (obj.initial_point(rng.fork(17)) if isinstance(obj, TwoLayerNet)
           else np.zeros(obj.dim))
 
@@ -338,7 +353,7 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
             raise ConfigError("sgd needs an lr spec")
         result = sgd_run(obj, x0, iters, b, rng, lr,
                          eval_every=cfg.eval_every)
-        meta["iterations"] = iters
+        meta.update(batch_size=b, iterations=iters)
     else:
         L = _objective_smoothness(cfg, obj, rng)
         default_m = "5n/b" if cfg.objective == "net" else "n"
@@ -361,9 +376,11 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
         schedule = default_svrg_params(n, L, m_override=m,
                                        m0_override=cfg.m0, eta_override=eta)
         epochs = _run_length(cfg, obj, schedule.m)
-        meta.update(m=schedule.m, m0=schedule.m0, d_sub=schedule.d_sub,
-                    eta=schedule.eta, theory_ok=schedule.theory_ok,
+        meta.update(batch_size=b, m=schedule.m, m0=schedule.m0,
+                    d_sub=schedule.d_sub, theory_ok=schedule.theory_ok,
                     epochs=epochs)
+        if lr is None:      # the engine steps with the schedule's eta
+            meta["eta"] = schedule.eta
         runner = svrg_simple_run if cfg.optimizer == "svrg1" else svrg_full_run
         result = runner(obj, x0, schedule, epochs, b, rng, lr=lr,
                         accounting=cfg.accounting,
@@ -459,6 +476,8 @@ def cmd_tune(args) -> int:
             raise ConfigError(f"unknown tune key {key!r}")
         _check_type(f"tune.{key}", value, _TUNE_TYPES[key])
         if isinstance(value, list):
+            if not value:
+                raise ConfigError(f"tune.{key} is an empty grid")
             for entry in value:
                 _check_type(f"tune.{key} entry", entry, (float,))
     if cfg.synthetic is not None or cfg.objective != "erm":
@@ -466,9 +485,10 @@ def cmd_tune(args) -> int:
     if cfg.optimizer not in TUNE_OPTIMIZERS:
         raise ConfigError(f"tune runs {', '.join(TUNE_OPTIMIZERS)}, "
                           f"not {cfg.optimizer!r}")
-    if cfg.passes is not None:
-        raise ConfigError("tune's budget is tune.passes; remove the "
-                          "top-level 'passes'")
+    for key, owner in (("passes", "tune.passes"), ("lr", "the grid")):
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"tune takes each cell's {key} from {owner}; "
+                              f"remove the top-level {key!r}")
     rng = RandomSource(cfg.seed)
     full = parse_libsvm(cfg.dataset)
     if cfg.flip_fraction:
@@ -488,15 +508,13 @@ def cmd_tune(args) -> int:
 
     loss = cfg.loss_kind
     # Ten regularization weights log-spaced from 1e-6 to 1e-1 by default.
-    lambdas = tune.get("lambdas") or list(np.logspace(-6.0, -1.0, 10))
+    lambdas = tune.get("lambdas", list(np.logspace(-6.0, -1.0, 10)))
     alphas = tune.get("alphas") or default_alpha_grid(
         ErmObjective(train, loss, lam=float(np.median(lambdas))).smoothness)
-    betas = (tune.get("betas") if tune.get("betas") is not None
-             else ([round(0.1 * i, 1) for i in range(11)]
-                   if cfg.optimizer == "sgd" else [None]))
-    # m is an SVRG setting: sgd cells take none
-    svrg = {} if cfg.optimizer == "sgd" else {
-        "m": _parse_m(cfg.m if cfg.m is not None else "2n", len(train), b)}
+    betas = tune.get("betas", [round(0.1 * i, 1) for i in range(11)]
+                     if cfg.optimizer == "sgd" else [None])
+    m = (_parse_m(cfg.m if cfg.m is not None else "2n", len(train), b)
+         if "m" in _READS[cfg.optimizer] else None)
 
     cells: list[TuneCell] = []
     cfgs: list[RunConfig] = []
@@ -507,7 +525,7 @@ def cmd_tune(args) -> int:
                       else f"poly:{alpha!r},{beta!r}")
                 cells.append(TuneCell(len(cells), lam, alpha, beta))
                 cfgs.append(replace(cfg, lam=lam, lr=lr, batch_size=b,
-                                    passes=passes, **svrg))
+                                    passes=passes, m=m))
 
     with ExitStack() as stack:
         run_map = map
@@ -669,8 +687,8 @@ def build_parser() -> _Parser:
     p_train.add_argument("--smoothness", type=float)
     p_train.add_argument("--eval-every", dest="eval_every", type=int,
                          help="exact evaluation every N iterations (sgd) or "
-                              "N epochs (svrg); gd evaluates every step and "
-                              "ignores it")
+                              "N epochs (svrg); gd evaluates every step, and "
+                              "gd with --eval-every is a config error")
     p_train.add_argument("--wall-clock", dest="wall_clock",
                          action="store_true",
                          help="write measured wall times into the trace "

@@ -269,7 +269,6 @@ class RunResult:
     epoch_stops: list[int] = field(default_factory=list)
     evals_to_target: int | None = None
     epoch_iterates: list[np.ndarray] | None = None
-    round_values: list[float] | None = None
 
     @property
     def passes(self) -> float:
@@ -608,47 +607,3 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
     gns = ledger.checkpoint(value, grad, iterations, f"iteration {iterations}")
     return ledger.result(x, value, gns)
 
-
-def grad_dominated_drive(obj, x_start, tau: float, rounds: int,
-                         rng: RandomSource, batch_size: int = 1,
-                         schedule: SvrgSchedule | None = None,
-                         epochs_per_round: int | None = None) -> RunResult:
-    """Restart driver for gradient-dominated objectives: repeated full SVRG
-    runs, each seeded at the previous output, each round sized so the
-    expected optimality gap halves.
-
-    With f(x) - min f <= tau * ||grad f(x)||^2 everywhere, a round that
-    drives the expected squared gradient norm below gap/(2*tau) halves the
-    gap; the per-round epoch count follows from the 1/S stationarity decay
-    with m0*L/m step normalization.
-    """
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if schedule is None:
-        schedule = default_svrg_params(obj.n, obj.smoothness)
-    if epochs_per_round is None:
-        epochs_per_round = max(
-            1, math.ceil(12.0 * tau * obj.smoothness * schedule.m0 / schedule.m))
-    x = np.array(x_start, dtype=np.float64)
-    trace: list[TraceRecord] = []
-    evals = 0
-    pass_base = 0.0
-    round_values: list[float] = []
-    result = None
-    for r in range(rounds):
-        result = svrg_full_run(obj, x, schedule, epochs_per_round, batch_size,
-                               rng.fork(r))
-        x = result.output
-        for rec in result.trace:
-            trace.append(TraceRecord(pass_base + rec.passes, rec.objective,
-                                     rec.grad_norm_sq, rec.wall_seconds,
-                                     len(round_values)))
-        pass_base += result.trace[-1].passes
-        evals += result.grad_evals
-        round_values.append(result.final_value)
-    return RunResult(output=x, trace=trace, grad_evals=evals,
-                     final_value=result.final_value,
-                     final_grad_norm_sq=result.final_grad_norm_sq,
-                     round_values=round_values)

@@ -306,14 +306,15 @@ def test_11_pass_accounting_exact():
 def test_12_cli_train_determinism(tmp_path):
     mismatches = []
     for opt in ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
-        extra = ["--lr", "poly:0.3,0.5"] if opt == "sgd" else []
+        extra = [] if opt == "gd" else ["--batch-size", "4"]
+        if opt == "sgd":
+            extra += ["--lr", "poly:0.3,0.5"]
         blobs = []
         for tag in "ab":
             out = tmp_path / f"{opt}_{tag}.csv"
             rc = main(["train", "--synthetic", "128,4,1", "--optimizer",
-                       opt, "--batch-size", "4", "--passes", "8",
-                       "--seed", "3", "--lambda", "1e-3",
-                       "--out", str(out), *extra])
+                       opt, "--passes", "8", "--seed", "3",
+                       "--lambda", "1e-3", "--out", str(out), *extra])
             assert rc == 0
             blobs.append(out.read_bytes())
         if blobs[0] != blobs[1]:

@@ -129,14 +129,16 @@ class TestTrain:
 
     def test_rerun_byte_identical_every_optimizer(self, tmp_path):
         for opt in ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
-            extra = ["--lr", "poly:0.3,0.5"] if opt == "sgd" else []
+            extra = [] if opt == "gd" else ["--batch-size", "4"]
+            if opt == "sgd":
+                extra += ["--lr", "poly:0.3,0.5"]
             outs = []
             for tag in "ab":
                 out = tmp_path / f"{opt}_{tag}.csv"
                 rc = run_cli("train", "--synthetic", "64,4,1",
-                             "--optimizer", opt, "--batch-size", "4",
-                             "--passes", "8", "--seed", "3",
-                             "--lambda", "1e-3", "--out", str(out), *extra)
+                             "--optimizer", opt, "--passes", "8",
+                             "--seed", "3", "--lambda", "1e-3",
+                             "--out", str(out), *extra)
                 assert rc == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1], f"{opt} trace not reproducible"
@@ -183,13 +185,14 @@ class TestTrain:
                     ("svrg1", "--smoothness", "-1", "--passes", "2")):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
-        # non-finite numbers: exit 1 naming the key, not a traceback or a
-        # diverged run
+        # non-finite numbers, and an empty lr (not an unset one): exit 1
+        # naming the key, not a traceback, a diverged run or a default step
         capsys.readouterr()
         for key, bad in (("smoothness", ("svrg1", "--smoothness", "inf",
                                          "--passes", "2")),
                          ("lr", ("svrg1", "--lr", "constant:inf",
                                  "--passes", "2")),
+                         ("lr", ("svrg1", "--lr", "", "--passes", "2")),
                          ("passes", ("svrg1", "--passes", "inf")),
                          ("passes", ("gd", "--passes", "inf")),
                          ("passes", ("sgd", "--lr", "constant:0.1",
@@ -390,17 +393,18 @@ class TestTrain:
 
     def test_svrg_settings_are_config_errors_for_gd_and_sgd(
             self, small_file, tmp_path, capsys):
-        for optimizer, lr in (("gd", ()), ("sgd", ("--lr", "constant:0.1"))):
+        for optimizer, extra in (("gd", ()), ("sgd", ("--lr", "constant:0.1",
+                                                      "--batch-size", "1"))):
             argv = ("train", "--synthetic", "64,3,1", "--optimizer",
-                    optimizer, "--batch-size", "1", "--passes", "1", *lr)
+                    optimizer, "--passes", "1", *extra)
             assert run_cli(*argv, "--accounting", "auto") == 0
             for key, value in (("m", "5"), ("m", "2n"), ("m0", "2"),
                                ("accounting", "recompute"),
                                ("accounting", "stored")):
                 assert run_cli(*argv, f"--{key}", value) == 1, (key, value)
                 err = capsys.readouterr().err
-                assert f"{key} is an SVRG setting" in err, err
-                assert repr(optimizer) in err, err
+                assert (f"optimizer {optimizer} on objective erm does not "
+                        f"read {key}") in err, err
         # tune hands m to SVRG cells only, so an sgd grid refuses one
         cfg = tmp_path / "tune.json"
         cfg.write_text(json.dumps({"tune": {
@@ -449,6 +453,105 @@ class TestTrain:
         assert any(w > 0 for w in walls)
 
 
+def _multiclass_file(tmp_path) -> Path:
+    path = tmp_path / "mc.libsvm"
+    path.write_text("".join(f"{1 + i % 3} 1:{i}.5 2:-1.25\n"
+                            for i in range(12)))
+    return path
+
+
+# Runs that succeed, and a key each does not read with a value that is not
+# its default: every (run, unread key) pair of the table of settings.
+_BASE_RUNS = {
+    "gd": ("--synthetic", "16,2,1", "--optimizer", "gd", "--passes", "2"),
+    "gd-lr": ("--synthetic", "16,2,1", "--optimizer", "gd", "--passes", "2",
+              "--lr", "constant:0.1"),
+    "sgd": ("--synthetic", "16,2,1", "--optimizer", "sgd", "--passes", "1",
+            "--lr", "constant:0.1", "--batch-size", "2"),
+    "erm-svrg1": ("--synthetic", "16,2,1", "--optimizer", "svrg1",
+                  "--passes", "2", "--batch-size", "2"),
+    "net-svrg1": ("--dataset", "{mc}", "--objective", "net", "--optimizer",
+                  "svrg1", "--passes", "11", "--batch-size", "2"),
+}
+_UNREAD = [
+    ("net-svrg1", "flip_fraction", ("--flip-fraction", "0.1")),
+    ("net-svrg1", "loss", ("--loss", "logistic")),
+    ("erm-svrg1", "net", {"net": {"hidden": 8}}),
+    ("gd", "flip_fraction", ("--flip-fraction", "0.1")),  # a synthetic input
+    ("gd", "batch_size", ("--batch-size", "4")),
+    ("gd", "eval_every", ("--eval-every", "5")),
+    ("gd", "m", ("--m", "2n")),
+    ("gd", "m0", ("--m0", "2")),
+    ("gd", "accounting", ("--accounting", "recompute")),
+    ("gd-lr", "smoothness", ("--smoothness", "5")),
+    ("sgd", "smoothness", ("--smoothness", "5")),
+    ("sgd", "m", ("--m", "5")),
+    ("sgd", "m0", ("--m0", "2")),
+    ("sgd", "accounting", ("--accounting", "stored")),
+]
+
+
+@pytest.mark.parametrize("run,key,extra", _UNREAD,
+                         ids=[f"{run}-{key}" for run, key, _ in _UNREAD])
+def test_unread_setting_is_config_error(run, key, extra, tmp_path, capsys):
+    argv = ["train", *(a.format(mc=_multiclass_file(tmp_path))
+                       for a in _BASE_RUNS[run])]
+    assert main(argv) == 0
+    if isinstance(extra, dict):     # a key with no flag, set by the config
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(extra))
+        extra = ("--config", str(config))
+    capsys.readouterr()
+    assert main(argv + list(extra)) == 1
+    err = capsys.readouterr().err
+    assert key in re.findall(r"\w+", err), err
+    assert "Traceback" not in err
+
+
+def test_headers_echo_the_settings_each_run_reads(tmp_path):
+    # One run per optimizer and a network run; the keys of the "# config:"
+    # and "# schedule:" lines, written out.
+    erm = {"flip_fraction", "lam", "loss", "objective", "optimizer", "passes",
+           "seed", "synthetic"}
+    svrg = {"batch_size", "d_sub", "dim", "epochs", "m", "m0", "n",
+            "theory_ok"}
+    net_config = tmp_path / "net.json"
+    net_config.write_text(json.dumps({"net": {"hidden": 4}}))
+    cases = [
+        (("--optimizer", "gd", "--smoothness", "5"),
+         erm | {"smoothness"}, {"dim", "n", "step"}),
+        (("--optimizer", "sgd", "--lr", "constant:0.1", "--batch-size", "2",
+          "--eval-every", "3"),
+         erm | {"batch_size", "eval_every", "lr"},
+         {"batch_size", "dim", "iterations", "n"}),
+        (("--optimizer", "svrg1", "--batch-size", "2"),
+         erm | {"accounting", "batch_size"}, svrg | {"eta"}),
+        (("--optimizer", "svrg2", "--batch-size", "2", "--lr",
+          "poly:0.3,0.5", "--m0", "2"),
+         erm | {"accounting", "batch_size", "lr", "m0"}, svrg),
+        (("--optimizer", "svrg3", "--batch-size", "2"),
+         erm | {"accounting", "batch_size"}, svrg),
+        (("--optimizer", "svrg4", "--m", "2n"),
+         erm | {"accounting", "batch_size", "m"}, svrg),
+    ]
+    synthetic = ("--synthetic", "32,2,1", "--passes", "4")
+    runs = [(synthetic + args, config, schedule)
+            for args, config, schedule in cases]
+    runs.append((("--dataset", str(_multiclass_file(tmp_path)), "--objective",
+                  "net", "--optimizer", "svrg2", "--batch-size", "2",
+                  "--passes", "11", "--config", str(net_config)),
+                 {"accounting", "batch_size", "dataset", "lam", "net",
+                  "objective", "optimizer", "passes", "seed"},
+                 svrg | {"eta"}))
+    out = tmp_path / "trace.csv"
+    for args, config, schedule in runs:
+        assert main(["train", *args, "--out", str(out)]) == 0, args
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# config: "), args
+        assert set(json.loads(lines[0][len("# config: "):])) == config, args
+        assert set(schedule_echo(out)) == schedule, args
+
+
 @settings(max_examples=60, deadline=None)
 @given(optimizer=st.sampled_from(["gd", "sgd", "svrg1", "svrg2"]),
        n=st.integers(4, 24), b=st.integers(1, 6),
@@ -457,11 +560,18 @@ class TestTrain:
        accounting=st.sampled_from(["auto", "stored", "recompute"]),
        seed=st.integers(0, 3))
 def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
+    # Each setting where its optimizer reads it: gd reads neither a batch
+    # size nor eval_every, and only SVRG reads accounting.
+    if optimizer == "gd":
+        b = eval_every = None
+    else:
+        b = min(b, n)
     if optimizer in ("gd", "sgd"):
-        accounting = "auto"     # an SVRG setting
+        accounting = "auto"
     cfg = RunConfig(synthetic={"n": n, "d": 3, "seed": seed},
-                    optimizer=optimizer, batch_size=min(b, n), passes=budget,
-                    eval_every=eval_every, accounting=accounting, lam=1e-3,
+                    optimizer=optimizer, batch_size=b,
+                    passes=budget, eval_every=eval_every,
+                    accounting=accounting, lam=1e-3,
                     lr="constant:0.1" if optimizer == "sgd" else None,
                     seed=seed)
     rng = RandomSource(seed)
@@ -494,22 +604,27 @@ def determinism_cases(draw):
     n, d = draw(st.integers(2, 12)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     optimizer = draw(st.sampled_from(OPTIMIZERS))
-    accounting = draw(st.sampled_from(
-        ["auto", "recompute"] + (["stored"] if kind != "net" else [])))
-    if optimizer in ("gd", "sgd"):
-        accounting = "auto"     # an SVRG setting
+    # Each setting where the run reads it: loss for linear ERM, a batch
+    # size and eval_every for all but gd, accounting for SVRG.
+    reads = {}
+    if kind != "net":
+        reads["loss"] = draw(st.sampled_from(["sigmoid", "logistic",
+                                              "hinge:0.1"]))
+    if optimizer != "gd":
+        reads["batch_size"] = draw(st.integers(1, n))
+        reads["eval_every"] = draw(st.one_of(st.none(), st.integers(1, 3)))
+    if optimizer not in ("gd", "sgd"):
+        reads["accounting"] = draw(st.sampled_from(
+            ["auto", "recompute"] + (["stored"] if kind != "net" else [])))
     cfg = RunConfig(
         dataset=None if kind == "dense" else "in-memory",
         synthetic={"n": n, "d": d, "seed": draw(st.integers(0, 5))}
         if kind == "dense" else None,
         objective="net" if kind == "net" else "erm",
-        loss=draw(st.sampled_from(["sigmoid", "logistic", "hinge:0.1"])),
         lam=draw(st.sampled_from([0.0, 1e-3])), optimizer=optimizer,
-        batch_size=draw(st.integers(1, n)),
-        passes=draw(st.floats(1.0, 4.0)), accounting=accounting,
-        eval_every=draw(st.one_of(st.none(), st.integers(1, 3))),
+        passes=draw(st.floats(1.0, 4.0)),
         lr="constant:0.05" if optimizer == "sgd" else None,
-        seed=draw(st.integers(0, 3)))
+        seed=draw(st.integers(0, 3)), **reads)
     feats = rng.normal(size=(n, d))
     feats[rng.random((n, d)) < 0.3] = 0.0
     feats[0, d - 1] = 1.0                   # the largest column is d - 1
@@ -551,9 +666,7 @@ def test_same_data_config_and_seed_give_the_same_trace_bytes(case):
 
 
 def test_runtime_imports_no_scipy(small_file, tmp_path):
-    multiclass = tmp_path / "mc.libsvm"
-    multiclass.write_text("".join(f"{1 + i % 3} 1:{i}.5 2:-1.25\n"
-                                  for i in range(12)))
+    multiclass = _multiclass_file(tmp_path)
     tune = tmp_path / "tune.json"
     tune.write_text(json.dumps({"tune": {
         "passes": 1, "lambdas": [1e-3], "alphas": [0.1], "betas": [0.0]}}))
@@ -665,6 +778,27 @@ class TestTune:
             "tune": {"passes": 30, "lambdas": [0.0], "alphas": [1e7, 1e8],
                      "betas": [0.0]}}))
         assert run_cli("tune", "--config", str(cfg)) == 3
+
+    def test_grids_that_cannot_run_are_config_errors(self, small_file,
+                                                     tmp_path, capsys):
+        cfg = tmp_path / "tune.json"
+        grid = {"passes": 1, "lambdas": [1e-3], "alphas": [0.1],
+                "betas": [0.0]}
+        for top, tune, key in (({}, {"lambdas": []}, "tune.lambdas"),
+                               ({}, {"alphas": []}, "tune.alphas"),
+                               ({}, {"betas": []}, "tune.betas"),
+                               ({"smoothness": 5.0}, {}, "smoothness"),
+                               ({"lr": "constant:0.1"}, {}, "lr")):
+            cfg.write_text(json.dumps({"dataset": str(small_file),
+                                       "optimizer": "sgd", "batch_size": 4,
+                                       **top, "tune": {**grid, **tune}}))
+            assert run_cli("tune", "--config", str(cfg)) == 1, (top, tune)
+            assert key in capsys.readouterr().err, (top, tune)
+        # SVRG cells read the smoothness (their schedule's L)
+        cfg.write_text(json.dumps({"dataset": str(small_file),
+                                   "optimizer": "svrg1", "batch_size": 4,
+                                   "smoothness": 5.0, "tune": grid}))
+        assert run_cli("tune", "--config", str(cfg)) == 0
 
     def test_flip_fraction_reaches_training_cells(self, small_file, tmp_path):
         cfg = self.make_config(small_file, tmp_path, optimizer="sgd",

@@ -15,8 +15,8 @@ from svrgkit.optim import (AdaGradRate, ConstantRate,
                            DivergenceError, PolynomialRate, SvrgSchedule,
                            adagrad_step, beta_weights, default_svrg_params,
                            draw_epoch_stop, epoch_end_weights, gd_run,
-                           grad_dominated_drive, parse_rate, sgd_run,
-                           svrg_estimator, svrg_full_run, svrg_simple_run)
+                           parse_rate, sgd_run, svrg_estimator,
+                           svrg_full_run, svrg_simple_run)
 
 
 class TestBetaWeights:
@@ -544,46 +544,6 @@ class TestAdagrad:
                               lr=AdaGradRate(alpha=0.5))
         assert np.array_equal(res.output, rerun.output)
         assert res.final_value < obj.full_value_and_gradient(np.zeros(3))[0]
-
-
-class TestGradDominatedDrive:
-    def test_quadratic_halving(self):
-        # f(x) = x^2/2 is tau-gradient-dominated with tau = 1/2
-        obj = QuadraticObjective([1.0], dim=1)
-        res = grad_dominated_drive(obj, np.array([1.0]), tau=0.5, rounds=10,
-                                   rng=RandomSource(0))
-        assert res.final_value <= 2 ** -10 * 0.5 * 1.5
-
-    def test_single_round_equals_one_full_run(self):
-        obj = make_synthetic(12, 3, seed=11, lam=1e-2)
-        sched = default_svrg_params(obj.n, obj.smoothness)
-        drive = grad_dominated_drive(obj, np.zeros(3), tau=2.0, rounds=1,
-                                     rng=RandomSource(5), schedule=sched,
-                                     epochs_per_round=3)
-        direct = svrg_full_run(obj, np.zeros(3), sched, 3, 1,
-                               RandomSource(5).fork(0))
-        assert np.array_equal(drive.output, direct.output)
-
-    def test_round_objectives_non_increasing_in_median(self):
-        obj = make_synthetic(16, 3, seed=12, lam=1e-2)
-        sched = default_svrg_params(obj.n, obj.smoothness)
-        rounds = []
-        for seed in range(20):
-            res = grad_dominated_drive(obj, np.zeros(3), tau=1.0, rounds=3,
-                                       rng=RandomSource(seed), schedule=sched,
-                                       epochs_per_round=4)
-            rounds.append(res.round_values)
-        med = np.median(np.array(rounds), axis=0)
-        assert all(b <= a + 1e-12 for a, b in zip(med, med[1:]))
-
-    def test_rejects_bad_args(self):
-        obj = QuadraticObjective([1.0], dim=1)
-        with pytest.raises(ValueError):
-            grad_dominated_drive(obj, np.zeros(1), tau=0.0, rounds=1,
-                                 rng=RandomSource(0))
-        with pytest.raises(ValueError):
-            grad_dominated_drive(obj, np.zeros(1), tau=1.0, rounds=0,
-                                 rng=RandomSource(0))
 
 
 class TestParseRate:
