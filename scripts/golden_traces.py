@@ -48,6 +48,7 @@ SVRG2_VARIANTS = {
     "recompute-b4": ("--accounting", "recompute", "--batch-size", "4"),
     "poly": ("--lr", "poly:0.3,0.5"),
     "adagrad": ("--lr", "adagrad:0.3"),
+    "adagrad-default": ("--lr", "adagrad"),     # alpha = 1/L
     "evalevery1": ("--eval-every", "1"),
     "m0eqm": ("--m", "32", "--m0", "32"),
     "m0-4": ("--m", "32", "--m0", "4"),
@@ -60,7 +61,7 @@ def _train_runs() -> dict[str, tuple[str, ...]]:
     for tag, base, b in (("bundled", BUNDLED, "1"), ("synth", SYNTH, "4")):
         runs[f"{tag}-gd"] = base + ("--optimizer", "gd")
         base += ("--batch-size", b)
-        for opt in ("sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
+        for opt in ("sgd", "svrg1", "svrg2"):
             lr = ("--lr", "poly:0.3,0.5") if opt == "sgd" else ()
             runs[f"{tag}-{opt}"] = base + ("--optimizer", opt) + lr
         for name, extra in SVRG2_VARIANTS.items():

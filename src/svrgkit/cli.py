@@ -50,11 +50,12 @@ from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     svrg_full_run, svrg_simple_run)
 from .verify import run_verification
 
-OPTIMIZERS = ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4")
+OPTIMIZERS = ("gd", "sgd", "svrg1", "svrg2")
 TUNE_OPTIMIZERS = ("sgd", "svrg1", "svrg2")
 # Arrays sized by the input, 8 bytes an entry, stay within 1 GiB: an SVRG
-# epoch's m*b component indices, drawn at once, and a synthetic instance's
-# n*d features (with as many column indices).
+# epoch's m*b component indices, drawn at once, with the 3*m0 entries its
+# stop-draw weights take to build, and a synthetic instance's n*d features
+# (with as many column indices).
 _MAX_ENTRIES = 2 ** 27
 
 
@@ -108,7 +109,7 @@ class RunConfig:
     seed: int = 0
     accounting: str = "auto"
     smoothness: float | None = None
-    eval_every: int | None = None
+    eval_every: float | None = None
     net: dict = field(default_factory=dict)
     out: str | None = None
     wall_clock: bool = False
@@ -184,7 +185,7 @@ class RunConfig:
                 raise ConfigError(f"optimizer {self.optimizer} on objective "
                                   f"{self.objective} does not read {key}{when}")
         if self.batch_size is None and "batch_size" in _READS[self.optimizer]:
-            self.batch_size = 16 if self.optimizer == "svrg4" else 100
+            self.batch_size = 100
 
     def effective(self) -> dict:
         """Run semantics for the trace header: the set values of the
@@ -206,8 +207,8 @@ _RUN_TYPES = {key: typing.get_args(hint) or (hint,)
 _CONFIG_KEYS = {"lambda" if key == "lam" else key
                 for key in _RUN_KEYS if key != "wall_clock"} | {"tune"}
 # The settings each run reads: these, and its objective's and its
-# optimizer's rows below.  gd reads smoothness only without an lr; the SVRG
-# variants (OPTIMIZERS[2:]) read sgd's settings and their schedule's.
+# optimizer's rows below.  gd reads smoothness only without an lr; svrg1
+# and svrg2 (OPTIMIZERS[2:]) read sgd's settings and their schedule's.
 _ALWAYS_READ = ("optimizer", "passes", "seed", "objective", "lam", "dataset",
                 "synthetic")
 _READS = {"erm": ("loss", "flip_fraction"), "net": ("net",),
@@ -300,28 +301,43 @@ def _objective_smoothness(cfg: RunConfig, obj, rng: RandomSource) -> float:
         L = obj.estimate_smoothness(200, rng.fork(13))
     else:
         L = obj.smoothness
-    if not L > 0:
-        raise ConfigError(f"the data give a smoothness constant of {L} (all "
-                          "features zero, or one class); set --smoothness")
+    if not 0 < L < math.inf:
+        raise ConfigError(f"the data give a smoothness constant of {L}, not "
+                          "a positive finite one; set --smoothness")
     return L
 
 
-def _run_length(cfg: RunConfig, obj, m: int | None = None) -> int:
-    """cfg's pass budget as gd steps, sgd iterations, or SVRG epochs of m
-    steps (:func:`epochs_for_passes`); every run adds a final exact
-    evaluation on top."""
+def _inverse_smoothness(L: float, what: str) -> float:
+    """1/L as ``what``, a config error unless positive and finite."""
+    step = 1.0 / L
+    if not 0 < step < math.inf:
+        raise ConfigError(f"{what} 1/L is {step} at smoothness {L}; set --lr "
+                          "or --smoothness")
+    return step
+
+
+def _run_length(cfg: RunConfig, obj, m: int | None = None,
+                ) -> tuple[int, int | None]:
+    """cfg's pass budget and its eval_every, both in passes, as counts of
+    gd steps, sgd iterations, or SVRG epochs of m steps
+    (:func:`epochs_for_passes`): the run's length and its checkpoint
+    stride, at least one.  Every run adds a final exact evaluation on top."""
     if cfg.passes is None:
         raise ConfigError(f"{cfg.optimizer} needs a pass budget (passes)")
-    if cfg.optimizer == "gd":
-        count = round(cfg.passes)
-    elif cfg.optimizer == "sgd":
-        count = round(cfg.passes * obj.n / cfg.batch_size)
-    else:
-        count = epochs_for_passes(obj, cfg.passes, m, cfg.batch_size,
-                                  cfg.accounting)
-    if count < 1:
+
+    def count(passes: float) -> int:
+        if cfg.optimizer == "gd":
+            return round(passes)
+        if cfg.optimizer == "sgd":
+            return round(passes * obj.n / cfg.batch_size)
+        return epochs_for_passes(obj, passes, m, cfg.batch_size,
+                                 cfg.accounting)
+
+    length = count(cfg.passes)
+    if length < 1:
         raise ConfigError(f"passes={cfg.passes} buys no {cfg.optimizer} step")
-    return count
+    stride = max(1, count(cfg.eval_every)) if cfg.eval_every else None
+    return length, stride
 
 
 def run_configured(obj, cfg: RunConfig, rng: RandomSource,
@@ -340,51 +356,50 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
           else np.zeros(obj.dim))
 
     if cfg.optimizer == "gd":
-        steps = _run_length(cfg, obj)
+        steps, _ = _run_length(cfg, obj)
         if lr is not None and not isinstance(lr, ConstantRate):
             raise ConfigError(f"gd takes a constant step; lr must be "
                               f"constant:ETA, got {cfg.lr!r}")
-        meta["step"] = (lr.eta if lr is not None
-                        else 1.0 / _objective_smoothness(cfg, obj, rng))
+        meta["step"] = (lr.eta if lr is not None else _inverse_smoothness(
+            _objective_smoothness(cfg, obj, rng), "the step"))
         result = gd_run(obj, x0, steps, step=meta["step"])
     elif cfg.optimizer == "sgd":
-        iters = _run_length(cfg, obj)
+        iters, stride = _run_length(cfg, obj)
         if lr is None:
             raise ConfigError("sgd needs an lr spec")
-        result = sgd_run(obj, x0, iters, b, rng, lr,
-                         eval_every=cfg.eval_every)
+        if isinstance(lr, AdaGradRate) and lr.alpha is None:
+            raise ConfigError("sgd reads no smoothness, so an adagrad step "
+                              "needs its alpha: lr adagrad:ALPHA[,DELTA]")
+        result = sgd_run(obj, x0, iters, b, rng, lr, eval_every=stride)
         meta.update(batch_size=b, iterations=iters)
     else:
         L = _objective_smoothness(cfg, obj, rng)
         default_m = "5n/b" if cfg.objective == "net" else "n"
         m = _parse_m(cfg.m if cfg.m is not None else default_m, n, b)
-        steps = max(m, cfg.m0 or 1)     # m rounds up to a multiple of m0
-        if steps * b > _MAX_ENTRIES:
+        # m rounds up to a multiple of m0, and the default m0 is at most m
+        steps = max(m, cfg.m0 or 1)
+        if steps * b + 3 * (cfg.m0 or m) > _MAX_ENTRIES:
             raise ConfigError(f"an epoch of m={steps} steps at batch size "
-                              f"b={b} draws over {_MAX_ENTRIES} indices")
-        if cfg.optimizer in ("svrg3", "svrg4"):
-            if lr is None:
-                lr = AdaGradRate(alpha=1.0 / L)
-            elif not isinstance(lr, AdaGradRate):
-                raise ConfigError(f"{cfg.optimizer} scales its estimator "
-                                  "adaptively; lr must be adagrad:...")
-        eta = None
-        if isinstance(lr, ConstantRate):
-            # The schedule takes the constant step, so the echo below is
-            # the step the run takes.
-            eta, lr = lr.eta, None
-        schedule = default_svrg_params(n, L, m_override=m,
-                                       m0_override=cfg.m0, eta_override=eta)
-        epochs = _run_length(cfg, obj, schedule.m)
+                              f"b={b} and m0={cfg.m0 or 'at most m'} holds "
+                              f"over {_MAX_ENTRIES} entries: m*b indices and "
+                              "3*m0 stop-draw weights")
+        if isinstance(lr, AdaGradRate) and lr.alpha is None:
+            lr = replace(lr, alpha=_inverse_smoothness(L, "adagrad's alpha"))
+        try:
+            schedule = default_svrg_params(n, L, m_override=m,
+                                           m0_override=cfg.m0)
+        except ValueError as e:     # its step 1/(m0*L) left the floats
+            raise ConfigError(f"the theory step 1/(m0*L) at smoothness {L}: "
+                              f"{e}; set --smoothness") from None
+        epochs, stride = _run_length(cfg, obj, schedule.m)
         meta.update(batch_size=b, m=schedule.m, m0=schedule.m0,
                     d_sub=schedule.d_sub, theory_ok=schedule.theory_ok,
                     epochs=epochs)
-        if lr is None:      # the engine steps with the schedule's eta
-            meta["eta"] = schedule.eta
+        if lr is None or isinstance(lr, ConstantRate):  # the step in effect
+            meta["eta"] = schedule.eta if lr is None else lr.eta
         runner = svrg_simple_run if cfg.optimizer == "svrg1" else svrg_full_run
         result = runner(obj, x0, schedule, epochs, b, rng, lr=lr,
-                        accounting=cfg.accounting,
-                        eval_every_epochs=cfg.eval_every)
+                        accounting=cfg.accounting, eval_every_epochs=stride)
     return result, meta
 
 
@@ -678,17 +693,19 @@ def build_parser() -> _Parser:
     p_train.add_argument("--m0", type=int)
     p_train.add_argument("--lr",
                          help="step: constant:ETA, poly:ALPHA,BETA or "
-                              "adagrad:ALPHA[,DELTA]; gd takes constant "
-                              "(default 1/L), sgd needs one, svrg1/svrg2 "
-                              "default to 1/(m0*L), svrg3/svrg4 take "
-                              "adagrad (default adagrad:1/L)")
+                              "adagrad[:ALPHA[,DELTA]]; gd takes constant "
+                              "(default 1/L), sgd needs one (adagrad with "
+                              "its ALPHA), svrg1/svrg2 default to "
+                              "1/(m0*L) and a bare adagrad to ALPHA=1/L")
     p_train.add_argument("--accounting",
                          choices=("auto", "stored", "recompute"))
     p_train.add_argument("--smoothness", type=float)
-    p_train.add_argument("--eval-every", dest="eval_every", type=int,
-                         help="exact evaluation every N iterations (sgd) or "
-                              "N epochs (svrg); gd evaluates every step, and "
-                              "gd with --eval-every is a config error")
+    p_train.add_argument("--eval-every", dest="eval_every", type=float,
+                         help="exact evaluation every P passes, rounded as "
+                              "--passes is to whole sgd iterations or svrg "
+                              "epochs (at least one); gd evaluates every "
+                              "step, and gd with --eval-every is a config "
+                              "error")
     p_train.add_argument("--wall-clock", dest="wall_clock",
                          action="store_true",
                          help="write measured wall times into the trace "

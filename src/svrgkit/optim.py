@@ -111,7 +111,8 @@ class SvrgSchedule:
         if self.m % self.m0:
             raise ValueError(f"m0={self.m0} does not divide m={self.m}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"step length must be positive, got {self.eta}")
+            raise ValueError(f"step length must be positive and finite, "
+                             f"got {self.eta}")
         self.d_sub = self.m // self.m0
         self.end_probs = epoch_end_weights(self.m0)[1]
 
@@ -127,7 +128,6 @@ def _smallest_cube_ge(v: int) -> int:
 
 def default_svrg_params(n: int, L: float, m_override: int | None = None,
                         m0_override: int | None = None,
-                        eta_override: float | None = None,
                         theory_constant: int = 54) -> SvrgSchedule:
     """Theory-default schedule: m = n, smallest m0 with m0^3 >= C m^2,
     eta = 1/(m0*L); m is rounded up so m0 divides it.
@@ -164,8 +164,7 @@ def default_svrg_params(n: int, L: float, m_override: int | None = None,
             m0 = -(-m // d)
             m = d * m0
             theory_ok = m0 ** 3 >= theory_constant * m * m
-    eta = float(eta_override) if eta_override is not None else 1.0 / (m0 * L)
-    return SvrgSchedule(m, m0, eta, theory_ok)
+    return SvrgSchedule(m, m0, 1.0 / (m0 * L), theory_ok)
 
 
 def _check_step(name: str, value: float) -> None:
@@ -202,13 +201,17 @@ class PolynomialRate:
 
 @dataclass(frozen=True)
 class AdaGradRate:
-    """Per-coordinate adaptive scaling; delta guards the first divisions."""
+    """Per-coordinate adaptive scaling; delta guards the first divisions.
 
-    alpha: float
+    An alpha of None stands for 1/L; the caller fills it in once the
+    smoothness constant is known, before any runner takes the rate."""
+
+    alpha: float | None = None
     delta: float = 1e-8
 
     def __post_init__(self):
-        _check_step("alpha", self.alpha)
+        if self.alpha is not None:
+            _check_step("alpha", self.alpha)
         if not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
 
@@ -227,16 +230,16 @@ def adagrad_step(acc: np.ndarray, g: np.ndarray, alpha: float,
 
 
 def parse_rate(text: str):
-    """Parse 'constant:ETA', 'poly:ALPHA,BETA', 'adagrad:ALPHA[,DELTA]'."""
-    name, _, args = text.strip().partition(":")
-    parts = [p for p in args.split(",") if p] if args else []
+    """Parse 'constant:ETA', 'poly:ALPHA,BETA', 'adagrad[:ALPHA[,DELTA]]'."""
+    name, colon, args = text.strip().partition(":")
+    parts = args.split(",") if args else []
     if name == "constant":
         (eta,) = parts
         return ConstantRate(float(eta))
     if name == "poly":
         alpha, beta = parts
         return PolynomialRate(float(alpha), float(beta))
-    if name == "adagrad" and 1 <= len(parts) <= 2:
+    if name == "adagrad" and len(parts) <= 2 and (parts or not colon):
         return AdaGradRate(*(float(p) for p in parts))
     raise ValueError(f"cannot parse learning-rate spec {text!r}")
 

@@ -305,20 +305,21 @@ def test_11_pass_accounting_exact():
 
 def test_12_cli_train_determinism(tmp_path):
     mismatches = []
-    for opt in ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
+    for opt, lr in (("gd", None), ("sgd", "poly:0.3,0.5"), ("svrg1", None),
+                    ("svrg2", None), ("svrg2", "adagrad")):
         extra = [] if opt == "gd" else ["--batch-size", "4"]
-        if opt == "sgd":
-            extra += ["--lr", "poly:0.3,0.5"]
+        if lr:
+            extra += ["--lr", lr]
         blobs = []
         for tag in "ab":
-            out = tmp_path / f"{opt}_{tag}.csv"
+            out = tmp_path / f"{opt}_{lr}_{tag}.csv"
             rc = main(["train", "--synthetic", "128,4,1", "--optimizer",
                        opt, "--passes", "8", "--seed", "3",
                        "--lambda", "1e-3", "--out", str(out), *extra])
             assert rc == 0
             blobs.append(out.read_bytes())
         if blobs[0] != blobs[1]:
-            mismatches.append(opt)
+            mismatches.append(" ".join(filter(None, (opt, lr))))
     report(12, not mismatches,
-           f"byte-identical trace reruns for all optimizers "
-           f"(mismatches: {mismatches or 'none'})")
+           f"byte-identical trace reruns for all optimizers and AdaGrad "
+           f"SVRG (mismatches: {mismatches or 'none'})")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svrgkit import cli
+from svrgkit import cli, optim
 from svrgkit.cli import (OPTIMIZERS, ConfigError, RunConfig, TuneCell,
                          build_objective, build_parser, main, run_configured,
                          select_step_winners)
@@ -128,13 +128,15 @@ class TestTrain:
         assert read_trace(out)[0].grad_norm_sq > 1e-8
 
     def test_rerun_byte_identical_every_optimizer(self, tmp_path):
-        for opt in ("gd", "sgd", "svrg1", "svrg2", "svrg3", "svrg4"):
+        for opt, lr in (("gd", None), ("sgd", "poly:0.3,0.5"),
+                        ("svrg1", None), ("svrg2", None),
+                        ("svrg2", "adagrad")):
             extra = [] if opt == "gd" else ["--batch-size", "4"]
-            if opt == "sgd":
-                extra += ["--lr", "poly:0.3,0.5"]
+            if lr:
+                extra += ["--lr", lr]
             outs = []
             for tag in "ab":
-                out = tmp_path / f"{opt}_{tag}.csv"
+                out = tmp_path / f"{opt}_{lr}_{tag}.csv"
                 rc = run_cli("train", "--synthetic", "64,4,1",
                              "--optimizer", opt, "--passes", "8",
                              "--seed", "3", "--lambda", "1e-3",
@@ -198,7 +200,15 @@ class TestTrain:
                          ("passes", ("sgd", "--lr", "constant:0.1",
                                      "--passes", "inf")),
                          ("lambda", ("gd", "--lambda", "inf", "--passes",
-                                     "2"))):
+                                     "2")),
+                         # AdaGrad SVRG is svrg2 --lr adagrad, and sgd reads
+                         # no smoothness, so its adagrad needs an alpha
+                         ("svrg3", ("svrg3", "--batch-size", "2",
+                                    "--passes", "2")),
+                         ("svrg4", ("svrg4", "--passes", "2")),
+                         ("adagrad:ALPHA", ("sgd", "--lr", "adagrad",
+                                            "--batch-size", "2",
+                                            "--passes", "1"))):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
             assert key in capsys.readouterr().err, bad
@@ -262,7 +272,7 @@ class TestTrain:
                           ({}, {"train_fraction": 1.0}),
                           ({"passes": 2}, {}), ({"iterations": 5}, {}),
                           ({"epochs": 1}, {}), ({"steps": 3}, {}),
-                          ({"optimizer": "svrg3"}, {})):
+                          ({"optimizer": "gd"}, {})):
             cfg = tmp_path / "tune.json"
             cfg.write_text(json.dumps({
                 "dataset": str(small_file), "optimizer": "sgd", **top,
@@ -282,7 +292,8 @@ class TestTrain:
                          ("batch_size", {"batch_size": True}),
                          ("lambda", {"lambda": "0.1"}), ("m", {"m": 2.5}),
                          ("net.hidden", {"net": {"hidden": 2.5}}),
-                         ("hiden", {"net": {"hiden": 4}})):
+                         ("hiden", {"net": {"hiden": 4}}),
+                         ("svrg4", {"optimizer": "svrg4"})):
             cfg = tmp_path / "train.json"
             cfg.write_text(json.dumps({**train, **bad}))
             assert run_cli("train", "--config", str(cfg)) == 1, bad
@@ -383,8 +394,8 @@ class TestTrain:
         assert run_cli(*argv, "--lr", "constant:0.5") == 0
         echo = schedule_echo(out)
         assert echo["eta"] == 0.5
-        # The run steps with the echoed float, exactly as a ConstantRate
-        # over the theory schedule does.
+        # The run steps with the echoed ConstantRate over the theory
+        # schedule.
         sched = default_svrg_params(64, obj.smoothness, m_override=64)
         result = svrg_full_run(obj, np.zeros(3), sched, echo["epochs"], 1,
                                RandomSource(2), lr=ConstantRate(0.5))
@@ -435,6 +446,54 @@ class TestTrain:
             RunConfig(synthetic={"n": (cli._MAX_ENTRIES >> 14) + 1,
                                  "d": 2 ** 14, "seed": 0}, optimizer="gd")
 
+    def test_stop_draw_weights_count_toward_the_epoch_bound(
+            self, capsys, monkeypatch):
+        # An m*b index block within the bound, whose 3*m0 stop-draw
+        # weights take the epoch over it: with m0 given, and with the
+        # default m0 (at most m).  The check allocates nothing.
+        def allocate(m0):
+            raise AssertionError(f"epoch_end_weights({m0}) was called")
+
+        monkeypatch.setattr(optim, "epoch_end_weights", allocate)
+        half, quarter = cli._MAX_ENTRIES // 2, cli._MAX_ENTRIES // 4
+        for flag, value in (("--m0", half), ("--m", quarter + 1)):
+            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
+                           "svrg2", "--batch-size", "1", flag, str(value),
+                           "--passes", "1") == 1, flag
+            err = capsys.readouterr().err
+            assert f"m={value}" in err and "stop-draw weights" in err, err
+
+    def test_eval_every_counts_passes(self, tmp_path):
+        # --eval-every P checkpoints every P passes, turned into whole sgd
+        # iterations or SVRG epochs as --passes is, and at least one.  The
+        # trace's epoch column holds the iteration or epoch count.
+        out = tmp_path / "trace.csv"
+
+        def epochs(*argv):
+            assert run_cli("train", "--synthetic", "64,3,1", "--seed", "1",
+                           "--out", str(out), *argv) == 0, argv
+            return [r.epoch for r in read_trace(out)]
+
+        # sgd, n=64, b=4: 16 iterations a pass, 32 in the run
+        sgd = ("--optimizer", "sgd", "--lr", "constant:0.1",
+               "--batch-size", "4", "--passes", "2")
+        assert epochs(*sgd, "--eval-every", "0.5") == [8, 16, 24, 32]
+        assert epochs(*sgd, "--eval-every", "0.01") == list(range(1, 33))
+        # stored references at b=1, m=n: 2 passes an epoch, 6 epochs
+        stored = ("--optimizer", "svrg2", "--batch-size", "1",
+                  "--passes", "12")
+        assert epochs(*stored) == [0, 1, 2, 3, 4, 5, 6]
+        assert epochs(*stored, "--eval-every", "4") == [
+            0, 1, 2, 2, 3, 4, 4, 5, 6]
+        # recomputed references: 3 passes an epoch, 4 epochs; 5.9 passes
+        # round down to one epoch, and 0.5 up to the least stride
+        recompute = ("--optimizer", "svrg1", "--batch-size", "1",
+                     "--accounting", "recompute", "--passes", "12")
+        assert epochs(*recompute, "--eval-every", "6") == [0, 1, 2, 2, 3, 4]
+        for every in ("5.9", "0.5"):
+            assert epochs(*recompute, "--eval-every", every) == [
+                0, 1, 1, 2, 2, 3, 3, 4], every
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, capsys):
         rc = run_cli("train", "--synthetic", "32,3,1", "--optimizer", "sgd",
@@ -451,6 +510,60 @@ class TestTrain:
         assert rc == 0
         walls = [r.wall_seconds for r in read_trace(out)]
         assert any(w > 0 for w in walls)
+
+
+@pytest.mark.parametrize("smoothness", [None, "2"])
+def test_bare_adagrad_takes_alpha_one_over_l(smoothness, tmp_path):
+    obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind.sigmoid(),
+                       lam=1e-3)
+    L = obj.smoothness if smoothness is None else float(smoothness)
+    extra = () if smoothness is None else ("--smoothness", smoothness)
+    bodies = []
+    for lr in ("adagrad", f"adagrad:{1.0 / L!r}"):
+        out = tmp_path / "trace.csv"
+        assert run_cli("train", "--synthetic", "64,3,1", "--lambda", "1e-3",
+                       "--optimizer", "svrg2", "--batch-size", "1",
+                       "--passes", "6", "--seed", "2", "--lr", lr,
+                       "--out", str(out), *extra) == 0
+        bodies.append([line for line in out.read_text().splitlines()
+                       if not line.startswith("#")])
+    assert bodies[0] == bodies[1]
+
+
+# A smoothness constant or a step derived from it (1/L, 1/(m0*L), AdaGrad's
+# 1/L) that is not positive and finite: exit 1 naming the value and the
+# setting to change.  The dataset's row norms overflow to inf.
+_OVERFLOW_ROWS = "+1 1:1e200 2:1\n-1 1:2 2:1e200\n+1 1:1\n-1 2:1\n"
+_BAD_DERIVED = {
+    "svrg-tiny-smoothness": (("--synthetic", "64,3,1", "--optimizer", "svrg2",
+                              "--batch-size", "1", "--smoothness", "1e-320"),
+                             "inf", "--smoothness"),
+    "svrg-huge-lambda": (("--synthetic", "64,3,1", "--optimizer", "svrg2",
+                          "--batch-size", "1", "--lambda", "1e308"),
+                         "0.0", "--smoothness"),
+    "adagrad-tiny-smoothness": (("--synthetic", "64,3,1", "--optimizer",
+                                 "svrg2", "--batch-size", "1", "--lr",
+                                 "adagrad", "--smoothness", "1e-320"),
+                                "inf", "--lr"),
+    "gd-tiny-smoothness": (("--synthetic", "64,3,1", "--optimizer", "gd",
+                            "--smoothness", "1e-320"), "inf", "--lr"),
+    "svrg-overflowing-rows": (("--dataset", "{overflow}", "--optimizer",
+                               "svrg2", "--batch-size", "1"),
+                              "inf", "--smoothness"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_BAD_DERIVED))
+def test_derived_step_out_of_range_is_config_error(case, tmp_path, capsys):
+    argv, value, flag = _BAD_DERIVED[case]
+    overflow = tmp_path / "overflow.libsvm"
+    overflow.write_text(_OVERFLOW_ROWS)
+    assert main(["train", "--passes", "2",
+                 *(a.format(overflow=overflow) for a in argv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:"), err
+    assert value in re.findall(r"[\w.+-]+", err) and flag in err, err
 
 
 def _multiclass_file(tmp_path) -> Path:
@@ -529,10 +642,11 @@ def test_headers_echo_the_settings_each_run_reads(tmp_path):
         (("--optimizer", "svrg2", "--batch-size", "2", "--lr",
           "poly:0.3,0.5", "--m0", "2"),
          erm | {"accounting", "batch_size", "lr", "m0"}, svrg),
-        (("--optimizer", "svrg3", "--batch-size", "2"),
-         erm | {"accounting", "batch_size"}, svrg),
-        (("--optimizer", "svrg4", "--m", "2n"),
-         erm | {"accounting", "batch_size", "m"}, svrg),
+        (("--optimizer", "svrg2", "--batch-size", "2", "--lr", "adagrad"),
+         erm | {"accounting", "batch_size", "lr"}, svrg),
+        (("--optimizer", "svrg1", "--batch-size", "2", "--m", "2n", "--lr",
+          "constant:0.5"),
+         erm | {"accounting", "batch_size", "lr", "m"}, svrg | {"eta"}),
     ]
     synthetic = ("--synthetic", "32,2,1", "--passes", "4")
     runs = [(synthetic + args, config, schedule)
@@ -556,7 +670,7 @@ def test_headers_echo_the_settings_each_run_reads(tmp_path):
 @given(optimizer=st.sampled_from(["gd", "sgd", "svrg1", "svrg2"]),
        n=st.integers(4, 24), b=st.integers(1, 6),
        budget=st.floats(1.0, 8.0),
-       eval_every=st.one_of(st.none(), st.integers(1, 6)),
+       eval_every=st.one_of(st.none(), st.floats(0.1, 12.0)),
        accounting=st.sampled_from(["auto", "stored", "recompute"]),
        seed=st.integers(0, 3))
 def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
@@ -579,18 +693,22 @@ def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
     passes = [r.passes for r in result.trace]
     assert result.grad_evals / n == passes[-1]
     assert all(p < q for p, q in zip(passes, passes[1:]))
-    # Every exact evaluation (checkpoint, snapshot, final point) is a pass.
+    # Every exact evaluation (checkpoint, snapshot, final point) is a pass;
+    # eval_every is in passes, rounded as the budget is to whole iterations
+    # or epochs, and at least one.
     if optimizer == "gd":
         checkpoints = round(budget) + 1
         inner = 0
     elif optimizer == "sgd":
         iterations = meta["iterations"]
-        checkpoints = (iterations - 1) // eval_every + 1 if eval_every else 1
+        stride = eval_every and max(1, round(eval_every * n / b))
+        checkpoints = (iterations - 1) // stride + 1 if stride else 1
         inner = iterations * cfg.batch_size
     else:
         epochs, cost = meta["epochs"], 2 if accounting == "recompute" else 1
-        checkpoints = epochs + 1 + ((epochs - 1) // eval_every
-                                    if eval_every else 0)
+        per_epoch = 1 + meta["m"] * b * cost / n
+        stride = eval_every and max(1, int(eval_every // per_epoch))
+        checkpoints = epochs + 1 + ((epochs - 1) // stride if stride else 0)
         inner = epochs * meta["m"] * cfg.batch_size * cost
     assert len(passes) == checkpoints
     assert result.grad_evals == checkpoints * n + inner
@@ -971,6 +1089,25 @@ def test_readme_flag_rows_match_the_parser():
                    if option not in ("-h", "--help")]
         assert sorted(re.findall(r"--[a-z][a-z0-9-]*", row)) == sorted(
             defined), command
+
+
+def test_readme_optimizers_and_settings_match_the_code():
+    readme = (SRC.parent / "README.md").read_text()
+    names = re.search(r"^Optimizer names: (.*?)\.\s", readme,
+                      re.M | re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", names)) == OPTIMIZERS
+    # "Settings each run reads": one row per name of cli._READS, after the
+    # row of cli._ALWAYS_READ; the config file spells lam as "lambda".
+    table = readme.split("| run | reads |\n|---|---|\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines():
+        run, reads = line.strip("|").split("|")
+        keys = {"lam" if key == "lambda" else key
+                for key in re.findall(r"`(\w+)`", reads)}
+        for name in re.findall(r"`(\w+)`", run) or [run.strip()]:
+            rows[name] = keys
+    assert rows.pop("every run") == set(cli._ALWAYS_READ)
+    assert rows == {name: set(keys) for name, keys in cli._READS.items()}
 
 
 class TestDatasetCommands:

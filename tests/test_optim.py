@@ -552,11 +552,15 @@ class TestParseRate:
         assert parse_rate("poly:0.1,0.3") == PolynomialRate(0.1, 0.3)
         assert parse_rate("adagrad:2.0") == AdaGradRate(2.0, 1e-8)
         assert parse_rate("adagrad:2.0,1e-6") == AdaGradRate(2.0, 1e-6)
+        # a bare adagrad leaves alpha to the caller, which sets 1/L
+        assert parse_rate("adagrad") == AdaGradRate(None, 1e-8)
 
     def test_rejects_unknown(self):
         for bad in ("momentum:0.9", "poly:0.1", "poly:0.1,0.3,grow",
                     "constant:", "adagrad:", "adagrad:abc", "constant:0",
                     "constant:-1", "constant:inf", "poly:0,0.5",
-                    "poly:0.1,-0.5", "adagrad:-1", "adagrad:0.1,-1e-8"):
+                    "poly:0.1,-0.5", "adagrad:-1", "adagrad:0.1,-1e-8",
+                    # an empty field is no value, not a shifted one
+                    "adagrad:,1e-6", "constant:,0.1", "adagrad:0.1,"):
             with pytest.raises(ValueError):
                 parse_rate(bad)
