@@ -21,7 +21,7 @@ from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     beta_weights, default_svrg_params, draw_epoch_stop,
                     epoch_end_weights, epochs_for_passes, gd_run,
                     parse_rate, sgd_run, svrg_estimator, svrg_full_run,
-                    svrg_simple_run)
+                    svrg_simple_run, theory_step)
 from .verify import (SlopeFit, epoch_variance_aggregate, exact_variance,
                      fd_gradient, fit_rate_slope, smoothness_probe)
 

@@ -47,7 +47,7 @@ from .objectives import ErmObjective, TwoLayerNet, synthetic_dataset
 from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     PolynomialRate, RunResult, default_svrg_params,
                     epochs_for_passes, gd_run, parse_rate, sgd_run,
-                    svrg_full_run, svrg_simple_run)
+                    svrg_full_run, svrg_simple_run, theory_step)
 from .verify import run_verification
 
 OPTIMIZERS = ("gd", "sgd", "svrg1", "svrg2")
@@ -134,6 +134,10 @@ class RunConfig:
             raise ConfigError(f"bad lr {self.lr!r}: {e}") from None
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer == "gd" and not isinstance(
+                self.rate, (ConstantRate, type(None))):
+            raise ConfigError(f"gd takes a constant step; lr must be "
+                              f"constant:ETA, got {self.lr!r}")
         if self.objective not in ("erm", "net"):
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.accounting not in ("auto", "stored", "recompute"):
@@ -187,13 +191,19 @@ class RunConfig:
         if self.batch_size is None and "batch_size" in _READS[self.optimizer]:
             self.batch_size = 100
 
+    def steps_from_smoothness(self) -> bool:
+        """Whether a step comes from the smoothness L: gd's 1/L or SVRG's
+        1/(m0*L) without an lr, or a bare adagrad's alpha 1/L."""
+        return "smoothness" in _READS[self.optimizer] and self.rate in (
+            None, AdaGradRate())
+
     def effective(self) -> dict:
         """Run semantics for the trace header: the set values of the
         settings the run reads (:data:`_READS`), and no other."""
-        unread = "smoothness" if self.optimizer == "gd" and self.lr else None
         return {key: getattr(self, key) for key in
                 _ALWAYS_READ + _READS[self.objective] + _READS[self.optimizer]
-                if key != unread and getattr(self, key) not in (None, {})}
+                if getattr(self, key) not in (None, {}) and (
+                    key != "smoothness" or self.steps_from_smoothness())}
 
 
 # RunConfig's settable fields, which are also the flag destinations; the
@@ -207,8 +217,9 @@ _RUN_TYPES = {key: typing.get_args(hint) or (hint,)
 _CONFIG_KEYS = {"lambda" if key == "lam" else key
                 for key in _RUN_KEYS if key != "wall_clock"} | {"tune"}
 # The settings each run reads: these, and its objective's and its
-# optimizer's rows below.  gd reads smoothness only without an lr; svrg1
-# and svrg2 (OPTIMIZERS[2:]) read sgd's settings and their schedule's.
+# optimizer's rows below.  svrg1 and svrg2 (OPTIMIZERS[2:]) read sgd's
+# settings and their schedule's.  gd, svrg1 and svrg2 read smoothness only
+# where a step comes from it (RunConfig.steps_from_smoothness).
 _ALWAYS_READ = ("optimizer", "passes", "seed", "objective", "lam", "dataset",
                 "synthetic")
 _READS = {"erm": ("loss", "flip_fraction"), "net": ("net",),
@@ -257,22 +268,20 @@ def _check_synthetic_size(n: int, d: int) -> None:
 
 
 def _parse_m(expr, n: int, b: int) -> int:
-    """m is a positive int or an expression 'n', '2n', '5n/b', ..."""
-    if expr is None:
-        return n
-    text = str(expr).strip()
-    if text.isdigit():
-        if int(text) < 1:
-            raise ConfigError(f"m must be positive, got {expr!r}")
-        return int(text)
-    match = re.fullmatch(r"(\d*)n(/b)?", text)
-    if not match:
+    """m is a positive int or an expression 'n', '2n', '5n/b', ...: ASCII
+    [0-9]+, [0-9]*n or [0-9]*n/b.  A coefficient of over 18 digits is a
+    config error here, as any m over _MAX_ENTRIES is later."""
+    match = re.fullmatch(r"([0-9]*)(n(/b)?)?", str(expr).strip())
+    if not match or not any(match.groups()):
         raise ConfigError(f"cannot parse m expression {expr!r}")
-    coef = int(match.group(1)) if match.group(1) else 1
+    if len(match.group(1)) > 18:
+        raise ConfigError(f"m {expr!r} is over {_MAX_ENTRIES} steps")
+    coef = int(match.group(1) or 1)
     if coef < 1:
         raise ConfigError(f"m must be positive, got {expr!r}")
-    m = coef * n / (b if match.group(2) else 1)
-    return max(1, round(m))
+    if not match.group(2):
+        return coef
+    return max(1, round(coef * n / (b if match.group(3) else 1)))
 
 
 def build_objective(cfg: RunConfig, rng: RandomSource):
@@ -294,26 +303,26 @@ def build_objective(cfg: RunConfig, rng: RandomSource):
                        class_count=classes, lam=cfg.lam)
 
 
-def _objective_smoothness(cfg: RunConfig, obj, rng: RandomSource) -> float:
-    if cfg.smoothness is not None:
-        return cfg.smoothness
-    if isinstance(obj, TwoLayerNet):
-        L = obj.estimate_smoothness(200, rng.fork(13))
-    else:
-        L = obj.smoothness
-    if not 0 < L < math.inf:
-        raise ConfigError(f"the data give a smoothness constant of {L}, not "
-                          "a positive finite one; set --smoothness")
-    return L
-
-
-def _inverse_smoothness(L: float, what: str) -> float:
-    """1/L as ``what``, a config error unless positive and finite."""
-    step = 1.0 / L
+def _smoothness_rate(cfg: RunConfig, obj, rng: RandomSource, schedule):
+    """cfg's rate with the step that comes from the smoothness L: a bare
+    adagrad's alpha 1/L, else SVRG's :func:`theory_step` 1/(m0*L) or gd's
+    1/L, a config error unless positive and finite.  The one place a run
+    computes L; for a network that is a probe of component pairs."""
+    L = cfg.smoothness
+    if L is None:
+        L = (obj.estimate_smoothness(200, rng.fork(13))
+             if isinstance(obj, TwoLayerNet) else obj.smoothness)
+        if not 0 < L < math.inf:
+            raise ConfigError(f"the data give a smoothness constant of {L}, "
+                              "not a positive finite one; set --smoothness")
+    theory = schedule is not None and cfg.rate is None
+    step = theory_step(schedule, L) if theory else 1.0 / L
     if not 0 < step < math.inf:
-        raise ConfigError(f"{what} 1/L is {step} at smoothness {L}; set --lr "
-                          "or --smoothness")
-    return step
+        raise ConfigError(f"the step {'1/(m0*L)' if theory else '1/L'} is "
+                          f"{step} at smoothness {L}; set --lr or "
+                          "--smoothness")
+    return ConstantRate(step) if cfg.rate is None else replace(cfg.rate,
+                                                               alpha=step)
 
 
 def _run_length(cfg: RunConfig, obj, m: int | None = None,
@@ -325,18 +334,23 @@ def _run_length(cfg: RunConfig, obj, m: int | None = None,
     if cfg.passes is None:
         raise ConfigError(f"{cfg.optimizer} needs a pass budget (passes)")
 
-    def count(passes: float) -> int:
+    def count(key: str) -> int:
+        passes = getattr(cfg, key)
         if cfg.optimizer == "gd":
             return round(passes)
-        if cfg.optimizer == "sgd":
-            return round(passes * obj.n / cfg.batch_size)
-        return epochs_for_passes(obj, passes, m, cfg.batch_size,
-                                 cfg.accounting)
+        if cfg.optimizer != "sgd":
+            return epochs_for_passes(obj, passes, m, cfg.batch_size,
+                                     cfg.accounting)
+        iterations = passes * obj.n / cfg.batch_size
+        if iterations == math.inf:
+            raise ConfigError(f"{key}={passes} is more sgd iterations than "
+                              "a float holds")
+        return round(iterations)
 
-    length = count(cfg.passes)
+    length = count("passes")
     if length < 1:
         raise ConfigError(f"passes={cfg.passes} buys no {cfg.optimizer} step")
-    stride = max(1, count(cfg.eval_every)) if cfg.eval_every else None
+    stride = max(1, count("eval_every")) if cfg.eval_every else None
     return length, stride
 
 
@@ -350,19 +364,28 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
     n, b = obj.n, cfg.batch_size
     if b is not None and b > n:
         raise ConfigError(f"batch_size {b} exceeds n={n}")
-    lr = cfg.rate
     meta: dict = {"n": n, "dim": obj.dim}
     x0 = (obj.initial_point(rng.fork(17)) if isinstance(obj, TwoLayerNet)
           else np.zeros(obj.dim))
+    schedule = None
+    if "m" in _READS[cfg.optimizer]:
+        default_m = "5n/b" if cfg.objective == "net" else "n"
+        m = _parse_m(cfg.m if cfg.m is not None else default_m, n, b)
+        # m rounds up to a multiple of m0, and the default m0 is at most m
+        steps = max(m, cfg.m0 or 1)
+        if steps * b + 3 * (cfg.m0 or m) > _MAX_ENTRIES:
+            raise ConfigError(f"an epoch of m={steps} steps at batch size "
+                              f"b={b} and m0={cfg.m0 or 'at most m'} holds "
+                              f"over {_MAX_ENTRIES} entries: m*b indices and "
+                              "3*m0 stop-draw weights")
+        schedule = default_svrg_params(n, m_override=m, m0_override=cfg.m0)
+    lr = (_smoothness_rate(cfg, obj, rng, schedule)
+          if cfg.steps_from_smoothness() else cfg.rate)
 
     if cfg.optimizer == "gd":
         steps, _ = _run_length(cfg, obj)
-        if lr is not None and not isinstance(lr, ConstantRate):
-            raise ConfigError(f"gd takes a constant step; lr must be "
-                              f"constant:ETA, got {cfg.lr!r}")
-        meta["step"] = (lr.eta if lr is not None else _inverse_smoothness(
-            _objective_smoothness(cfg, obj, rng), "the step"))
-        result = gd_run(obj, x0, steps, step=meta["step"])
+        meta["step"] = lr.eta
+        result = gd_run(obj, x0, steps, step=lr.eta)
     elif cfg.optimizer == "sgd":
         iters, stride = _run_length(cfg, obj)
         if lr is None:
@@ -373,30 +396,12 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
         result = sgd_run(obj, x0, iters, b, rng, lr, eval_every=stride)
         meta.update(batch_size=b, iterations=iters)
     else:
-        L = _objective_smoothness(cfg, obj, rng)
-        default_m = "5n/b" if cfg.objective == "net" else "n"
-        m = _parse_m(cfg.m if cfg.m is not None else default_m, n, b)
-        # m rounds up to a multiple of m0, and the default m0 is at most m
-        steps = max(m, cfg.m0 or 1)
-        if steps * b + 3 * (cfg.m0 or m) > _MAX_ENTRIES:
-            raise ConfigError(f"an epoch of m={steps} steps at batch size "
-                              f"b={b} and m0={cfg.m0 or 'at most m'} holds "
-                              f"over {_MAX_ENTRIES} entries: m*b indices and "
-                              "3*m0 stop-draw weights")
-        if isinstance(lr, AdaGradRate) and lr.alpha is None:
-            lr = replace(lr, alpha=_inverse_smoothness(L, "adagrad's alpha"))
-        try:
-            schedule = default_svrg_params(n, L, m_override=m,
-                                           m0_override=cfg.m0)
-        except ValueError as e:     # its step 1/(m0*L) left the floats
-            raise ConfigError(f"the theory step 1/(m0*L) at smoothness {L}: "
-                              f"{e}; set --smoothness") from None
         epochs, stride = _run_length(cfg, obj, schedule.m)
         meta.update(batch_size=b, m=schedule.m, m0=schedule.m0,
                     d_sub=schedule.d_sub, theory_ok=schedule.theory_ok,
                     epochs=epochs)
-        if lr is None or isinstance(lr, ConstantRate):  # the step in effect
-            meta["eta"] = schedule.eta if lr is None else lr.eta
+        if isinstance(lr, ConstantRate):    # the step in effect
+            meta["eta"] = lr.eta
         runner = svrg_simple_run if cfg.optimizer == "svrg1" else svrg_full_run
         result = runner(obj, x0, schedule, epochs, b, rng, lr=lr,
                         accounting=cfg.accounting, eval_every_epochs=stride)
@@ -699,7 +704,11 @@ def build_parser() -> _Parser:
                               "1/(m0*L) and a bare adagrad to ALPHA=1/L")
     p_train.add_argument("--accounting",
                          choices=("auto", "stored", "recompute"))
-    p_train.add_argument("--smoothness", type=float)
+    p_train.add_argument("--smoothness", type=float,
+                         help="the smoothness L in place of the data's "
+                              "(a network's is probed); read only where a "
+                              "step comes from it: gd or svrg1/svrg2 "
+                              "without --lr, or a bare --lr adagrad")
     p_train.add_argument("--eval-every", dest="eval_every", type=float,
                          help="exact evaluation every P passes, rounded as "
                               "--passes is to whole sgd iterations or svrg "

@@ -94,13 +94,13 @@ def epoch_end_weights(m0: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SvrgSchedule:
-    """Epoch geometry and step length for the variance-reduced runners:
-    d_sub = m/m0 sub-epochs per epoch, and the stopping-draw probabilities
-    ``end_probs`` of :func:`epoch_end_weights`."""
+    """Epoch geometry of the variance-reduced runners: d_sub = m/m0
+    sub-epochs per epoch, and the stopping-draw probabilities
+    ``end_probs`` of :func:`epoch_end_weights`.  The step is the runner's
+    rate; :func:`theory_step` gives the paper's."""
 
     m: int
     m0: int
-    eta: float
     theory_ok: bool
     d_sub: int = field(init=False)
     end_probs: np.ndarray = field(init=False)
@@ -110,9 +110,6 @@ class SvrgSchedule:
             raise ValueError("m and m0 must be >= 1")
         if self.m % self.m0:
             raise ValueError(f"m0={self.m0} does not divide m={self.m}")
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"step length must be positive and finite, "
-                             f"got {self.eta}")
         self.d_sub = self.m // self.m0
         self.end_probs = epoch_end_weights(self.m0)[1]
 
@@ -126,11 +123,11 @@ def _smallest_cube_ge(v: int) -> int:
     return c
 
 
-def default_svrg_params(n: int, L: float, m_override: int | None = None,
+def default_svrg_params(n: int, m_override: int | None = None,
                         m0_override: int | None = None,
                         theory_constant: int = 54) -> SvrgSchedule:
-    """Theory-default schedule: m = n, smallest m0 with m0^3 >= C m^2,
-    eta = 1/(m0*L); m is rounded up so m0 divides it.
+    """Theory-default schedule: m = n and the smallest m0 with
+    m0^3 >= C m^2; m is rounded up so m0 divides it.
 
     C defaults to the formal-proof constant 54; the looser sketch value 12
     yields shorter sub-epochs (larger step) and is selectable for speedup
@@ -139,9 +136,6 @@ def default_svrg_params(n: int, L: float, m_override: int | None = None,
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not (L > 0 and math.isfinite(L)):
-        raise ValueError(f"smoothness constant must be positive and finite, "
-                         f"got {L} (all-zero features or empty data?)")
     m = int(m_override) if m_override is not None else int(n)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -164,7 +158,16 @@ def default_svrg_params(n: int, L: float, m_override: int | None = None,
             m0 = -(-m // d)
             m = d * m0
             theory_ok = m0 ** 3 >= theory_constant * m * m
-    return SvrgSchedule(m, m0, 1.0 / (m0 * L), theory_ok)
+    return SvrgSchedule(m, m0, theory_ok)
+
+
+def theory_step(schedule: SvrgSchedule, L: float) -> float:
+    """The paper's SVRG step 1/(m0*L) at smoothness L; the runners step
+    with ``ConstantRate`` of it at ``obj.smoothness`` when given no rate."""
+    if not 0 < L < math.inf:
+        raise ValueError(f"smoothness constant must be positive and finite, "
+                         f"got {L} (all-zero features or empty data?)")
+    return 1.0 / (schedule.m0 * L)
 
 
 def _check_step(name: str, value: float) -> None:
@@ -266,8 +269,6 @@ class RunResult:
     output: np.ndarray
     trace: list[TraceRecord]
     grad_evals: int
-    final_value: float = math.nan
-    final_grad_norm_sq: float = math.nan
     probe_samples: list[ProbeSample] = field(default_factory=list)
     epoch_stops: list[int] = field(default_factory=list)
     evals_to_target: int | None = None
@@ -276,6 +277,19 @@ class RunResult:
     @property
     def passes(self) -> float:
         return self.trace[-1].passes if self.trace else 0.0
+
+    @property
+    def final_value(self) -> float:
+        """Objective at the last exact evaluation, the trace's last row,
+        which every runner makes right before it returns: at ``output`` for
+        gd, sgd and a run stopped on its target, but at the last iterate,
+        not ``output``, for an SVRG run that used its epochs."""
+        return self.trace[-1].objective
+
+    @property
+    def final_grad_norm_sq(self) -> float:
+        """Squared gradient norm at the evaluation of :attr:`final_value`."""
+        return self.trace[-1].grad_norm_sq
 
     def stationarity(self) -> float:
         """Mean exact squared gradient norm over eligible probed iterates."""
@@ -334,10 +348,9 @@ class _Ledger:
                                       time.perf_counter() - self.t0, epoch))
         return gns
 
-    def result(self, output, value: float, gns: float, **extra) -> RunResult:
+    def result(self, output, **extra) -> RunResult:
         return RunResult(output=output, trace=self.trace,
-                         grad_evals=self.evals, final_value=value,
-                         final_grad_norm_sq=gns, **extra)
+                         grad_evals=self.evals, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +417,10 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
         raise ValueError(f"batch size must be in 1..{obj.n}")
     if variant not in ("simple", "full"):
         raise ValueError(variant)
+    lr = lr or ConstantRate(theory_step(schedule, obj.smoothness))
     adagrad = lr if isinstance(lr, AdaGradRate) else None
     ada_acc = np.zeros(obj.dim) if adagrad else None
+    eta = lr.eta if isinstance(lr, ConstantRate) else None
     if record_iterates and (schedule.m + 1) * obj.dim > 1_000_000:
         raise ValueError("iterate recording is desk-scale only")
 
@@ -420,9 +435,8 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     step = np.empty(obj.dim)    # estimator output, scaled in place
     k_global = 0
 
-    def finish(output, value, gns, evals_to_target=None) -> RunResult:
-        return ledger.result(output, value, gns,
-                             probe_samples=probes, epoch_stops=stops,
+    def finish(output, evals_to_target=None) -> RunResult:
+        return ledger.result(output, probe_samples=probes, epoch_stops=stops,
                              evals_to_target=evals_to_target,
                              epoch_iterates=iterates)
 
@@ -435,8 +449,7 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
                                 f"epoch {s} snapshot")
         if target_grad_sq is not None and gns <= target_grad_sq:
             # The certifying evaluation is not part of producing the point.
-            return finish(x.copy(), cache.value, gns,
-                          evals_to_target=ledger.evals - n)
+            return finish(x.copy(), evals_to_target=ledger.evals - n)
         inner_cost = b if cache.mode == "stored" else 2 * b
 
         idx = rng.draw_indices(n, size=m * b).reshape(m, b)
@@ -468,14 +481,14 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
                     ledger.charge(k * inner_cost)
                     spent = ledger.evals
                     value, grad = obj.full_value_and_gradient(x)
-                    gns = ledger.checkpoint(value, grad, s, "final point")
-                    return finish(x.copy(), value, gns, evals_to_target=spent)
+                    ledger.checkpoint(value, grad, s, "final point")
+                    return finish(x.copy(), evals_to_target=spent)
             # Python ints: the objectives' row loops index with them.
             est = estimate(cache, x, idx[k].tolist(), out=step)
             if adagrad:
                 x -= adagrad_step(ada_acc, est, adagrad.alpha, adagrad.delta)
             else:
-                est *= schedule.eta if lr is None else lr.value(k_global, n)
+                est *= eta if eta is not None else lr.value(k_global, n)
                 x -= est
             if variant == "simple":
                 reservoir.feed(x, us[k])
@@ -500,9 +513,8 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
             ledger.checkpoint(value, grad, s, f"epoch {s} checkpoint")
 
     value, grad = obj.full_value_and_gradient(x)
-    gns = ledger.checkpoint(value, grad, epochs, "final point")
-    return finish(reservoir.pick if reservoir.pick is not None else x.copy(),
-                  value, gns)
+    ledger.checkpoint(value, grad, epochs, "final point")
+    return finish(reservoir.pick if reservoir.pick is not None else x.copy())
 
 
 def svrg_simple_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
@@ -511,7 +523,8 @@ def svrg_simple_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
                     record_iterates: bool = False, target_grad_sq=None,
                     eval_every_epochs=None) -> RunResult:
     """Variance-reduced epochs restarting at the last iterate; the returned
-    point is uniform over all post-update iterates."""
+    point is uniform over all post-update iterates.  Without an ``lr`` the
+    step is :func:`theory_step` at ``obj.smoothness``."""
     return _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng,
                         lr=lr, variant="simple", accounting=accounting,
                         probe_stride=probe_stride,
@@ -526,7 +539,8 @@ def svrg_full_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
                   record_iterates: bool = False, target_grad_sq=None,
                   eval_every_epochs=None) -> RunResult:
     """Variance-reduced epochs with the weighted epoch-end stopping draw and
-    a uniform reservoir output over all eligible iterates."""
+    a uniform reservoir output over all eligible iterates; the step defaults
+    as :func:`svrg_simple_run`'s does."""
     return _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng,
                         lr=lr, variant="full", accounting=accounting,
                         probe_stride=probe_stride,
@@ -558,10 +572,9 @@ def gd_run(obj, x_start, steps: int, step: float | None = None,
         if k == steps:
             break
         if target_grad_sq is not None and gns <= target_grad_sq:
-            return ledger.result(x, value, gns,
-                                 evals_to_target=ledger.evals - obj.n)
+            return ledger.result(x, evals_to_target=ledger.evals - obj.n)
         x = x - step * grad
-    return ledger.result(x, value, gns)
+    return ledger.result(x)
 
 
 def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
@@ -604,9 +617,8 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
                 gns = ledger.checkpoint(value, grad, k + 1,
                                         f"iteration {k + 1}")
                 if target_grad_sq is not None and gns <= target_grad_sq:
-                    return ledger.result(x, value, gns,
-                                         evals_to_target=ledger.evals - n)
+                    return ledger.result(x, evals_to_target=ledger.evals - n)
     value, grad = obj.full_value_and_gradient(x)
-    gns = ledger.checkpoint(value, grad, iterations, f"iteration {iterations}")
-    return ledger.result(x, value, gns)
+    ledger.checkpoint(value, grad, iterations, f"iteration {iterations}")
+    return ledger.result(x)
 

@@ -192,7 +192,7 @@ def run_verification(seed: int = 0, fault: str | None = None,
     worst = -math.inf
     for trial in range(3):
         obj = make_synthetic(24, 4, seed=200 + trial, lam=1e-3)
-        sched = default_svrg_params(obj.n, obj.smoothness, m0_override=6)
+        sched = default_svrg_params(obj.n, m0_override=6)
         res = svrg_simple_run(obj, np.zeros(obj.dim), sched, 1, 1,
                               RandomSource(trial), record_iterates=True)
         var, bound = epoch_variance_aggregate(obj, res.epoch_iterates[0],

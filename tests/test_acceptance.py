@@ -74,7 +74,7 @@ def test_03_epoch_variance_aggregate():
     worst = -math.inf
     for seed in range(20):
         obj = make_synthetic(20, 3, seed=seed, lam=1e-3)
-        sched = default_svrg_params(obj.n, obj.smoothness, m0_override=5)
+        sched = default_svrg_params(obj.n, m0_override=5)
         res = svrg_simple_run(obj, np.zeros(3), sched, epochs=1,
                               batch_size=1, rng=RandomSource(seed),
                               record_iterates=True)
@@ -102,7 +102,7 @@ def test_04_beta_weight_bounds():
 
 
 def test_05_stop_sampling_distribution():
-    sched = default_svrg_params(6, 1.0, m0_override=3)
+    sched = default_svrg_params(6, m0_override=3)
     rng = RandomSource(31)
     draws = np.array([draw_epoch_stop(rng, sched) for _ in range(100_000)])
     counts = [(draws == 6).sum(), (draws == 5).sum(), (draws == 4).sum()]
@@ -160,7 +160,7 @@ def rate_scaling_runs():
     obj = make_synthetic(4096, 20, seed=7, lam=1e-3)
     x0 = np.zeros(obj.dim)
     f0 = obj.full_value_and_gradient(x0)[0]
-    sched = default_svrg_params(obj.n, obj.smoothness)
+    sched = default_svrg_params(obj.n)
     probes = []
     f_best = f0
     for seed in range(10):
@@ -215,7 +215,7 @@ def test_08_svrg_beats_gd():
         gd = gd_run(obj, np.zeros(obj.dim), steps=20_000,
                     target_grad_sq=target)
         assert gd.evals_to_target is not None
-        sched = default_svrg_params(obj.n, obj.smoothness, theory_constant=12)
+        sched = default_svrg_params(obj.n, theory_constant=12)
         svrg_evals = [_evals_to_target(obj, sched, seed, target)
                       for seed in range(1, 11)]
         medians[n] = (float(np.median(svrg_evals)), float(gd.evals_to_target))
@@ -235,7 +235,7 @@ def test_10_erm_desk_scale_svrg_vs_sgd():
     n = obj.n
     x0 = np.zeros(obj.dim)
     alphas = default_alpha_grid(obj.smoothness)
-    sched = default_svrg_params(n, obj.smoothness, m_override=2 * n)
+    sched = default_svrg_params(n, m_override=2 * n)
     epochs = epochs_for_passes(obj, 50, sched.m, 1)
 
     def tuned_best(runner):
@@ -275,7 +275,7 @@ def test_11_pass_accounting_exact():
         epochs = int(rng.draw_index(3))
         mode = "stored" if trial % 2 == 0 else "recompute"
         obj = make_synthetic(n, 3, seed=trial, lam=1e-3)
-        sched = default_svrg_params(n, obj.smoothness, m0_override=m0)
+        sched = default_svrg_params(n, m0_override=m0)
         res = svrg_full_run(obj, np.zeros(3), sched, epochs, b,
                             RandomSource(trial), accounting=mode)
         m = sched.m

@@ -20,12 +20,13 @@ from svrgkit.cli import (OPTIMIZERS, ConfigError, RunConfig, TuneCell,
                          build_objective, build_parser, main, run_configured,
                          select_step_winners)
 from svrgkit.core import RandomSource
-from svrgkit.dataio import (Dataset, flip_labels, parse_libsvm, read_trace,
-                            split, write_trace)
+from svrgkit.dataio import (Dataset, bundled_dataset_path, flip_labels,
+                            parse_libsvm, read_trace, split, write_trace)
 from svrgkit.losses import LossKind
 from svrgkit.objectives import ErmObjective, TwoLayerNet, synthetic_dataset
 from svrgkit.optim import (ConstantRate, DivergenceError, default_svrg_params,
-                           gd_run, sgd_run, svrg_full_run)
+                           epochs_for_passes, gd_run, sgd_run, svrg_full_run,
+                           svrg_simple_run)
 from svrgkit.verify import run_verification
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -199,6 +200,13 @@ class TestTrain:
                          ("passes", ("gd", "--passes", "inf")),
                          ("passes", ("sgd", "--lr", "constant:0.1",
                                      "--passes", "inf")),
+                         # finite, but P*n/b iterations overflow a float
+                         ("passes", ("sgd", "--lr", "constant:0.1",
+                                     "--batch-size", "1", "--passes",
+                                     "1e308")),
+                         ("eval_every", ("sgd", "--lr", "constant:0.1",
+                                         "--batch-size", "1", "--passes",
+                                         "2", "--eval-every", "1e308")),
                          ("lambda", ("gd", "--lambda", "inf", "--passes",
                                      "2")),
                          # AdaGrad SVRG is svrg2 --lr adagrad, and sgd reads
@@ -396,7 +404,7 @@ class TestTrain:
         assert echo["eta"] == 0.5
         # The run steps with the echoed ConstantRate over the theory
         # schedule.
-        sched = default_svrg_params(64, obj.smoothness, m_override=64)
+        sched = default_svrg_params(64, m_override=64)
         result = svrg_full_run(obj, np.zeros(3), sched, echo["epochs"], 1,
                                RandomSource(2), lr=ConstantRate(0.5))
         assert read_trace(out) == [replace(r, wall_seconds=0.0)
@@ -519,12 +527,13 @@ def test_bare_adagrad_takes_alpha_one_over_l(smoothness, tmp_path):
     L = obj.smoothness if smoothness is None else float(smoothness)
     extra = () if smoothness is None else ("--smoothness", smoothness)
     bodies = []
-    for lr in ("adagrad", f"adagrad:{1.0 / L!r}"):
+    # Only the bare adagrad reads the smoothness.
+    for lr, more in (("adagrad", extra), (f"adagrad:{1.0 / L!r}", ())):
         out = tmp_path / "trace.csv"
         assert run_cli("train", "--synthetic", "64,3,1", "--lambda", "1e-3",
                        "--optimizer", "svrg2", "--batch-size", "1",
                        "--passes", "6", "--seed", "2", "--lr", lr,
-                       "--out", str(out), *extra) == 0
+                       "--out", str(out), *more) == 0
         bodies.append([line for line in out.read_text().splitlines()
                        if not line.startswith("#")])
     assert bodies[0] == bodies[1]
@@ -573,6 +582,41 @@ def _multiclass_file(tmp_path) -> Path:
     return path
 
 
+@pytest.mark.parametrize("optimizer,lr", [
+    ("gd", "constant:0.01"), ("sgd", "constant:0.01"),
+    ("svrg1", "constant:0.01"), ("svrg2", "constant:0.01"),
+    ("svrg2", "poly:0.01,0.5"), ("svrg2", "adagrad:0.01")])
+def test_network_with_an_lr_probes_no_smoothness(optimizer, lr, tmp_path,
+                                                 monkeypatch):
+    def no_probe(*args):
+        raise AssertionError("estimate_smoothness was called")
+
+    monkeypatch.setattr(TwoLayerNet, "estimate_smoothness", no_probe)
+    batch = () if optimizer == "gd" else ("--batch-size", "2")
+    assert main(["train", "--dataset", str(_multiclass_file(tmp_path)),
+                 "--objective", "net", "--optimizer", optimizer, "--lr", lr,
+                 "--passes", "11", *batch]) == 0
+
+
+_BAD_M = {"superscript-2": "\u00b2", "arabic-indic-3": "\u0663",
+          "arabic-indic-3n": "\u0663n", "superscript-in-n/b": "2\u00b2n/b",
+          "n/": "n/", "/b": "/b", "empty": "", "blank": " ", "1e3": "1e3",
+          "-2": "-2", "2n/c": "2n/c", "19-digits": "1" * 19,
+          "5000-digit-n": "1" * 5000 + "n"}
+
+
+@pytest.mark.parametrize("m", list(_BAD_M.values()), ids=list(_BAD_M))
+def test_m_takes_ascii_digits_only(m, capsys):
+    for argv in (["train", "--synthetic", "64,3,1", "--optimizer", "svrg1",
+                  "--batch-size", "1", "--passes", "2"],
+                 ["tune", "--dataset", str(bundled_dataset_path()),
+                  "--optimizer", "svrg1", "--batch-size", "1"]):
+        assert main(argv + ["--m", m]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "m" in err, err
+
+
+
 # Runs that succeed, and a key each does not read with a value that is not
 # its default: every (run, unread key) pair of the table of settings.
 _BASE_RUNS = {
@@ -586,6 +630,13 @@ _BASE_RUNS = {
     "net-svrg1": ("--dataset", "{mc}", "--objective", "net", "--optimizer",
                   "svrg1", "--passes", "11", "--batch-size", "2"),
 }
+# SVRG reads smoothness only where a step comes from it: not with an lr
+# other than a bare adagrad.
+_SVRG_LR = ("constant:0.1", "poly:0.3,0.5", "adagrad:0.1")
+_BASE_RUNS.update({f"{opt}-{lr.split(':')[0]}": (
+    "--synthetic", "16,2,1", "--optimizer", opt, "--passes", "2",
+    "--batch-size", "2", "--lr", lr) for opt in OPTIMIZERS[2:]
+    for lr in _SVRG_LR})
 _UNREAD = [
     ("net-svrg1", "flip_fraction", ("--flip-fraction", "0.1")),
     ("net-svrg1", "loss", ("--loss", "logistic")),
@@ -601,7 +652,8 @@ _UNREAD = [
     ("sgd", "m", ("--m", "5")),
     ("sgd", "m0", ("--m0", "2")),
     ("sgd", "accounting", ("--accounting", "stored")),
-]
+] + [(f"{opt}-{lr.split(':')[0]}", "smoothness", ("--smoothness", "5"))
+     for opt in OPTIMIZERS[2:] for lr in _SVRG_LR]
 
 
 @pytest.mark.parametrize("run,key,extra", _UNREAD,
@@ -644,6 +696,12 @@ def test_headers_echo_the_settings_each_run_reads(tmp_path):
          erm | {"accounting", "batch_size", "lr", "m0"}, svrg),
         (("--optimizer", "svrg2", "--batch-size", "2", "--lr", "adagrad"),
          erm | {"accounting", "batch_size", "lr"}, svrg),
+        # a step from the smoothness: the theory step, a bare adagrad's 1/L
+        (("--optimizer", "svrg2", "--batch-size", "2", "--smoothness", "5"),
+         erm | {"accounting", "batch_size", "smoothness"}, svrg | {"eta"}),
+        (("--optimizer", "svrg1", "--batch-size", "2", "--lr", "adagrad",
+          "--smoothness", "5"),
+         erm | {"accounting", "batch_size", "lr", "smoothness"}, svrg),
         (("--optimizer", "svrg1", "--batch-size", "2", "--m", "2n", "--lr",
           "constant:0.5"),
          erm | {"accounting", "batch_size", "lr", "m"}, svrg | {"eta"}),
@@ -912,11 +970,39 @@ class TestTune:
                                        **top, "tune": {**grid, **tune}}))
             assert run_cli("tune", "--config", str(cfg)) == 1, (top, tune)
             assert key in capsys.readouterr().err, (top, tune)
-        # SVRG cells read the smoothness (their schedule's L)
-        cfg.write_text(json.dumps({"dataset": str(small_file),
-                                   "optimizer": "svrg1", "batch_size": 4,
-                                   "smoothness": 5.0, "tune": grid}))
-        assert run_cli("tune", "--config", str(cfg)) == 0
+        # every cell steps with its grid rate, so SVRG cells read no
+        # smoothness either
+        for optimizer in ("svrg1", "svrg2"):
+            cfg.write_text(json.dumps({"dataset": str(small_file),
+                                       "optimizer": optimizer,
+                                       "batch_size": 4, "smoothness": 5.0,
+                                       "tune": grid}))
+            assert run_cli("tune", "--config", str(cfg)) == 1, optimizer
+            assert "smoothness" in capsys.readouterr().err, optimizer
+
+    @pytest.mark.parametrize("optimizer", ["svrg1", "svrg2"])
+    def test_svrg_cells_step_with_their_grid_rate(self, optimizer, small_file,
+                                                  tmp_path, monkeypatch):
+        def no_smoothness(*args):
+            raise AssertionError("a grid cell took a step from a smoothness")
+
+        monkeypatch.setattr(cli, "_smoothness_rate", no_smoothness)
+        cfg = self.make_config(small_file, tmp_path, optimizer=optimizer,
+                               extra_tune={"lambdas": [1e-2]})
+        log = tmp_path / "cells.csv"
+        assert run_cli("tune", "--config", str(cfg), "--out", str(log)) == 0
+        # cell 1 (alpha 0.5) replayed with ConstantRate(0.5) on the
+        # training split, m = 2n
+        train, _ = split(parse_libsvm(small_file), 0.8,
+                         RandomSource(4).fork(0))
+        obj = ErmObjective(train, LossKind.logistic(), lam=1e-2)
+        sched = default_svrg_params(obj.n, m_override=2 * obj.n)
+        runner = svrg_simple_run if optimizer == "svrg1" else svrg_full_run
+        result = runner(obj, np.zeros(obj.dim), sched,
+                        epochs_for_passes(obj, 6.0, sched.m, 1), 1,
+                        RandomSource(4, (1, 1)), lr=ConstantRate(0.5))
+        row = log.read_text().splitlines()[2].split(",")
+        assert (row[2], float(row[4])) == ("0.5", result.final_value)
 
     def test_flip_fraction_reaches_training_cells(self, small_file, tmp_path):
         cfg = self.make_config(small_file, tmp_path, optimizer="sgd",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,12 +12,12 @@ from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset
 from svrgkit.losses import LossKind
 from svrgkit.objectives import ErmObjective, QuadraticObjective, make_synthetic
-from svrgkit.optim import (AdaGradRate, ConstantRate,
-                           DivergenceError, PolynomialRate, SvrgSchedule,
+from svrgkit.optim import (AdaGradRate, ConstantRate, DivergenceError,
+                           PolynomialRate, RunResult, SvrgSchedule,
                            adagrad_step, beta_weights, default_svrg_params,
                            draw_epoch_stop, epoch_end_weights, gd_run,
                            parse_rate, sgd_run, svrg_estimator,
-                           svrg_full_run, svrg_simple_run)
+                           svrg_full_run, svrg_simple_run, theory_step)
 
 
 class TestBetaWeights:
@@ -73,39 +74,41 @@ class TestEpochEndWeights:
 
 class TestDefaultSvrgParams:
     def test_n1000_hand_values(self):
-        s = default_svrg_params(1000, 1.0)
+        s = default_svrg_params(1000)
         assert (s.m, s.m0, s.d_sub) == (1000, 500, 2)
-        assert math.isclose(s.eta, 1.0 / 500.0, rel_tol=1e-15)
+        assert theory_step(s, 1.0) == 1.0 / 500.0
         assert s.theory_ok
         # the cube search is exact at the boundary
         assert 377 ** 3 < 54 * 10 ** 6 <= 378 ** 3
 
     def test_tiny_n_clamps(self):
-        s = default_svrg_params(8, 2.0)
+        s = default_svrg_params(8)
         assert (s.m, s.m0, s.d_sub) == (8, 8, 1)
-        assert math.isclose(s.eta, 1.0 / 16.0, rel_tol=1e-15)
+        assert theory_step(s, 2.0) == 1.0 / 16.0
         assert not s.theory_ok
 
     def test_m_override_two_n(self):
-        s = default_svrg_params(1000, 1.0, m_override=2000)
+        s = default_svrg_params(1000, m_override=2000)
         assert s.m >= 2000 and s.d_sub * s.m0 == s.m
         assert s.m0 == -(-s.m // s.d_sub)
-        base = default_svrg_params(1000, 1.0)
+        base = default_svrg_params(1000)
         assert s.m0 != base.m0  # recomputed from the overridden m
 
     def test_rejects_degenerate_smoothness(self):
+        # the schedule reads no L; the theory step does
+        s = default_svrg_params(10)
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                default_svrg_params(10, bad)
+                theory_step(s, bad)
 
     def test_m0_override_forces_divisibility(self):
-        s = default_svrg_params(10, 1.0, m0_override=4)
+        s = default_svrg_params(10, m0_override=4)
         assert s.m == 12 and s.m0 == 4 and s.d_sub == 3
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):  # m0 does not divide m
-            SvrgSchedule(10, 3, 0.1, True)
-        s = SvrgSchedule(12, 4, 0.1, True)
+            SvrgSchedule(10, 3, True)
+        s = SvrgSchedule(12, 4, True)
         assert s.d_sub == 3
         assert np.array_equal(s.end_probs, epoch_end_weights(4)[1])
 
@@ -186,7 +189,7 @@ class TestSvrgEstimator:
 class TestSvrgSimpleRun:
     def test_single_component_is_plain_gd(self):
         obj = QuadraticObjective([1.0], offsets=[[2.0]], dim=1)
-        sched = default_svrg_params(1, obj.smoothness)
+        sched = default_svrg_params(1)
         res = svrg_simple_run(obj, np.array([5.0]), sched, epochs=4,
                               batch_size=1, rng=RandomSource(0))
         gd = gd_run(obj, np.array([5.0]), steps=4)
@@ -195,8 +198,8 @@ class TestSvrgSimpleRun:
 
     def test_quadratic_one_exact_step(self):
         obj = QuadraticObjective([1.0], dim=1)  # f(x) = x^2/2, L = 1
-        sched = default_svrg_params(1, 1.0)
-        assert sched.eta == 1.0
+        sched = default_svrg_params(1)
+        assert theory_step(sched, obj.smoothness) == 1.0
         res = svrg_simple_run(obj, np.array([7.0]), sched, epochs=1,
                               batch_size=1, rng=RandomSource(0))
         assert res.final_value == 0.0
@@ -204,7 +207,7 @@ class TestSvrgSimpleRun:
 
     def test_deterministic_replay(self):
         obj = make_synthetic(32, 4, seed=1, lam=1e-3)
-        sched = default_svrg_params(obj.n, obj.smoothness)
+        sched = default_svrg_params(obj.n)
         a = svrg_simple_run(obj, np.zeros(4), sched, 3, 2, RandomSource(11))
         b = svrg_simple_run(obj, np.zeros(4), sched, 3, 2, RandomSource(11))
         assert np.array_equal(a.output, b.output)
@@ -215,7 +218,7 @@ class TestSvrgSimpleRun:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
         obj = make_synthetic(16, 3, seed=2, loss=LossKind.squared(), lam=0.0)
-        sched = default_svrg_params(obj.n, obj.smoothness)
+        sched = default_svrg_params(obj.n)
         with pytest.raises(DivergenceError):
             svrg_simple_run(obj, np.zeros(3), sched, epochs=50, batch_size=1,
                             rng=RandomSource(0), lr=ConstantRate(1e4))
@@ -224,14 +227,14 @@ class TestSvrgSimpleRun:
 class TestSvrgFullRun:
     def test_m0_one_stop_is_point_mass(self):
         obj = make_synthetic(6, 2, seed=3, lam=1e-2)
-        sched = default_svrg_params(obj.n, obj.smoothness, m0_override=1)
+        sched = default_svrg_params(obj.n, m0_override=1)
         res = svrg_full_run(obj, np.zeros(2), sched, epochs=5, batch_size=1,
                             rng=RandomSource(1))
         assert res.epoch_stops == [sched.m] * 5
 
     def test_stop_draws_match_distribution(self):
         # 1e5 standalone draws against the hand-computed m0 = 3 pmf
-        sched = default_svrg_params(6, 1.0, m0_override=3)
+        sched = default_svrg_params(6, m0_override=3)
         assert sched.m == 6 and sched.m0 == 3
         rng = RandomSource(17)
         draws = np.array([draw_epoch_stop(rng, sched) for _ in range(100_000)])
@@ -243,7 +246,7 @@ class TestSvrgFullRun:
     def test_engine_stops_match_distribution(self):
         # the runner's own epoch stops follow the same pmf
         obj = make_synthetic(6, 2, seed=4, lam=1e-2)
-        sched = default_svrg_params(obj.n, obj.smoothness, m0_override=3)
+        sched = default_svrg_params(obj.n, m0_override=3)
         stops = []
         for seed in range(400):
             res = svrg_full_run(obj, np.zeros(2), sched, epochs=5,
@@ -259,7 +262,7 @@ class TestSvrgFullRun:
         # iterates are x_0 (known start) and x_1; each should be returned
         # with frequency 1/2 +- 0.02 over 1e4 trials.
         obj = QuadraticObjective([1.0, 1.0], offsets=[[1.0], [-0.5]], dim=1)
-        sched = default_svrg_params(2, obj.smoothness, m0_override=1)
+        sched = default_svrg_params(2, m0_override=1)
         assert sched.m == 2 and sched.m0 == 1
         start = np.array([5.0])
         hits_start = 0
@@ -277,7 +280,7 @@ class TestSvrgFullRun:
         seen = set()
         for n, m0, b in ((6, 3, 1), (12, 12, 1), (12, 4, 3)):
             obj = make_synthetic(n, 2, seed=5, lam=1e-2)
-            sched = default_svrg_params(obj.n, obj.smoothness, m0_override=m0)
+            sched = default_svrg_params(obj.n, m0_override=m0)
             assert sched.m == n and sched.m0 == m0
             for seed in range(6):
                 res = svrg_full_run(obj, np.zeros(2), sched, epochs=4,
@@ -294,7 +297,7 @@ class TestSvrgFullRun:
 
     def test_deterministic_replay(self):
         obj = make_synthetic(24, 3, seed=6, lam=1e-3)
-        sched = default_svrg_params(obj.n, obj.smoothness, m0_override=6)
+        sched = default_svrg_params(obj.n, m0_override=6)
         a = svrg_full_run(obj, np.zeros(3), sched, 3, 2, RandomSource(8))
         b = svrg_full_run(obj, np.zeros(3), sched, 3, 2, RandomSource(8))
         assert np.array_equal(a.output, b.output)
@@ -310,7 +313,7 @@ def test_reservoir_output_uniform_over_eligible_iterates(m0, d_sub):
     # x_1 .. x_m for svrg_simple_run and x_0 .. x_{m_s - 1} for
     # svrg_full_run, and its position is uniform among them for each m_s.
     obj = make_synthetic(8, 2, seed=3, lam=1e-2)
-    sched = default_svrg_params(obj.n, obj.smoothness, m_override=m0 * d_sub,
+    sched = default_svrg_params(obj.n, m_override=m0 * d_sub,
                                 m0_override=m0)
     m = sched.m
     for run in (svrg_simple_run, svrg_full_run):
@@ -353,7 +356,7 @@ class TestRunMemory:
     def test_peak_is_a_few_vectors(self, run, m0, accounting):
         d = 20_000
         obj = sparse_erm(200, d, 5, seed=0)
-        sched = default_svrg_params(obj.n, obj.smoothness, m_override=400,
+        sched = default_svrg_params(obj.n, m_override=400,
                                     m0_override=m0)
         x0 = np.zeros(d)
         tracemalloc.start()
@@ -374,7 +377,7 @@ class TestPassAccounting:
     ])
     def test_stored_mode_epoch_cost(self, n, b, m0, epochs):
         obj = make_synthetic(n, 3, seed=n + b, lam=1e-3)
-        sched = default_svrg_params(n, obj.smoothness, m0_override=m0)
+        sched = default_svrg_params(n, m0_override=m0)
         res = svrg_full_run(obj, np.zeros(3), sched, epochs, b,
                             RandomSource(0), accounting="stored")
         m = sched.m
@@ -389,7 +392,7 @@ class TestPassAccounting:
     def test_recompute_mode_epoch_cost(self):
         n, b, epochs = 12, 3, 2
         obj = make_synthetic(n, 3, seed=9, lam=1e-3)
-        sched = default_svrg_params(n, obj.smoothness, m0_override=4)
+        sched = default_svrg_params(n, m0_override=4)
         res = svrg_full_run(obj, np.zeros(3), sched, epochs, b,
                             RandomSource(0), accounting="recompute")
         m = sched.m
@@ -414,7 +417,7 @@ class TestPassAccounting:
     def test_eval_checkpoints_charged_honestly(self):
         n, b = 12, 1
         obj = make_synthetic(n, 3, seed=3, lam=1e-3)
-        sched = default_svrg_params(n, obj.smoothness, m0_override=4)
+        sched = default_svrg_params(n, m0_override=4)
         res = svrg_full_run(obj, np.zeros(3), sched, 3, b, RandomSource(0),
                             eval_every_epochs=1)
         # 3 snapshots + 3 inner blocks + 2 mid checkpoints + final eval
@@ -444,10 +447,73 @@ class TestEarlyExit:
     ], ids=["gd", "sgd-random", "svrg1", "svrg2", "svrg2-probed"])
     def test_returns_the_certified_point(self, run):
         obj = make_synthetic(256, 5, 1)
-        res = run(obj, default_svrg_params(obj.n, obj.smoothness))
+        res = run(obj, default_svrg_params(obj.n))
         assert res.evals_to_target is not None
         grad = obj.full_value_and_gradient(res.output)[1]
         assert float(grad @ grad) == res.final_grad_norm_sq
+
+
+def _svrg_probe_target(obj, sched):
+    # the smallest probed value inside epoch 1, below its snapshot's
+    probe = svrg_full_run(obj, np.zeros(5), sched, 1, 1, RandomSource(2),
+                          probe_stride=4).probe_samples
+    target = min(p.grad_norm_sq for p in probe if p.k > 0)
+    assert target < probe[0].grad_norm_sq
+    res = svrg_full_run(obj, np.zeros(5), sched, 1, 1, RandomSource(2),
+                        probe_stride=4, target_grad_sq=target)
+    assert len(res.trace) == 2 and res.evals_to_target is not None
+    return res
+
+
+def _last_iterate(res, sched):
+    # the next epoch's start: x_m, or x_{m_s} after a stop draw
+    stop = res.epoch_stops[-1] if res.epoch_stops else sched.m
+    return res.epoch_iterates[-1][stop]
+
+
+# Every way a runner returns: (run(obj, sched), the point its last exact
+# evaluation is at, if not the output).
+_EXITS = {
+    "gd": (lambda obj, sched: gd_run(obj, np.zeros(5), 4), None),
+    "gd-target": (lambda obj, sched: gd_run(obj, np.zeros(5), 10_000,
+                                            target_grad_sq=0.05), None),
+    "sgd-eval-every": (lambda obj, sched: sgd_run(
+        obj, np.zeros(5), 300, 2, RandomSource(0), ConstantRate(0.5),
+        eval_every=64), None),
+    "sgd-target": (lambda obj, sched: sgd_run(
+        obj, np.zeros(5), 3000, 1, RandomSource(0), ConstantRate(0.5),
+        eval_every=50, target_grad_sq=1e-3), None),
+    "svrg1-eval-every": (lambda obj, sched: svrg_simple_run(
+        obj, np.zeros(5), sched, 3, 2, RandomSource(3), record_iterates=True,
+        eval_every_epochs=1), _last_iterate),
+    "svrg2-eval-every": (lambda obj, sched: svrg_full_run(
+        obj, np.zeros(5), sched, 3, 2, RandomSource(3), record_iterates=True,
+        eval_every_epochs=1), _last_iterate),
+    "svrg-snapshot-target": (lambda obj, sched: svrg_full_run(
+        obj, np.zeros(5), sched, 3, 1, RandomSource(2),
+        target_grad_sq=math.inf), None),
+    "svrg-probe-target": (_svrg_probe_target, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXITS))
+def test_final_fields_are_the_last_exact_evaluation(case):
+    # final_value and final_grad_norm_sq are read off the trace's last row,
+    # which every exit path logs at the point it ends on
+    assert not {"final_value", "final_grad_norm_sq"} & {
+        f.name for f in dataclasses.fields(RunResult)}
+    obj = make_synthetic(64, 5, 1, lam=1e-3)
+    sched = default_svrg_params(obj.n)
+    run, point_of = _EXITS[case]
+    res = run(obj, sched)
+    last = res.trace[-1]
+    assert (res.final_value, res.final_grad_norm_sq) == (
+        last.objective, last.grad_norm_sq)
+    point = res.output if point_of is None else point_of(res, sched)
+    value, grad = obj.full_value_and_gradient(point)
+    assert math.isclose(res.final_value, value, rel_tol=1e-12)
+    assert math.isclose(res.final_grad_norm_sq, float(grad @ grad),
+                        rel_tol=1e-12)
 
 
 class TestGdRun:
@@ -537,7 +603,7 @@ class TestAdagrad:
 
     def test_adagrad_rate_on_svrg(self):
         obj = make_synthetic(16, 3, seed=10, lam=1e-3)
-        sched = default_svrg_params(obj.n, obj.smoothness)
+        sched = default_svrg_params(obj.n)
         res = svrg_full_run(obj, np.zeros(3), sched, 2, 1, RandomSource(4),
                             lr=AdaGradRate(alpha=0.5))
         rerun = svrg_full_run(obj, np.zeros(3), sched, 2, 1, RandomSource(4),

@@ -94,7 +94,7 @@ class TestEpochVarianceAggregate:
     def test_bound_holds_along_recorded_epochs(self):
         for seed in range(5):
             obj = make_synthetic(20, 3, seed=seed, lam=1e-3)
-            sched = default_svrg_params(obj.n, obj.smoothness, m0_override=5)
+            sched = default_svrg_params(obj.n, m0_override=5)
             res = svrg_simple_run(obj, np.zeros(3), sched, 1, 1,
                                   RandomSource(seed), record_iterates=True)
             total, bound = epoch_variance_aggregate(obj,
