@@ -82,6 +82,10 @@ def _train_runs() -> dict[str, tuple[str, ...]]:
                                          + lr)
     runs["nonunit-svrg2-recompute-b4"] = runs["nonunit-svrg2-b4"] + (
         "--accounting", "recompute")
+    # squared is the one ERM loss no other run takes
+    runs["nonunit-svrg2-squared-b1"] = (
+        ("--dataset", "{nonunit}", "--loss", "squared") + NONUNIT[2:]
+        + ("--optimizer", "svrg2", "--batch-size", "1"))
     # One epoch at m = 5n/b with recomputed references costs 1 + 2*5 = 11
     # passes at any b.
     for opt, b in (("svrg1", "1"), ("svrg2", "10")):

@@ -14,8 +14,8 @@ from .dataio import (Dataset, LibsvmFormatError, TraceRecord, flip_labels,
                      write_trace)
 from .losses import (ALL_ERM_LOSSES, SIGMOID_SCALE, LossEval, LossKind,
                      eval_loss, loss_smoothness)
-from .objectives import (ErmObjective, FiniteSumObjective, QuadraticObjective,
-                         SnapshotCache, TwoLayerNet, make_synthetic)
+from .objectives import (ErmObjective, FiniteSumObjective, SnapshotCache,
+                         TwoLayerNet, make_synthetic)
 from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     PolynomialRate, RunResult, SvrgSchedule, adagrad_step,
                     beta_weights, default_svrg_params, draw_epoch_stop,

@@ -8,13 +8,12 @@ Every loss is a function of the margin t = l * <a, x>.  Definitions:
   squared     (1 - t)^2 / 2
   hinge:g     Huberized hinge, C^1 with derivative-Lipschitz constant 1/g:
               0 for t >= 1; (1-t)^2/(2g) for 1-g <= t < 1; (1-t) - g/2 below
-  softplus    log(1 + e^t), the smooth ReLU used as a network activation
 
 All evaluations are overflow-safe for arbitrarily large |t| and accept
-scalars or numpy arrays.  The sigmoid, logistic and softplus derivatives
-go through one falling-sigmoid formula, 1/(1+e^t) from e = exp(-|t|) (as
-e/(1+e) for t >= 0 and 1/(1+e) below), which never overflows; the
-vectorized path (``_falling_sigmoid``) and the scalar fast path of
+scalars or numpy arrays.  The sigmoid and logistic derivatives go through
+one falling-sigmoid formula, 1/(1+e^t) from e = exp(-|t|) (as e/(1+e) for
+t >= 0 and 1/(1+e) below), which never overflows; the vectorized path
+(``_falling_sigmoid``) and the scalar fast path of
 :func:`make_scalar_derivative` write it with numpy and with ``math``.
 """
 
@@ -29,7 +28,7 @@ import numpy as np
 # 1 / max |d^2/dt^2 1/(1+e^t)|, so the scaled sigmoid is exactly 1-smooth.
 SIGMOID_SCALE = 6.0 * math.sqrt(3.0)
 
-_KNOWN = ("sigmoid", "logistic", "squared", "hinge", "softplus")
+_KNOWN = ("sigmoid", "logistic", "squared", "hinge")
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,6 @@ class LossKind:
     @classmethod
     def smoothed_hinge(cls, gamma: float):
         return cls("hinge", float(gamma))
-
-    @classmethod
-    def softplus(cls):
-        return cls("softplus")
 
     @classmethod
     def parse(cls, text: str) -> "LossKind":
@@ -118,9 +113,6 @@ def eval_loss(kind: LossKind, t) -> LossEval:
                          np.where(linear, (1.0 - ta) - 0.5 * g,
                                   (1.0 - ta) ** 2 / (2.0 * g)))
         deriv = np.where(flat, 0.0, np.where(linear, -1.0, -(1.0 - ta) / g))
-    elif kind.name == "softplus":
-        value = np.logaddexp(0.0, ta)
-        deriv = _falling_sigmoid(-ta)
     else:  # pragma: no cover - LossKind validates names
         raise ValueError(kind.name)
     return LossEval(_out(t, value), _out(t, deriv))
@@ -136,8 +128,6 @@ def loss_smoothness(kind: LossKind) -> float:
         return 1.0
     if kind.name == "hinge":
         return 1.0 / kind.gamma
-    if kind.name == "softplus":
-        return 0.25
     raise ValueError(kind.name)  # pragma: no cover
 
 
@@ -176,9 +166,6 @@ def make_scalar_derivative(kind: LossKind):
             if t < 1.0 - g:
                 return -1.0
             return -(1.0 - t) / g
-    elif kind.name == "softplus":
-        def deriv(t: float) -> float:
-            return falling_sigmoid(-t)
     else:  # pragma: no cover
         raise ValueError(kind.name)
     return deriv

@@ -352,6 +352,21 @@ class TestTrain:
             cfg.write_text(json.dumps(top))
             assert run_cli("train", "--config", str(cfg)) == 1, top
 
+    def test_softplus_is_an_unknown_loss(self, tmp_path, capsys):
+        # log(1 + e^t) of the margin is the logistic loss of -t, so ERM on
+        # it fits a wrong-sign classifier; no run takes it
+        run = {"synthetic": {"n": 16, "d": 2, "seed": 1}, "optimizer": "gd",
+               "passes": 2, "out": str(tmp_path / "trace.csv")}
+        cfg = tmp_path / "cfg.json"
+        for loss in ("logistic", "softplus"):
+            cfg.write_text(json.dumps({**run, "loss": loss}))
+            rc = 0 if loss == "logistic" else 1
+            assert run_cli("train", "--config", str(cfg)) == rc, loss
+            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
+                           "gd", "--passes", "2", "--loss", loss, "--out",
+                           run["out"]) == rc, loss
+        assert capsys.readouterr().err.count("unknown loss 'softplus'") == 2
+
     def test_removed_run_keys_exit_1(self, tmp_path, capsys):
         # Each removed key, with a value its optimizer used to read, next
         # to a run that succeeds without it.
@@ -501,6 +516,23 @@ class TestTrain:
         for every in ("5.9", "0.5"):
             assert epochs(*recompute, "--eval-every", every) == [
                 0, 1, 1, 2, 2, 3, 3, 4], every
+
+    def test_huge_budgets_count_without_running(self):
+        # A pass budget is the run's length, however large; it is counted
+        # exactly here, and only an epoch's allocation is bounded.
+        obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind.sigmoid())
+        synth = {"n": 64, "d": 3, "seed": 1}
+        gd = RunConfig(synthetic=synth, optimizer="gd", passes=1e12)
+        assert cli._run_length(gd, obj) == (10 ** 12, None)
+        sgd = RunConfig(synthetic=synth, optimizer="sgd", lr="constant:0.1",
+                        batch_size=1, passes=1e300)
+        assert cli._run_length(sgd, obj) == (int(1e300) * 64, None)
+        # stored references at b=1, m=n: 2 passes an epoch
+        svrg = RunConfig(synthetic=synth, optimizer="svrg2", batch_size=1,
+                         passes=1e300)
+        epochs, stride = cli._run_length(svrg, obj, 64)
+        assert type(epochs) is int and stride is None
+        assert epochs == int(1e300) // 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, capsys):

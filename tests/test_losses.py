@@ -8,8 +8,6 @@ from svrgkit.losses import (ALL_ERM_LOSSES, SIGMOID_SCALE, LossKind,
                             eval_loss, loss_smoothness,
                             make_scalar_derivative)
 
-ALL_KINDS = ALL_ERM_LOSSES + (LossKind.softplus(),)
-
 
 def loss_id(kind):
     """The config spelling of a loss: 'sigmoid', 'hinge:0.1', ..."""
@@ -58,11 +56,6 @@ class TestPointValues:
         assert math.isclose(value, 4.0 - 0.05, rel_tol=1e-15)
         assert deriv == -1.0
 
-    def test_softplus_at_zero(self):
-        value, deriv = eval_loss(LossKind.softplus(), 0.0)
-        assert math.isclose(value, math.log(2), rel_tol=1e-15)
-        assert deriv == 0.5
-
     def test_squared_at_zero(self):
         value, deriv = eval_loss(LossKind.squared(), 0.0)
         assert value == 0.5 and deriv == -1.0
@@ -76,7 +69,7 @@ class TestSmoothnessConstants:
         assert loss_smoothness(LossKind.smoothed_hinge(0.1)) == 10.0
         assert loss_smoothness(LossKind.smoothed_hinge(0.01)) == 100.0
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
+    @pytest.mark.parametrize("kind", ALL_ERM_LOSSES, ids=loss_id)
     def test_numeric_curvature_never_exceeds_constant(self, kind):
         ts = np.linspace(-8, 8, 20_001)
         h = 1e-5
@@ -86,7 +79,7 @@ class TestSmoothnessConstants:
 
 
 class TestDerivativeProperties:
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
+    @pytest.mark.parametrize("kind", ALL_ERM_LOSSES, ids=loss_id)
     def test_derivative_matches_finite_difference(self, kind):
         rng = np.random.default_rng(3)
         ts = rng.normal(scale=3.0, size=1000)
@@ -94,7 +87,7 @@ class TestDerivativeProperties:
             d = eval_loss(kind, t).derivative
             assert abs(central_diff(kind, t) - d) <= 1e-6 * (1 + abs(d))
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
+    @pytest.mark.parametrize("kind", ALL_ERM_LOSSES, ids=loss_id)
     def test_derivative_is_lipschitz(self, kind):
         rng = np.random.default_rng(4)
         L = loss_smoothness(kind)
@@ -112,17 +105,13 @@ class TestDerivativeProperties:
         ts = np.linspace(-50, 50, 5001)
         assert np.all(eval_loss(kind, ts).derivative <= 0.0)
 
-    def test_softplus_non_decreasing(self):
-        ts = np.linspace(-50, 50, 5001)
-        assert np.all(eval_loss(LossKind.softplus(), ts).derivative >= 0.0)
-
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
+    @pytest.mark.parametrize("kind", ALL_ERM_LOSSES, ids=loss_id)
     def test_overflow_guard(self, kind):
         for t in (-1e4, -523.7, 0.0, 523.7, 1e4):
             value, deriv = eval_loss(kind, t)
             assert math.isfinite(value) and math.isfinite(deriv)
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=loss_id)
+    @pytest.mark.parametrize("kind", ALL_ERM_LOSSES, ids=loss_id)
     def test_scalar_fast_path_agrees_with_vectorized(self, kind):
         deriv = make_scalar_derivative(kind)
         ts = np.concatenate([np.linspace(-40, 40, 2001), [-1e4, 1e4]])
@@ -132,7 +121,7 @@ class TestDerivativeProperties:
 
     def test_vectorized_matches_scalar_calls(self):
         ts = np.linspace(-5, 5, 101)
-        for kind in ALL_KINDS:
+        for kind in ALL_ERM_LOSSES:
             vec = eval_loss(kind, ts)
             for i, t in enumerate(ts):
                 one = eval_loss(kind, float(t))
@@ -151,12 +140,10 @@ def expit_reference(kind, t):
     if kind.name == "sigmoid":
         s = expit(-t)
         return SIGMOID_SCALE * s, -SIGMOID_SCALE * s * (1.0 - s)
-    if kind.name == "logistic":
-        return None, -expit(-t)
-    return None, expit(t)
+    return None, -expit(-t)
 
 
-SIGMOID_KINDS = (LossKind.sigmoid(), LossKind.logistic(), LossKind.softplus())
+SIGMOID_KINDS = (LossKind.sigmoid(), LossKind.logistic())
 
 
 class TestSigmoidFormula:
@@ -183,17 +170,33 @@ class TestSigmoidFormula:
         assert np.all(np.isfinite(vec.value))
         assert np.all(np.isfinite(vec.derivative))
 
+    @pytest.mark.parametrize("kind", SIGMOID_KINDS, ids=loss_id)
+    def test_both_branches_of_both_paths_agree_with_scipy_expit(self, kind):
+        # t >= 0 takes e/(1+e) and t < 0 takes 1/(1+e), in the vectorized
+        # path and in the scalar one of make_scalar_derivative.
+        scalar = np.vectorize(make_scalar_derivative(kind))
+        tiny = SIGMOID_SCALE * np.finfo(np.float64).tiny
+        for branch in (SIGMOID_GRID >= 0.0, SIGMOID_GRID < 0.0):
+            ts = SIGMOID_GRID[branch]
+            assert ts.size > 8000
+            _, want = expit_reference(kind, ts)
+            for got in (eval_loss(kind, ts).derivative, scalar(ts)):
+                assert np.allclose(got, want, rtol=1e-14, atol=tiny)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("text", ["sigmoid", "logistic", "squared",
-                                      "hinge:0.01", "hinge:0.1", "hinge:1",
-                                      "softplus"])
+                                      "hinge:0.01", "hinge:0.1", "hinge:1"])
     def test_round_trip(self, text):
         assert loss_id(LossKind.parse(text)) == text
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             LossKind.parse("perceptron")
+        # log(1 + e^t) of the margin is the logistic loss of -t
+        for make in (LossKind, LossKind.parse):
+            with pytest.raises(ValueError, match="unknown loss 'softplus'"):
+                make("softplus")
         with pytest.raises(ValueError):
             LossKind.parse("hinge:0")
         with pytest.raises(ValueError):

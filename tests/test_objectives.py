@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset, parse_libsvm
 from svrgkit.losses import ALL_ERM_LOSSES, LossKind
-from svrgkit.objectives import (_BLOCK_ROWS, ErmObjective, QuadraticObjective,
-                                TwoLayerNet, make_synthetic)
+from svrgkit.objectives import (_BLOCK_ROWS, ErmObjective, TwoLayerNet,
+                                make_synthetic)
 from svrgkit.optim import svrg_estimator
 from svrgkit.verify import fd_gradient
+
+from quadratic import QuadraticObjective
 
 
 def loss_id(kind):

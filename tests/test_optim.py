@@ -11,13 +11,15 @@ from scipy.stats import chisquare
 from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset
 from svrgkit.losses import LossKind
-from svrgkit.objectives import ErmObjective, QuadraticObjective, make_synthetic
+from svrgkit.objectives import ErmObjective, make_synthetic
 from svrgkit.optim import (AdaGradRate, ConstantRate, DivergenceError,
                            PolynomialRate, RunResult, SvrgSchedule,
                            adagrad_step, beta_weights, default_svrg_params,
                            draw_epoch_stop, epoch_end_weights, gd_run,
                            parse_rate, sgd_run, svrg_estimator,
                            svrg_full_run, svrg_simple_run, theory_step)
+
+from quadratic import QuadraticObjective
 
 
 class TestBetaWeights:

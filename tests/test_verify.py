@@ -5,10 +5,12 @@ import pytest
 
 from svrgkit.core import RandomSource, sq_norm
 from svrgkit.losses import LossKind
-from svrgkit.objectives import QuadraticObjective, make_synthetic
+from svrgkit.objectives import make_synthetic
 from svrgkit.optim import default_svrg_params, svrg_simple_run
 from svrgkit.verify import (epoch_variance_aggregate, exact_variance,
                             fd_gradient, fit_rate_slope, smoothness_probe)
+
+from quadratic import QuadraticObjective
 
 
 class TestFdGradient:
