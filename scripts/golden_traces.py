@@ -49,7 +49,6 @@ SVRG2_VARIANTS = {
     "poly": ("--lr", "poly:0.3,0.5"),
     "adagrad": ("--lr", "adagrad:0.3"),
     "adagrad-default": ("--lr", "adagrad"),     # alpha = 1/L
-    "evalevery1": ("--eval-every", "1"),
     "m0eqm": ("--m", "32", "--m0", "32"),
     "m0-4": ("--m", "32", "--m0", "4"),
 }
@@ -66,8 +65,9 @@ def _train_runs() -> dict[str, tuple[str, ...]]:
             runs[f"{tag}-{opt}"] = base + ("--optimizer", opt) + lr
         for name, extra in SVRG2_VARIANTS.items():
             runs[f"{tag}-svrg2-{name}"] = base + ("--optimizer", "svrg2") + extra
-        runs[f"{tag}-svrg1-evalevery1"] = base + ("--optimizer", "svrg1",
-                                                  "--eval-every", "1")
+    # sgd is the one optimizer that reads eval_every
+    runs["bundled-sgd-evalevery1"] = runs["bundled-sgd"] + ("--eval-every",
+                                                            "1")
     runs["bundled-svrg2-hinge"] = BUNDLED + (
         "--optimizer", "svrg2", "--loss", "hinge:0.1", "--batch-size", "1")
     runs["bundled-svrg2-logistic-b4"] = BUNDLED + (

@@ -217,15 +217,17 @@ _RUN_TYPES = {key: typing.get_args(hint) or (hint,)
 _CONFIG_KEYS = {"lambda" if key == "lam" else key
                 for key in _RUN_KEYS if key != "wall_clock"} | {"tune"}
 # The settings each run reads: these, and its objective's and its
-# optimizer's rows below.  svrg1 and svrg2 (OPTIMIZERS[2:]) read sgd's
-# settings and their schedule's.  gd, svrg1 and svrg2 read smoothness only
-# where a step comes from it (RunConfig.steps_from_smoothness).
+# optimizer's rows below.  svrg1 and svrg2 (OPTIMIZERS[2:]) read sgd's batch
+# size and lr, and their schedule's settings; every snapshot is an exact
+# evaluation, so only sgd reads eval_every.  gd, svrg1 and svrg2 read
+# smoothness only where a step comes from it
+# (RunConfig.steps_from_smoothness).
 _ALWAYS_READ = ("optimizer", "passes", "seed", "objective", "lam", "dataset",
                 "synthetic")
 _READS = {"erm": ("loss", "flip_fraction"), "net": ("net",),
           "gd": ("lr", "smoothness"), "sgd": ("batch_size", "lr", "eval_every")}
-_READS.update(dict.fromkeys(OPTIMIZERS[2:], _READS["sgd"] + (
-    "m", "m0", "accounting", "smoothness")))
+_READS.update(dict.fromkeys(OPTIMIZERS[2:], (
+    "batch_size", "lr", "m", "m0", "accounting", "smoothness")))
 
 
 def load_config(args) -> tuple[RunConfig, dict]:
@@ -327,10 +329,11 @@ def _smoothness_rate(cfg: RunConfig, obj, rng: RandomSource, schedule):
 
 def _run_length(cfg: RunConfig, obj, m: int | None = None,
                 ) -> tuple[int, int | None]:
-    """cfg's pass budget and its eval_every, both in passes, as counts of
-    gd steps, sgd iterations, or SVRG epochs of m steps
-    (:func:`epochs_for_passes`): the run's length and its checkpoint
-    stride, at least one.  Every run adds a final exact evaluation on top."""
+    """cfg's pass budget as a count of gd steps, sgd iterations, or SVRG
+    epochs of m steps (:func:`epochs_for_passes`), and sgd's eval_every, also
+    in passes, as a checkpoint stride of at least one iteration (None for
+    other runs, which read no eval_every).  Every run adds a final exact
+    evaluation on top."""
     if cfg.passes is None:
         raise ConfigError(f"{cfg.optimizer} needs a pass budget (passes)")
 
@@ -396,7 +399,7 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
         result = sgd_run(obj, x0, iters, b, rng, lr, eval_every=stride)
         meta.update(batch_size=b, iterations=iters)
     else:
-        epochs, stride = _run_length(cfg, obj, schedule.m)
+        epochs, _ = _run_length(cfg, obj, schedule.m)
         meta.update(batch_size=b, m=schedule.m, m0=schedule.m0,
                     d_sub=schedule.d_sub, theory_ok=schedule.theory_ok,
                     epochs=epochs)
@@ -404,7 +407,7 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
             meta["eta"] = lr.eta
         runner = svrg_simple_run if cfg.optimizer == "svrg1" else svrg_full_run
         result = runner(obj, x0, schedule, epochs, b, rng, lr=lr,
-                        accounting=cfg.accounting, eval_every_epochs=stride)
+                        accounting=cfg.accounting)
     return result, meta
 
 
@@ -710,11 +713,11 @@ def build_parser() -> _Parser:
                               "step comes from it: gd or svrg1/svrg2 "
                               "without --lr, or a bare --lr adagrad")
     p_train.add_argument("--eval-every", dest="eval_every", type=float,
-                         help="exact evaluation every P passes, rounded as "
-                              "--passes is to whole sgd iterations or svrg "
-                              "epochs (at least one); gd evaluates every "
-                              "step, and gd with --eval-every is a config "
-                              "error")
+                         help="sgd only: exact evaluation every P passes, "
+                              "rounded as --passes is to whole iterations (at "
+                              "least one); gd evaluates every step and svrg "
+                              "at every snapshot, so either with "
+                              "--eval-every is a config error")
     p_train.add_argument("--wall-clock", dest="wall_clock",
                          action="store_true",
                          help="write measured wall times into the trace "

@@ -23,11 +23,12 @@ aside), and the inner step writes its estimate into one reused buffer.
 Pass accounting follows the stored-snapshot convention: a snapshot costs 1
 pass and an inner iteration with batch b costs b/n passes when reference
 gradients are reconstructed from cached residuals, or 2b/n when they are
-recomputed.  Exact-evaluation checkpoints requested beyond the free
-snapshot ones are charged honestly.  Every exact evaluation (snapshot,
-checkpoint, final point) goes through one run ledger that charges it,
-checks it for divergence and logs its trace row.  A run that stops on
-``target_grad_sq`` returns the point whose evaluation met the target.
+recomputed.  SVRG's exact evaluations are its snapshots and its final
+point; sgd's checkpoints cost one pass each.  Every exact evaluation (gd
+step, sgd checkpoint, SVRG snapshot, target-meeting probe, final point)
+goes through one run ledger that charges it, checks it for divergence and
+against ``target_grad_sq``, and logs its trace row.  A run whose
+evaluation meets the target stops there and returns the evaluated point.
 """
 
 from __future__ import annotations
@@ -282,21 +283,15 @@ class RunResult:
     def final_value(self) -> float:
         """Objective at the last exact evaluation, the trace's last row,
         which every runner makes right before it returns: at ``output`` for
-        gd, sgd and a run stopped on its target, but at the last iterate,
-        not ``output``, for an SVRG run that used its epochs."""
+        gd, sgd and a run that met its target, but at the last iterate, not
+        ``output``, for an SVRG run that used its epochs without meeting
+        it."""
         return self.trace[-1].objective
 
     @property
     def final_grad_norm_sq(self) -> float:
         """Squared gradient norm at the evaluation of :attr:`final_value`."""
         return self.trace[-1].grad_norm_sq
-
-    def stationarity(self) -> float:
-        """Mean exact squared gradient norm over eligible probed iterates."""
-        vals = [s.grad_norm_sq for s in self.probe_samples if s.eligible]
-        if not vals:
-            raise ValueError("run was not probed; pass probe_stride")
-        return float(np.mean(vals))
 
 
 class _Reservoir:
@@ -317,13 +312,16 @@ class _Ledger:
 
     Every exact evaluation a runner makes goes through :meth:`checkpoint`,
     which charges one pass, checks the value and the gradient norm for
-    divergence and logs the trace row; inner steps are charged with
-    :meth:`charge`.
+    divergence, logs the trace row and tells whether the evaluation meets
+    the run's ``target`` squared gradient norm; inner steps are charged
+    with :meth:`charge`.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, target: float | None = None):
         self.n = n
+        self.target = target
         self.evals = 0
+        self.evals_to_target = None
         self.trace: list[TraceRecord] = []
         self.initial_value = None
         self.t0 = time.perf_counter()
@@ -331,9 +329,13 @@ class _Ledger:
     def charge(self, evals: int) -> None:
         self.evals += evals
 
+    def meets(self, grad_norm_sq: float) -> bool:
+        return self.target is not None and grad_norm_sq <= self.target
+
     def checkpoint(self, value: float, grad: np.ndarray, epoch: int,
-                   where: str) -> float:
-        """Log an exact evaluation (value, grad); returns ||grad||^2."""
+                   where: str) -> bool:
+        """Log an exact evaluation (value, grad); returns whether it meets
+        the target, and then records the evaluations spent before it."""
         self.evals += self.n
         if self.initial_value is None:
             self.initial_value = value
@@ -346,11 +348,16 @@ class _Ledger:
             raise DivergenceError(f"gradient norm {gns!r} at {where}")
         self.trace.append(TraceRecord(self.evals / self.n, value, gns,
                                       time.perf_counter() - self.t0, epoch))
-        return gns
+        if not self.meets(gns):
+            return False
+        # The certifying evaluation is not part of producing the point.
+        self.evals_to_target = self.evals - self.n
+        return True
 
     def result(self, output, **extra) -> RunResult:
         return RunResult(output=output, trace=self.trace,
-                         grad_evals=self.evals, **extra)
+                         grad_evals=self.evals,
+                         evals_to_target=self.evals_to_target, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +402,12 @@ def epochs_for_passes(obj, passes: float, m: int, batch_size: int,
 
     An epoch costs 1 + m*b/n passes, or 1 + 2m*b/n when ``obj`` recomputes
     reference gradients under ``accounting``.  The final exact evaluation
-    is outside the budget; a budget below one epoch still runs one."""
-    recompute = obj.snapshot_mode(accounting) == "recompute"
-    per_epoch = 1.0 + m * batch_size / obj.n * (2.0 if recompute else 1.0)
-    return max(1, int(passes // per_epoch))
+    is outside the budget; a budget below one epoch still runs one.  The
+    count is exact: floor(passes * n / (n + k*m*b)) in integers, k = 1 or
+    2."""
+    k = 2 if obj.snapshot_mode(accounting) == "recompute" else 1
+    p, q = passes.as_integer_ratio()
+    return max(1, (p * obj.n) // (q * (obj.n + k * m * batch_size)))
 
 
 def draw_epoch_stop(rng: RandomSource, schedule: SvrgSchedule) -> int:
@@ -409,8 +418,7 @@ def draw_epoch_stop(rng: RandomSource, schedule: SvrgSchedule) -> int:
 
 def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
                  variant="full", accounting="auto", probe_stride=None,
-                 record_iterates=False, target_grad_sq=None,
-                 eval_every_epochs=None) -> RunResult:
+                 record_iterates=False, target_grad_sq=None) -> RunResult:
     if epochs < 1:
         raise ValueError("need at least one epoch")
     if not 1 <= batch_size <= obj.n:
@@ -427,7 +435,7 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     m, m0, b = schedule.m, schedule.m0, batch_size
     n = obj.n
     x = np.array(x_start, dtype=np.float64)
-    ledger = _Ledger(n)
+    ledger = _Ledger(n, target_grad_sq)
     probes: list[ProbeSample] = []
     stops: list[int] = []
     iterates: list[np.ndarray] | None = [] if record_iterates else None
@@ -435,9 +443,8 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
     step = np.empty(obj.dim)    # estimator output, scaled in place
     k_global = 0
 
-    def finish(output, evals_to_target=None) -> RunResult:
+    def finish(output) -> RunResult:
         return ledger.result(output, probe_samples=probes, epoch_stops=stops,
-                             evals_to_target=evals_to_target,
                              epoch_iterates=iterates)
 
     estimate = None
@@ -445,11 +452,9 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
         cache = obj.build_snapshot(x, mode=accounting)
         if estimate is None:
             estimate = _resolve_estimator(cache, obj)
-        gns = ledger.checkpoint(cache.value, cache.full_grad, s - 1,
-                                f"epoch {s} snapshot")
-        if target_grad_sq is not None and gns <= target_grad_sq:
-            # The certifying evaluation is not part of producing the point.
-            return finish(x.copy(), evals_to_target=ledger.evals - n)
+        if ledger.checkpoint(cache.value, cache.full_grad, s - 1,
+                             f"epoch {s} snapshot"):
+            return finish(x.copy())
         inner_cost = b if cache.mode == "stored" else 2 * b
 
         idx = rng.draw_indices(n, size=m * b).reshape(m, b)
@@ -474,15 +479,17 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
             if record_iterates:
                 epoch_rows[k] = x
             if probe_stride and k % probe_stride == 0:
-                g2 = gns if k == 0 else sq_norm(
-                    obj.full_value_and_gradient(x)[1])
-                probes.append(ProbeSample(s, k, g2, eligible=(k <= m - m0)))
-                if target_grad_sq is not None and g2 <= target_grad_sq:
-                    ledger.charge(k * inner_cost)
-                    spent = ledger.evals
+                # The snapshot evaluated x_0 and did not meet the target.
+                if k == 0:
+                    g2 = ledger.trace[-1].grad_norm_sq
+                else:
                     value, grad = obj.full_value_and_gradient(x)
+                    g2 = sq_norm(grad)
+                probes.append(ProbeSample(s, k, g2, eligible=(k <= m - m0)))
+                if ledger.meets(g2):
+                    ledger.charge(k * inner_cost)
                     ledger.checkpoint(value, grad, s, "final point")
-                    return finish(x.copy(), evals_to_target=spent)
+                    return finish(x.copy())
             # Python ints: the objectives' row loops index with them.
             est = estimate(cache, x, idx[k].tolist(), out=step)
             if adagrad:
@@ -508,20 +515,17 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
             if restart is not None:
                 x = restart
 
-        if eval_every_epochs and s % eval_every_epochs == 0 and s < epochs:
-            value, grad = obj.full_value_and_gradient(x)
-            ledger.checkpoint(value, grad, s, f"epoch {s} checkpoint")
-
     value, grad = obj.full_value_and_gradient(x)
-    ledger.checkpoint(value, grad, epochs, "final point")
-    return finish(reservoir.pick if reservoir.pick is not None else x.copy())
+    if ledger.checkpoint(value, grad, epochs, "final point"):
+        return finish(x.copy())
+    return finish(reservoir.pick)
 
 
 def svrg_simple_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
                     batch_size: int, rng: RandomSource, lr=None,
                     accounting: str = "auto", probe_stride=None,
-                    record_iterates: bool = False, target_grad_sq=None,
-                    eval_every_epochs=None) -> RunResult:
+                    record_iterates: bool = False,
+                    target_grad_sq=None) -> RunResult:
     """Variance-reduced epochs restarting at the last iterate; the returned
     point is uniform over all post-update iterates.  Without an ``lr`` the
     step is :func:`theory_step` at ``obj.smoothness``."""
@@ -529,15 +533,14 @@ def svrg_simple_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
                         lr=lr, variant="simple", accounting=accounting,
                         probe_stride=probe_stride,
                         record_iterates=record_iterates,
-                        target_grad_sq=target_grad_sq,
-                        eval_every_epochs=eval_every_epochs)
+                        target_grad_sq=target_grad_sq)
 
 
 def svrg_full_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
                   batch_size: int, rng: RandomSource, lr=None,
                   accounting: str = "auto", probe_stride=None,
-                  record_iterates: bool = False, target_grad_sq=None,
-                  eval_every_epochs=None) -> RunResult:
+                  record_iterates: bool = False,
+                  target_grad_sq=None) -> RunResult:
     """Variance-reduced epochs with the weighted epoch-end stopping draw and
     a uniform reservoir output over all eligible iterates; the step defaults
     as :func:`svrg_simple_run`'s does."""
@@ -545,8 +548,7 @@ def svrg_full_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
                         lr=lr, variant="full", accounting=accounting,
                         probe_stride=probe_stride,
                         record_iterates=record_iterates,
-                        target_grad_sq=target_grad_sq,
-                        eval_every_epochs=eval_every_epochs)
+                        target_grad_sq=target_grad_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +567,11 @@ def gd_run(obj, x_start, steps: int, step: float | None = None,
     if step is None:
         step = 1.0 / obj.smoothness
     x = np.array(x_start, dtype=np.float64)
-    ledger = _Ledger(obj.n)
+    ledger = _Ledger(obj.n, target_grad_sq)
     for k in range(steps + 1):
         value, grad = obj.full_value_and_gradient(x)
-        gns = ledger.checkpoint(value, grad, k, f"step {k}")
-        if k == steps:
+        if ledger.checkpoint(value, grad, k, f"step {k}") or k == steps:
             break
-        if target_grad_sq is not None and gns <= target_grad_sq:
-            return ledger.result(x, evals_to_target=ledger.evals - obj.n)
         x = x - step * grad
     return ledger.result(x)
 
@@ -596,7 +595,7 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
     ada_acc = np.zeros(obj.dim) if adagrad else None
     n, b = obj.n, batch_size
     x = np.array(x_start, dtype=np.float64)
-    ledger = _Ledger(n)
+    ledger = _Ledger(n, target_grad_sq)
 
     chunk = 8192
     for base in range(0, iterations, chunk):
@@ -614,10 +613,8 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
                 raise DivergenceError(f"non-finite iterate at iteration {k}")
             if eval_every and (k + 1) % eval_every == 0 and k + 1 < iterations:
                 value, grad = obj.full_value_and_gradient(x)
-                gns = ledger.checkpoint(value, grad, k + 1,
-                                        f"iteration {k + 1}")
-                if target_grad_sq is not None and gns <= target_grad_sq:
-                    return ledger.result(x, evals_to_target=ledger.evals - n)
+                if ledger.checkpoint(value, grad, k + 1, f"iteration {k + 1}"):
+                    return ledger.result(x)
     value, grad = obj.full_value_and_gradient(x)
     ledger.checkpoint(value, grad, iterations, f"iteration {iterations}")
     return ledger.result(x)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,8 @@ class TestTrain:
                      "--passes", "1"),
                     ("sgd", "--lr", "constant:0.1", "--passes", "-3"),
                     ("svrg1", "--passes", "-1"),
-                    ("svrg1", "--passes", "4", "--eval-every", "0"),
+                    ("sgd", "--lr", "constant:0.1", "--passes", "4",
+                     "--eval-every", "0"),
                     ("svrg1", "--m", "0", "--passes", "2"),
                     ("gd", "--lambda", "-1", "--passes", "2"),
                     ("svrg1", "--smoothness", "-1", "--passes", "2")):
@@ -486,10 +488,10 @@ class TestTrain:
             err = capsys.readouterr().err
             assert f"m={value}" in err and "stop-draw weights" in err, err
 
-    def test_eval_every_counts_passes(self, tmp_path):
-        # --eval-every P checkpoints every P passes, turned into whole sgd
-        # iterations or SVRG epochs as --passes is, and at least one.  The
-        # trace's epoch column holds the iteration or epoch count.
+    def test_eval_every_counts_passes(self, small_file, tmp_path, capsys):
+        # --eval-every P checkpoints sgd every P passes, turned into whole
+        # iterations as --passes is, and at least one.  The trace's epoch
+        # column holds the iteration or epoch count.
         out = tmp_path / "trace.csv"
 
         def epochs(*argv):
@@ -502,20 +504,41 @@ class TestTrain:
                "--batch-size", "4", "--passes", "2")
         assert epochs(*sgd, "--eval-every", "0.5") == [8, 16, 24, 32]
         assert epochs(*sgd, "--eval-every", "0.01") == list(range(1, 33))
-        # stored references at b=1, m=n: 2 passes an epoch, 6 epochs
+        # SVRG evaluates exactly at every snapshot, so it reads no
+        # eval_every: stored references at b=1, m=n, 2 passes an epoch
         stored = ("--optimizer", "svrg2", "--batch-size", "1",
                   "--passes", "12")
         assert epochs(*stored) == [0, 1, 2, 3, 4, 5, 6]
-        assert epochs(*stored, "--eval-every", "4") == [
-            0, 1, 2, 2, 3, 4, 4, 5, 6]
-        # recomputed references: 3 passes an epoch, 4 epochs; 5.9 passes
-        # round down to one epoch, and 0.5 up to the least stride
-        recompute = ("--optimizer", "svrg1", "--batch-size", "1",
-                     "--accounting", "recompute", "--passes", "12")
-        assert epochs(*recompute, "--eval-every", "6") == [0, 1, 2, 2, 3, 4]
-        for every in ("5.9", "0.5"):
-            assert epochs(*recompute, "--eval-every", every) == [
-                0, 1, 1, 2, 2, 3, 3, 4], every
+        capsys.readouterr()
+        for opt in OPTIMIZERS[2:]:
+            assert run_cli("train", "--synthetic", "64,3,1", "--optimizer",
+                           opt, "--batch-size", "1", "--passes", "12",
+                           "--eval-every", "4") == 1, opt
+            err = capsys.readouterr().err
+            assert f"optimizer {opt} on objective erm does not read " \
+                   "eval_every" in err, err
+        # and so a tune config's eval_every reaches sgd cells only
+        cfg = tmp_path / "tune.json"
+        cfg.write_text(json.dumps({"eval_every": 0.5, "tune": {
+            "passes": 1, "lambdas": [1e-3], "alphas": [0.1]}}))
+        argv = ("tune", "--config", str(cfg), "--dataset", str(small_file),
+                "--batch-size", "4")
+        assert run_cli(*argv, "--optimizer", "sgd") == 0
+        for opt in OPTIMIZERS[2:]:
+            assert run_cli(*argv, "--optimizer", opt) == 1, opt
+            assert "eval_every" in capsys.readouterr().err
+
+    def test_svrg_plans_the_whole_epochs_a_budget_buys(self, tmp_path):
+        # n=3, b=1, m=5: an epoch costs 1 + 5/3 passes, so 8 passes buy
+        # exactly 3 epochs, which a float quotient floors to 2.
+        out = tmp_path / "trace.csv"
+        for passes, epochs in (("8", 3), ("7.999999", 2), ("8.000001", 3)):
+            assert run_cli("train", "--synthetic", "3,2,1", "--optimizer",
+                           "svrg1", "--batch-size", "1", "--m", "5",
+                           "--passes", passes, "--out", str(out)) == 0
+            assert schedule_echo(out)["epochs"] == epochs, passes
+            # each epoch 3 + 5 component gradients, and a final pass
+            assert read_trace(out)[-1].passes == (8 * epochs + 3) / 3
 
     def test_huge_budgets_count_without_running(self):
         # A pass budget is the run's length, however large; it is counted
@@ -676,6 +699,7 @@ _UNREAD = [
     ("gd", "flip_fraction", ("--flip-fraction", "0.1")),  # a synthetic input
     ("gd", "batch_size", ("--batch-size", "4")),
     ("gd", "eval_every", ("--eval-every", "5")),
+    ("erm-svrg1", "eval_every", ("--eval-every", "1")),
     ("gd", "m", ("--m", "2n")),
     ("gd", "m0", ("--m0", "2")),
     ("gd", "accounting", ("--accounting", "recompute")),
@@ -764,12 +788,14 @@ def test_headers_echo_the_settings_each_run_reads(tmp_path):
        accounting=st.sampled_from(["auto", "stored", "recompute"]),
        seed=st.integers(0, 3))
 def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
-    # Each setting where its optimizer reads it: gd reads neither a batch
-    # size nor eval_every, and only SVRG reads accounting.
+    # Each setting where its optimizer reads it: gd reads no batch size,
+    # only sgd reads eval_every, and only SVRG reads accounting.
     if optimizer == "gd":
-        b = eval_every = None
+        b = None
     else:
         b = min(b, n)
+    if optimizer != "sgd":
+        eval_every = None
     if optimizer in ("gd", "sgd"):
         accounting = "auto"
     cfg = RunConfig(synthetic={"n": n, "d": 3, "seed": seed},
@@ -784,8 +810,8 @@ def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
     assert result.grad_evals / n == passes[-1]
     assert all(p < q for p, q in zip(passes, passes[1:]))
     # Every exact evaluation (checkpoint, snapshot, final point) is a pass;
-    # eval_every is in passes, rounded as the budget is to whole iterations
-    # or epochs, and at least one.
+    # eval_every is in passes, rounded as the budget is to whole iterations,
+    # and at least one.
     if optimizer == "gd":
         checkpoints = round(budget) + 1
         inner = 0
@@ -796,12 +822,32 @@ def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
         inner = iterations * cfg.batch_size
     else:
         epochs, cost = meta["epochs"], 2 if accounting == "recompute" else 1
-        per_epoch = 1 + meta["m"] * b * cost / n
-        stride = eval_every and max(1, int(eval_every // per_epoch))
-        checkpoints = epochs + 1 + ((epochs - 1) // stride if stride else 0)
+        checkpoints = epochs + 1
         inner = epochs * meta["m"] * cfg.batch_size * cost
     assert len(passes) == checkpoints
     assert result.grad_evals == checkpoints * n + inner
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 199), m=st.integers(1, 59), b=st.integers(1, 10),
+       accounting=st.sampled_from(["stored", "recompute"]),
+       multiple=st.integers(1, 11))
+def test_a_budget_of_whole_epochs_plans_them_all(n, m, b, accounting,
+                                                 multiple):
+    # E epochs cost E*(n + k*m*b)/n passes, a float exactly when E is a
+    # multiple of the odd part of the cost's reduced denominator.
+    cost = Fraction(n + (2 if accounting == "recompute" else 1) * m * b, n)
+    odd = cost.denominator
+    while odd % 2 == 0:
+        odd //= 2
+    epochs = odd * multiple
+    budget = float(epochs * cost)
+    assert budget == epochs * cost
+    obj = ErmObjective(synthetic_dataset(n, 2, 0), LossKind.sigmoid())
+    assert epochs_for_passes(obj, budget, m, b, accounting) == epochs
+    # one float less buys one epoch less, and never none
+    assert epochs_for_passes(obj, math.nextafter(budget, 0), m, b,
+                             accounting) == max(1, epochs - 1)
 
 
 @st.composite
@@ -813,13 +859,14 @@ def determinism_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     optimizer = draw(st.sampled_from(OPTIMIZERS))
     # Each setting where the run reads it: loss for linear ERM, a batch
-    # size and eval_every for all but gd, accounting for SVRG.
+    # size for all but gd, eval_every for sgd, accounting for SVRG.
     reads = {}
     if kind != "net":
         reads["loss"] = draw(st.sampled_from(["sigmoid", "logistic",
                                               "hinge:0.1"]))
     if optimizer != "gd":
         reads["batch_size"] = draw(st.integers(1, n))
+    if optimizer == "sgd":
         reads["eval_every"] = draw(st.one_of(st.none(), st.integers(1, 3)))
     if optimizer not in ("gd", "sgd"):
         reads["accounting"] = draw(st.sampled_from(

@@ -417,15 +417,15 @@ class TestPassAccounting:
         assert res.trace[-1].passes == (iters * b + n) / n
 
     def test_eval_checkpoints_charged_honestly(self):
-        n, b = 12, 1
+        n, b, iters = 12, 2, 30
         obj = make_synthetic(n, 3, seed=3, lam=1e-3)
-        sched = default_svrg_params(n, m0_override=4)
-        res = svrg_full_run(obj, np.zeros(3), sched, 3, b, RandomSource(0),
-                            eval_every_epochs=1)
-        # 3 snapshots + 3 inner blocks + 2 mid checkpoints + final eval
-        assert res.grad_evals == 3 * (n + sched.m * b) + 2 * n + n
-        passes = [r.passes for r in res.trace]
-        assert passes == sorted(passes)
+        res = sgd_run(obj, np.zeros(3), iters, b, RandomSource(0),
+                      ConstantRate(0.1), eval_every=10)
+        # 30 steps of b + 2 mid checkpoints (none at 30) + final eval
+        assert res.grad_evals == iters * b + 2 * n + n
+        assert [r.epoch for r in res.trace] == [10, 20, 30]
+        assert [r.passes for r in res.trace] == [
+            (10 * b + n) / n, (20 * b + 2 * n) / n, (30 * b + 3 * n) / n]
 
 
 class TestEarlyExit:
@@ -455,16 +455,35 @@ class TestEarlyExit:
         assert float(grad @ grad) == res.final_grad_norm_sq
 
 
-def _svrg_probe_target(obj, sched):
+def _probe_target(obj, sched):
     # the smallest probed value inside epoch 1, below its snapshot's
     probe = svrg_full_run(obj, np.zeros(5), sched, 1, 1, RandomSource(2),
                           probe_stride=4).probe_samples
     target = min(p.grad_norm_sq for p in probe if p.k > 0)
     assert target < probe[0].grad_norm_sq
+    return target
+
+
+def _svrg_probe_target(obj, sched):
     res = svrg_full_run(obj, np.zeros(5), sched, 1, 1, RandomSource(2),
-                        probe_stride=4, target_grad_sq=target)
+                        probe_stride=4, target_grad_sq=_probe_target(obj,
+                                                                     sched))
     assert len(res.trace) == 2 and res.evals_to_target is not None
     return res
+
+
+def test_a_probe_stop_evaluates_its_point_once():
+    # The probe's full pass certifies the stop; the final trace row reuses it.
+    obj = make_synthetic(64, 5, 1, lam=1e-3)
+    sched = default_svrg_params(obj.n)
+    target = _probe_target(obj, sched)
+    calls, full = [], obj.full_value_and_gradient
+    obj.full_value_and_gradient = lambda x: calls.append(x.copy()) or full(x)
+    res = svrg_full_run(obj, np.zeros(5), sched, 1, 1, RandomSource(2),
+                        probe_stride=4, target_grad_sq=target)
+    assert res.final_grad_norm_sq <= target
+    assert len(calls) == sum(p.k > 0 for p in res.probe_samples)
+    assert sum(np.array_equal(x, res.output) for x in calls) == 1
 
 
 def _last_iterate(res, sched):
@@ -485,12 +504,12 @@ _EXITS = {
     "sgd-target": (lambda obj, sched: sgd_run(
         obj, np.zeros(5), 3000, 1, RandomSource(0), ConstantRate(0.5),
         eval_every=50, target_grad_sq=1e-3), None),
-    "svrg1-eval-every": (lambda obj, sched: svrg_simple_run(
-        obj, np.zeros(5), sched, 3, 2, RandomSource(3), record_iterates=True,
-        eval_every_epochs=1), _last_iterate),
-    "svrg2-eval-every": (lambda obj, sched: svrg_full_run(
-        obj, np.zeros(5), sched, 3, 2, RandomSource(3), record_iterates=True,
-        eval_every_epochs=1), _last_iterate),
+    "svrg1": (lambda obj, sched: svrg_simple_run(
+        obj, np.zeros(5), sched, 3, 2, RandomSource(3), record_iterates=True),
+        _last_iterate),
+    "svrg2": (lambda obj, sched: svrg_full_run(
+        obj, np.zeros(5), sched, 3, 2, RandomSource(3), record_iterates=True),
+        _last_iterate),
     "svrg-snapshot-target": (lambda obj, sched: svrg_full_run(
         obj, np.zeros(5), sched, 3, 1, RandomSource(2),
         target_grad_sq=math.inf), None),
@@ -516,6 +535,38 @@ def test_final_fields_are_the_last_exact_evaluation(case):
     assert math.isclose(res.final_value, value, rel_tol=1e-12)
     assert math.isclose(res.final_grad_norm_sq, float(grad @ grad),
                         rel_tol=1e-12)
+
+
+# Runs whose evaluations meet no target before the final one, on
+# make_synthetic(64, 3, 1): gd's 5 steps, sgd's 256 b=1 iterations and one
+# svrg2 epoch of m = n = 64 b=1 steps.
+_FINAL_STOPS = {
+    "gd": lambda obj, target: gd_run(obj, np.zeros(3), 5,
+                                     target_grad_sq=target),
+    "sgd": lambda obj, target: sgd_run(obj, np.zeros(3), 256, 1,
+                                       RandomSource(0), ConstantRate(0.5),
+                                       target_grad_sq=target),
+    "svrg2": lambda obj, target: svrg_full_run(
+        obj, np.zeros(3), default_svrg_params(obj.n), 1, 1, RandomSource(2),
+        target_grad_sq=target),
+}
+
+
+@pytest.mark.parametrize("case,spent", [("gd", 320), ("sgd", 256),
+                                        ("svrg2", 128)])
+def test_a_final_evaluation_that_meets_the_target_reports_it(case, spent):
+    obj = make_synthetic(64, 3, 1)
+    run = _FINAL_STOPS[case]
+    plain = run(obj, None)
+    target = plain.final_grad_norm_sq
+    assert all(r.grad_norm_sq > target for r in plain.trace[:-1])
+    res = run(obj, target)
+    assert [r.grad_norm_sq for r in res.trace] == [
+        r.grad_norm_sq for r in plain.trace]
+    assert res.evals_to_target == res.grad_evals - obj.n == spent
+    value, grad = obj.full_value_and_gradient(res.output)
+    assert (value, float(grad @ grad)) == (res.final_value,
+                                           res.final_grad_norm_sq)
 
 
 class TestGdRun:
