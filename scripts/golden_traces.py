@@ -1,5 +1,6 @@
 """Golden-trace hashes: run a fixed list of ``svrgkit train``/``tune``/``verify``
-runs and print one ``name sha256`` line per output file.
+runs and of library SVRG runs, and print one ``name sha256`` line per output
+file or library run.
 
     python scripts/golden_traces.py              # every run
     python scripts/golden_traces.py synth-gd ... # only the named runs
@@ -9,8 +10,11 @@ The runs go through ``svrgkit.cli.main`` in-process and write into a
 temporary directory.  Input files are generated there from fixed seeds, and
 every input path in an output (the trace header echoes the dataset) is
 replaced by a placeholder before hashing, so the hashes of two checkouts
-agree exactly when their outputs do.  svrgkit is imported from the ``src/``
-next to this script.
+agree exactly when their outputs do.  A library run (``lib-*``) calls
+``svrg_simple_run`` or ``svrg_full_run`` directly and hashes what no trace
+shows: the returned point, the drawn epoch stops and the probe samples,
+over every rate, both accountings and three seeds.  svrgkit is imported
+from the ``src/`` next to this script.
 """
 
 from __future__ import annotations
@@ -29,8 +33,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from svrgkit import cli  # noqa: E402
+from svrgkit.core import RandomSource  # noqa: E402
 from svrgkit.dataio import (Dataset, bundled_dataset_path,  # noqa: E402
                             write_libsvm)
+from svrgkit.objectives import make_synthetic  # noqa: E402
+from svrgkit.optim import (AdaGradRate, ConstantRate,  # noqa: E402
+                           PolynomialRate, SvrgSchedule, svrg_full_run,
+                           svrg_simple_run)
 
 # gd reads no batch size, so the base runs give one to the other optimizers.
 BUNDLED = ("--dataset", "{bundled}", "--loss", "sigmoid", "--passes", "6",
@@ -110,6 +119,14 @@ def _tune_runs() -> dict[str, tuple[str, ...]]:
 RUNS = {**_train_runs(), **_tune_runs(),
         "verify-seed0": ("verify", "--seed", "0")}
 
+# Library runs: runner, batch size and m0 at m = 12 on 36 examples.
+LIB_M = 12
+LIB_RUNS = {f"lib-{opt}-b{b}-" + ("m0eqm" if m0 == LIB_M else f"m0-{m0}"):
+            (opt, b, m0)
+            for opt in ("svrg1", "svrg2") for b in (1, 3)
+            for m0 in (1, 3, LIB_M)}
+LIB_RATES = (ConstantRate(0.5), PolynomialRate(0.5, 0.5), AdaGradRate(0.3))
+
 
 def _write_inputs(tmp: Path) -> dict[str, str]:
     nonunit = tmp / "nonunit.libsvm"
@@ -155,21 +172,43 @@ def _run(name: str, tmp: Path, inputs: dict[str, str]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _lib_run(name: str) -> str:
+    opt, b, m0 = LIB_RUNS[name]
+    runner = svrg_simple_run if opt == "svrg1" else svrg_full_run
+    schedule = SvrgSchedule(LIB_M, m0, theory_ok=False)
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        obj = make_synthetic(36, 4, seed)
+        for lr in LIB_RATES:
+            for accounting in ("stored", "recompute"):
+                res = runner(obj, np.zeros(obj.dim), schedule, 3, b,
+                             RandomSource(seed), lr=lr, accounting=accounting,
+                             probe_stride=5)
+                probes = [(p.epoch, p.k, p.grad_norm_sq, p.eligible)
+                          for p in res.probe_samples]
+                digest.update(res.output.tobytes())
+                digest.update(repr((res.epoch_stops, probes)).encode())
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="runs to hash (default all)")
     parser.add_argument("--list", action="store_true", help="print run names")
     args = parser.parse_args(argv)
     if args.list:
-        print("\n".join(RUNS))
+        print("\n".join([*RUNS, *LIB_RUNS]))
         return 0
-    unknown = [name for name in args.names if name not in RUNS]
+    unknown = [name for name in args.names
+               if name not in RUNS and name not in LIB_RUNS]
     if unknown:
         parser.error(f"unknown runs: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
         inputs = _write_inputs(Path(tmp))
-        for name in args.names or RUNS:
-            print(f"{name} {_run(name, Path(tmp), inputs)}", flush=True)
+        for name in args.names or [*RUNS, *LIB_RUNS]:
+            digest = (_lib_run(name) if name in LIB_RUNS
+                      else _run(name, Path(tmp), inputs))
+            print(f"{name} {digest}", flush=True)
     return 0
 
 

@@ -145,9 +145,12 @@ class Dataset:
 
 def _parse_label(tok: str, lineno: int) -> float:
     try:
-        return float(tok)
+        label = float(tok)
     except ValueError:
         raise LibsvmFormatError(f"line {lineno}: unparsable label {tok!r}") from None
+    if not np.isfinite(label):
+        raise LibsvmFormatError(f"line {lineno}: non-finite label {tok!r}")
+    return label
 
 
 def _remap_labels(raw: list[float], binary: bool) -> list[int]:

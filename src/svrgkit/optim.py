@@ -1,24 +1,27 @@
 """Optimization algorithms for finite-sum objectives.
 
 Implements plain gradient descent, mini-batch SGD with constant/polynomial/
-AdaGrad learning rates, and two variance-reduced runners:
+AdaGrad learning rates, and two variance-reduced runners over one epoch
+loop, which differ only in the epoch plan drawn at epoch start:
 
-* :func:`svrg_simple_run` - epochs of m inner iterations; each epoch's
-  snapshot and starting point is the previous epoch's last iterate; the
-  returned point is drawn uniformly from all post-update iterates.
+* :func:`svrg_simple_run` - each epoch's snapshot and starting point is
+  the previous epoch's last iterate; the returned point is drawn uniformly
+  from all post-update iterates x_1 .. x_m.
 * :func:`svrg_full_run` - additionally draws a weighted stopping index
   m_s in {m-m0+1..m} for each epoch (weights built from the geometric
   sub-epoch coefficients), restarts the next epoch from that iterate, and
   returns a uniform draw from the union of all eligible iterates
-  {x_0..x_{m_s-1}} across epochs, realized by reservoir sampling.
+  {x_0..x_{m_s-1}} across epochs.
 
-Per-epoch RNG consumption order is fixed (component indices, reservoir
-uniforms, stopping draw, late-iterate reservoir uniforms), so a run is a
-pure function of (objective, config, seed).  The inner loop draws nothing,
-so all four are drawn at epoch start; iterates then join the reservoir as
-they are produced and only x_{m_s} is copied for the restart.  A run thus
-holds a fixed number of d-vectors whatever m and m0 are (``record_iterates``
-aside), and the inner step writes its estimate into one reused buffer.
+Per-epoch RNG consumption order is fixed: the component indices, then the
+plan's draws (svrg1: m reservoir uniforms; svrg2: the uniforms of x_0 ..
+x_{m-m0}, the stopping draw, the uniforms of the late iterates), so a run
+is a pure function of (objective, config, seed).  The inner loop draws
+nothing; iterates join a size-1 reservoir as they are produced and only
+x_{m_s} is copied for the restart.  A run thus holds a fixed number of
+d-vectors whatever m and m0 are (``record_iterates`` aside), and the inner
+step writes its estimate into one reused buffer.  sgd and the runners
+apply the rate through one step rule.
 
 Pass accounting follows the stored-snapshot convention: a snapshot costs 1
 pass and an inner iteration with batch b costs b/n passes when reference
@@ -365,6 +368,9 @@ class _Ledger:
 # ---------------------------------------------------------------------------
 
 
+# perfbench wraps this name and ErmObjective.fused_svrg_estimator to time
+# the estimator layer: renaming either, or an inner step that bypasses
+# both, fails every benchmark operation.
 def _generic_estimator(cache: SnapshotCache, obj, x, batch,
                        out=None) -> np.ndarray:
     # The parentheses make x == x_ref return full_grad exactly.
@@ -372,10 +378,10 @@ def _generic_estimator(cache: SnapshotCache, obj, x, batch,
                   - obj.batch_mean_grad(batch, cache.x_ref), out=out)
 
 
-def _resolve_estimator(cache: SnapshotCache, obj):
+def _resolve_estimator(mode: str, obj):
     """Fused kernel for stored residuals, else the generic formula; both
     write into ``out`` when given one and return a new array otherwise."""
-    if cache.mode == "stored":
+    if mode == "stored":
         return obj.fused_svrg_estimator
     return lambda c, point, batch, out=None: _generic_estimator(
         c, obj, point, batch, out=out)
@@ -393,7 +399,7 @@ def svrg_estimator(cache: SnapshotCache, obj: FiniteSumObjective,
         raise ValueError("batch must be non-empty")
     if batch.min() < 1 or batch.max() > obj.n:
         raise IndexError("batch index out of range")
-    return _resolve_estimator(cache, obj)(cache, x, batch)
+    return _resolve_estimator(cache.mode, obj)(cache, x, batch)
 
 
 def epochs_for_passes(obj, passes: float, m: int, batch_size: int,
@@ -416,66 +422,94 @@ def draw_epoch_stop(rng: RandomSource, schedule: SvrgSchedule) -> int:
     return schedule.m - j
 
 
-def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
-                 variant="full", accounting="auto", probe_stride=None,
+def _simple_plan(rng: RandomSource, schedule: SvrgSchedule):
+    """svrg1's epoch: x_1 .. x_m join the reservoir, and the next epoch
+    starts from x_m."""
+    return 1, rng.uniforms(schedule.m), None
+
+
+def _full_plan(rng: RandomSource, schedule: SvrgSchedule):
+    """svrg2's epoch: x_0 .. x_{m_s-1} join the reservoir, and the next
+    epoch restarts from x_{m_s}.  Draws the uniforms of x_0 .. x_{m-m0},
+    then m_s, then the uniforms of the late iterates up to x_{m_s-1}."""
+    m, m0 = schedule.m, schedule.m0
+    us = rng.uniforms(m - m0 + 1)
+    m_s = draw_epoch_stop(rng, schedule)
+    if m_s > m - m0 + 1:
+        us = np.concatenate((us, rng.uniforms(m_s - (m - m0) - 1)))
+    return 0, us, m_s
+
+
+def _step_rule(lr, dim: int, n: int):
+    """``step(x, g, k)``: x -= the rate's step along g at global step k, in
+    place; g, the caller's gradient or estimate, may be overwritten."""
+    if not isinstance(lr, AdaGradRate):
+        def step(x, g, k):
+            g *= lr.value(k, n)
+            x -= g
+        return step
+    if lr.alpha is None:
+        raise ValueError("AdaGradRate has no alpha; fill in 1/L before a "
+                         "runner takes the rate")
+    acc = np.zeros(dim)
+
+    def step(x, g, k):
+        x -= adagrad_step(acc, g, lr.alpha, lr.delta)
+    return step
+
+
+def _svrg_engine(plan, obj, x_start, schedule, epochs, batch_size, rng,
+                 lr=None, accounting="auto", probe_stride=None,
                  record_iterates=False, target_grad_sq=None) -> RunResult:
+    """The epoch loop of both SVRG runners; ``plan`` is the variant's.
+
+    Options: ``lr`` (default :func:`theory_step`), ``accounting`` (stored
+    or recomputed reference gradients), ``probe_stride`` (an exact
+    gradient probe every that many inner steps), ``record_iterates`` (keep
+    each epoch's iterates) and ``target_grad_sq`` (stop at the first exact
+    evaluation that meets it)."""
     if epochs < 1:
         raise ValueError("need at least one epoch")
     if not 1 <= batch_size <= obj.n:
         raise ValueError(f"batch size must be in 1..{obj.n}")
-    if variant not in ("simple", "full"):
-        raise ValueError(variant)
-    lr = lr or ConstantRate(theory_step(schedule, obj.smoothness))
-    adagrad = lr if isinstance(lr, AdaGradRate) else None
-    ada_acc = np.zeros(obj.dim) if adagrad else None
-    eta = lr.eta if isinstance(lr, ConstantRate) else None
     if record_iterates and (schedule.m + 1) * obj.dim > 1_000_000:
         raise ValueError("iterate recording is desk-scale only")
+    step = _step_rule(lr or ConstantRate(theory_step(schedule, obj.smoothness)),
+                      obj.dim, obj.n)
+    mode = obj.snapshot_mode(accounting)
+    estimate = _resolve_estimator(mode, obj)
+    m, m0, n = schedule.m, schedule.m0, obj.n
+    inner_cost = batch_size if mode == "stored" else 2 * batch_size
 
-    m, m0, b = schedule.m, schedule.m0, batch_size
-    n = obj.n
     x = np.array(x_start, dtype=np.float64)
     ledger = _Ledger(n, target_grad_sq)
     probes: list[ProbeSample] = []
     stops: list[int] = []
     iterates: list[np.ndarray] | None = [] if record_iterates else None
     reservoir = _Reservoir()
-    step = np.empty(obj.dim)    # estimator output, scaled in place
+    est = np.empty(obj.dim)     # estimator output, scaled in place
     k_global = 0
 
     def finish(output) -> RunResult:
         return ledger.result(output, probe_samples=probes, epoch_stops=stops,
                              epoch_iterates=iterates)
 
-    estimate = None
     for s in range(1, epochs + 1):
         cache = obj.build_snapshot(x, mode=accounting)
-        if estimate is None:
-            estimate = _resolve_estimator(cache, obj)
         if ledger.checkpoint(cache.value, cache.full_grad, s - 1,
                              f"epoch {s} snapshot"):
             return finish(x.copy())
-        inner_cost = b if cache.mode == "stored" else 2 * b
-
-        idx = rng.draw_indices(n, size=m * b).reshape(m, b)
-        us = rng.uniforms((m - m0 + 1) if variant == "full" else m)
-        if variant == "full":
-            # The inner loop draws nothing, so the stop and the uniforms for
-            # the late iterates m-m0+1 .. m_s-1 can be drawn up front.
-            m_s = draw_epoch_stop(rng, schedule)
-            n_late = m_s - (m - m0) - 1
-            late_us = rng.uniforms(n_late) if n_late > 0 else None
-            restart = None
+        # The inner loop draws nothing: the indices and the plan come first.
+        idx = rng.draw_indices(n, size=m * batch_size).reshape(m, batch_size)
+        first, us, stop = plan(rng, schedule)
+        last, restart = first + len(us), None
         epoch_rows = np.empty((m + 1, obj.dim)) if record_iterates else None
 
         for k in range(m):
-            if variant == "full":
-                if k <= m - m0:
-                    reservoir.feed(x, us[k])
-                elif k < m_s:
-                    reservoir.feed(x, late_us[k - (m - m0) - 1])
-                elif k == m_s:
-                    restart = x.copy()
+            if first <= k < last:
+                reservoir.feed(x, us[k - first])
+            elif k == stop:
+                restart = x.copy()
             if record_iterates:
                 epoch_rows[k] = x
             if probe_stride and k % probe_stride == 0:
@@ -491,27 +525,21 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
                     ledger.checkpoint(value, grad, s, "final point")
                     return finish(x.copy())
             # Python ints: the objectives' row loops index with them.
-            est = estimate(cache, x, idx[k].tolist(), out=step)
-            if adagrad:
-                x -= adagrad_step(ada_acc, est, adagrad.alpha, adagrad.delta)
-            else:
-                est *= eta if eta is not None else lr.value(k_global, n)
-                x -= est
-            if variant == "simple":
-                reservoir.feed(x, us[k])
+            step(x, estimate(cache, x, idx[k].tolist(), out=est), k_global)
             k_global += 1
             if k % _GUARD_STRIDE == 0 and not np.all(np.isfinite(x)):
                 raise DivergenceError(f"non-finite iterate at epoch {s}, k={k}")
+        if first <= m < last:
+            reservoir.feed(x, us[m - first])
         ledger.charge(m * inner_cost)
 
         if record_iterates:
             epoch_rows[m] = x
             iterates.append(epoch_rows)
-
-        if variant == "full":
-            # Iterates after m_s were computed and charged, but the next
-            # epoch restarts from x_{m_s} (the loop-end x when m_s == m).
-            stops.append(m_s)
+        if stop is not None:
+            # Iterates after the stop were computed and charged, but the
+            # next epoch restarts from x_stop (the loop-end x when stop == m).
+            stops.append(stop)
             if restart is not None:
                 x = restart
 
@@ -522,33 +550,23 @@ def _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng, lr=None,
 
 
 def svrg_simple_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
-                    batch_size: int, rng: RandomSource, lr=None,
-                    accounting: str = "auto", probe_stride=None,
-                    record_iterates: bool = False,
-                    target_grad_sq=None) -> RunResult:
+                    batch_size: int, rng: RandomSource,
+                    **options) -> RunResult:
     """Variance-reduced epochs restarting at the last iterate; the returned
     point is uniform over all post-update iterates.  Without an ``lr`` the
     step is :func:`theory_step` at ``obj.smoothness``."""
-    return _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng,
-                        lr=lr, variant="simple", accounting=accounting,
-                        probe_stride=probe_stride,
-                        record_iterates=record_iterates,
-                        target_grad_sq=target_grad_sq)
+    return _svrg_engine(_simple_plan, obj, x_start, schedule, epochs,
+                        batch_size, rng, **options)
 
 
 def svrg_full_run(obj, x_start, schedule: SvrgSchedule, epochs: int,
-                  batch_size: int, rng: RandomSource, lr=None,
-                  accounting: str = "auto", probe_stride=None,
-                  record_iterates: bool = False,
-                  target_grad_sq=None) -> RunResult:
+                  batch_size: int, rng: RandomSource,
+                  **options) -> RunResult:
     """Variance-reduced epochs with the weighted epoch-end stopping draw and
     a uniform reservoir output over all eligible iterates; the step defaults
     as :func:`svrg_simple_run`'s does."""
-    return _svrg_engine(obj, x_start, schedule, epochs, batch_size, rng,
-                        lr=lr, variant="full", accounting=accounting,
-                        probe_stride=probe_stride,
-                        record_iterates=record_iterates,
-                        target_grad_sq=target_grad_sq)
+    return _svrg_engine(_full_plan, obj, x_start, schedule, epochs,
+                        batch_size, rng, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +609,7 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
         raise ValueError("need at least one iteration")
     if not 1 <= batch_size <= obj.n:
         raise ValueError(f"batch size must be in 1..{obj.n}")
-    adagrad = lr if isinstance(lr, AdaGradRate) else None
-    ada_acc = np.zeros(obj.dim) if adagrad else None
+    step = _step_rule(lr, obj.dim, obj.n)
     n, b = obj.n, batch_size
     x = np.array(x_start, dtype=np.float64)
     ledger = _Ledger(n, target_grad_sq)
@@ -603,12 +620,8 @@ def sgd_run(obj, x_start, iterations: int, batch_size: int, rng: RandomSource,
         idx = rng.draw_indices(n, size=count * b).reshape(count, b)
         for j in range(count):
             k = base + j
-            grad = obj.batch_mean_grad(idx[j].tolist(), x)
+            step(x, obj.batch_mean_grad(idx[j].tolist(), x), k)
             ledger.charge(b)
-            if adagrad:
-                x -= adagrad_step(ada_acc, grad, adagrad.alpha, adagrad.delta)
-            else:
-                x -= lr.value(k, n) * grad
             if k % _GUARD_STRIDE == 0 and not np.all(np.isfinite(x)):
                 raise DivergenceError(f"non-finite iterate at iteration {k}")
             if eval_every and (k + 1) % eval_every == 0 and k + 1 < iterations:

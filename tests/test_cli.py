@@ -471,6 +471,56 @@ class TestTrain:
             RunConfig(synthetic={"n": (cli._MAX_ENTRIES >> 14) + 1,
                                  "d": 2 ** 14, "seed": 0}, optimizer="gd")
 
+    def test_network_size_is_bounded_before_allocation(
+            self, tmp_path, capsys, monkeypatch):
+        # A network holds dense n*d features and hidden*(d+1) +
+        # classes*(hidden+1) parameters; both are bounded before
+        # TwoLayerNet is built.
+        def construct(ds, **kwargs):
+            raise AssertionError(f"TwoLayerNet({kwargs}) was called")
+
+        monkeypatch.setattr(cli, "TwoLayerNet", construct)
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"net": {"hidden": 10 ** 9}}))
+        narrow = tmp_path / "narrow.libsvm"
+        narrow.write_text("1 1:1\n2 2:1\n")
+        assert run_cli("train", "--dataset", str(narrow), "--config",
+                       str(net), "--objective", "net", "--optimizer", "gd",
+                       "--passes", "1") == 1
+        assert "1000000000 hidden units" in capsys.readouterr().err
+
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", 1000)
+
+        def build(rows, **net):
+            path = tmp_path / "rows.libsvm"
+            path.write_text("".join(f"{label} {col}:1\n"
+                                    for label, col in rows))
+            cfg = RunConfig(dataset=str(path), objective="net",
+                            optimizer="gd", net=net)
+            return cli.build_objective(cfg, RandomSource(0))
+
+        wide = [(1, 1), (2, 501)]          # n*d = 2*501
+        with pytest.raises(ConfigError, match="n=2 rows of d=501"):
+            build(wide, hidden=1)
+        with pytest.raises(AssertionError, match="'hidden_dim': 1"):
+            build([(1, 1), (2, 500)], hidden=1)
+        # 200*3 + 2*201 and 1*3 + 500*2 parameters, then 199*3 + 2*200
+        narrow = [(1, 1), (2, 2)]
+        for net in ({"hidden": 200}, {"hidden": 1, "classes": 500}):
+            with pytest.raises(ConfigError, match="features or parameters"):
+                build(narrow, **net)
+        with pytest.raises(AssertionError, match="'hidden_dim': 199"):
+            build(narrow, hidden=199)
+
+    def test_non_finite_labels_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "labels.libsvm"
+        for label, objective in (("inf", "erm"), ("nan", "net")):
+            data.write_text(f"1 1:1\n{label} 1:2\n2 1:3\n")
+            assert run_cli("train", "--dataset", str(data), "--objective",
+                           objective, "--optimizer", "gd", "--passes",
+                           "1") == 1
+            assert "line 2: non-finite label" in capsys.readouterr().err
+
     def test_stop_draw_weights_count_toward_the_epoch_bound(
             self, capsys, monkeypatch):
         # An m*b index block within the bound, whose 3*m0 stop-draw

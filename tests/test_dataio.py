@@ -44,6 +44,15 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmFormatError, match="line 2"):
             parse_libsvm(["+1 1:1", "what 1:1"])
 
+    def test_non_finite_label_names_line(self):
+        # Not a label in either mode: binary would remap the other rows
+        # around it, multiclass cannot make it an integer.
+        for binary in (True, False):
+            for bad in ("nan", "inf", "-inf"):
+                with pytest.raises(LibsvmFormatError,
+                                   match=f"line 2: non-finite label '{bad}'"):
+                    parse_libsvm(["1 1:1", f"{bad} 1:2"], binary=binary)
+
     def test_non_increasing_indices_rejected(self):
         with pytest.raises(LibsvmFormatError, match="line 1"):
             parse_libsvm(["+1 3:1 2:1"])

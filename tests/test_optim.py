@@ -654,6 +654,17 @@ class TestAdagrad:
         with pytest.raises(ValueError):
             adagrad_step(np.zeros(2), np.ones(3), 1.0, 1e-8)
 
+    def test_runners_need_an_adagrad_alpha(self):
+        # An alpha of None stands for 1/L, which the caller fills in.
+        obj = make_synthetic(16, 3, seed=10, lam=1e-3)
+        sched = default_svrg_params(obj.n)
+        for run in (lambda: sgd_run(obj, np.zeros(3), 10, 1, RandomSource(0),
+                                    AdaGradRate()),
+                    lambda: svrg_full_run(obj, np.zeros(3), sched, 1, 1,
+                                          RandomSource(0), lr=AdaGradRate())):
+            with pytest.raises(ValueError, match="no alpha"):
+                run()
+
     def test_adagrad_rate_on_svrg(self):
         obj = make_synthetic(16, 3, seed=10, lam=1e-3)
         sched = default_svrg_params(obj.n)
