@@ -15,7 +15,7 @@ from .dataio import (Dataset, LibsvmFormatError, TraceRecord, flip_labels,
 from .losses import (ALL_ERM_LOSSES, SIGMOID_SCALE, LossEval, LossKind,
                      eval_loss, loss_smoothness)
 from .objectives import (ErmObjective, FiniteSumObjective, SnapshotCache,
-                         TwoLayerNet, make_synthetic)
+                         TwoLayerNet, make_synthetic, smoothness_probe)
 from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     PolynomialRate, RunResult, SvrgSchedule, adagrad_step,
                     beta_weights, default_svrg_params, draw_epoch_stop,
@@ -23,6 +23,6 @@ from .optim import (AdaGradRate, ConstantRate, DivergenceError,
                     parse_rate, sgd_run, svrg_estimator, svrg_full_run,
                     svrg_simple_run, theory_step)
 from .verify import (SlopeFit, epoch_variance_aggregate, exact_variance,
-                     fd_gradient, fit_rate_slope, smoothness_probe)
+                     fd_gradient, fit_rate_slope)
 
 __version__ = "0.1.0"

@@ -13,10 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def zeros(dim: int) -> np.ndarray:
-    return np.zeros(int(dim), dtype=np.float64)
-
-
 def sq_norm(v: np.ndarray) -> float:
     """Squared Euclidean norm."""
     return float(np.dot(v, v))

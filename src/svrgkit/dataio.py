@@ -22,7 +22,7 @@ import numpy as np
 from .core import RandomSource
 
 TRACE_HEADER = "passes,objective,grad_norm_sq,wall_seconds,epoch"
-# LibSVM's own feature index is a C int.
+# LibSVM's own feature index is a C int, and so is its class label.
 _MAX_INDEX = 2 ** 31 - 1
 
 
@@ -143,13 +143,16 @@ class Dataset:
         return int(self.labels.max()) if self.labels.size else 0
 
 
-def _parse_label(tok: str, lineno: int) -> float:
+def _parse_label(tok: str, lineno: int, binary: bool) -> float:
     try:
         label = float(tok)
     except ValueError:
         raise LibsvmFormatError(f"line {lineno}: unparsable label {tok!r}") from None
     if not np.isfinite(label):
         raise LibsvmFormatError(f"line {lineno}: non-finite label {tok!r}")
+    if not binary and abs(label) > _MAX_INDEX:
+        raise LibsvmFormatError(f"line {lineno}: class label {tok!r} outside "
+                                f"-{_MAX_INDEX}..{_MAX_INDEX}")
     return label
 
 
@@ -191,7 +194,7 @@ def parse_libsvm(source, binary: bool = True, dim: int | None = None,
         if not line:
             continue
         toks = line.split()
-        raw_labels.append(_parse_label(toks[0], lineno))
+        raw_labels.append(_parse_label(toks[0], lineno, binary))
         linenos.append(lineno)
         for tok in toks[1:]:
             # no ':' leaves val_s empty, which float() rejects

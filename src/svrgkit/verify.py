@@ -1,12 +1,16 @@
 """Independent numerical oracles: finite-difference gradients, exact
-variance enumeration, smoothness probes, and log-log rate-slope fitting;
-and the verification gate that ``svrgkit verify`` runs.
+variance enumeration and log-log rate-slope fitting; and the verification
+gate that ``svrgkit verify`` runs.
 
 The oracles deliberately avoid the analytic code paths they check:
-``fd_gradient`` only calls a black-box scalar function, ``exact_variance``
-enumerates every component, and ``smoothness_probe`` samples gradient
-difference ratios directly.  Only :func:`run_verification` composes them
-with the objectives, the estimator and the schedule weights.
+``fd_gradient`` only calls a black-box scalar function and
+``exact_variance`` enumerates every component.  The smoothness probe,
+which samples gradient-difference ratios directly, is the one in
+``objectives`` (:func:`~svrgkit.objectives.smoothness_probe`, re-exported
+here), since a network's run takes its L from it; the gate checks ERM's
+closed-form constants against it at scale 1.  Only
+:func:`run_verification` composes the oracles with the objectives, the
+estimator and the schedule weights.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from .core import RandomSource, sq_norm
 from .dataio import Dataset
 from .losses import ALL_ERM_LOSSES
-from .objectives import TwoLayerNet, make_synthetic
+from .objectives import TwoLayerNet, make_synthetic, smoothness_probe
 from .optim import (beta_weights, default_svrg_params, epoch_end_weights,
                     svrg_estimator, svrg_simple_run)
 
@@ -70,26 +74,6 @@ def exact_variance(obj, x: np.ndarray, x_ref: np.ndarray,
     variance = float(((diffs - mean_diff) ** 2).sum(axis=1).mean())
     bound = obj.smoothness ** 2 * sq_norm(np.asarray(x) - np.asarray(x_ref))
     return variance, bound
-
-
-def smoothness_probe(obj, trials: int, rng: RandomSource) -> float:
-    """Max sampled ratio ||g_i(x) - g_i(y)|| / ||x - y|| over random
-    components and standard-normal point pairs x, y = x + N(0, I); must not
-    exceed obj.smoothness."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    worst = 0.0
-    for _ in range(trials):
-        i = rng.draw_index(obj.n)
-        x = rng.normals(obj.dim)
-        y = x + rng.normals(obj.dim)
-        dist2 = sq_norm(x - y)
-        if dist2 == 0.0:
-            continue
-        gx = obj.component(i, x)[1]
-        gy = obj.component(i, y)[1]
-        worst = max(worst, np.sqrt(sq_norm(gx - gy) / dist2))
-    return worst
 
 
 def epoch_variance_aggregate(obj, iterates: np.ndarray, m0: int,

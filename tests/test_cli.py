@@ -521,6 +521,13 @@ class TestTrain:
                            "1") == 1
             assert "line 2: non-finite label" in capsys.readouterr().err
 
+    def test_class_label_past_int64_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "labels.libsvm"
+        data.write_text("1 1:1\n1e300 1:2\n2 1:3\n")
+        assert run_cli("train", "--dataset", str(data), "--objective", "net",
+                       "--optimizer", "gd", "--passes", "1") == 1
+        assert "line 2: class label '1e300'" in capsys.readouterr().err
+
     def test_stop_draw_weights_count_toward_the_epoch_bound(
             self, capsys, monkeypatch):
         # An m*b index block within the bound, whose 3*m0 stop-draw
@@ -694,9 +701,9 @@ def _multiclass_file(tmp_path) -> Path:
 def test_network_with_an_lr_probes_no_smoothness(optimizer, lr, tmp_path,
                                                  monkeypatch):
     def no_probe(*args):
-        raise AssertionError("estimate_smoothness was called")
+        raise AssertionError("smoothness_probe was called")
 
-    monkeypatch.setattr(TwoLayerNet, "estimate_smoothness", no_probe)
+    monkeypatch.setattr(cli, "smoothness_probe", no_probe)
     batch = () if optimizer == "gd" else ("--batch-size", "2")
     assert main(["train", "--dataset", str(_multiclass_file(tmp_path)),
                  "--objective", "net", "--optimizer", optimizer, "--lr", lr,

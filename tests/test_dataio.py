@@ -53,6 +53,19 @@ class TestParseLibsvm:
                                    match=f"line 2: non-finite label '{bad}'"):
                     parse_libsvm(["1 1:1", f"{bad} 1:2"], binary=binary)
 
+    def test_huge_class_label_names_line(self):
+        # 1e300 is an integer-valued float, which multiclass mode would
+        # keep as a class past int64; a class label, like an index, is a
+        # C int.
+        for bad in ("1e300", "-1e300", "2147483648"):
+            with pytest.raises(LibsvmFormatError,
+                               match=f"line 2: class label '{bad}' outside"):
+                parse_libsvm(["1 1:1", f"{bad} 1:2", "2 1:3"], binary=False)
+        ds = parse_libsvm(["1 1:1", "2147483647 1:2"], binary=False)
+        assert ds.labels.tolist() == [1, 2 ** 31 - 1]
+        # binary mode remaps any two finite labels to -1/+1
+        assert parse_libsvm(["1e300 1:1", "2 1:2"]).labels.tolist() == [1, -1]
+
     def test_non_increasing_indices_rejected(self):
         with pytest.raises(LibsvmFormatError, match="line 1"):
             parse_libsvm(["+1 3:1 2:1"])

@@ -11,7 +11,7 @@ from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset, parse_libsvm
 from svrgkit.losses import ALL_ERM_LOSSES, LossKind
 from svrgkit.objectives import (_BLOCK_ROWS, ErmObjective, TwoLayerNet,
-                                make_synthetic)
+                                make_synthetic, smoothness_probe)
 from svrgkit.optim import svrg_estimator
 from svrgkit.verify import fd_gradient
 
@@ -182,10 +182,13 @@ class TestTwoLayerNet:
     def test_smoothness_requires_estimate(self):
         ds = dense_dataset([[1.0]], [1], binary=False)
         net = TwoLayerNet(ds, hidden_dim=2, class_count=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pass an lr.*smoothness_probe"):
             _ = net.smoothness
-        est = net.estimate_smoothness(20, RandomSource(0))
-        assert est > 0 and net.smoothness == est
+        est = smoothness_probe(net, 20, RandomSource(0))
+        assert est > 0 and smoothness_probe(net, 20, RandomSource(0)) == est
+        # probing stores nothing on the network
+        with pytest.raises(ValueError, match="pass an lr"):
+            _ = net.smoothness
 
 
 class TestMakeSynthetic:
