@@ -13,6 +13,10 @@ Subcommands:
   split    partition a LibSVM file into train/validation files
   synth    write a synthetic instance as a LibSVM file
 
+train and tune declare their shared run flags once, read their data
+through one loader (``_load_dataset``) and size every run in one call
+(``_run_length``); a tune cell is the train run of its config.
+
 Exit codes: 0 ok, 1 config error, 2 divergence, 3 every grid cell diverged,
 4 verification failure.
 
@@ -48,7 +52,8 @@ from .objectives import (ErmObjective, TwoLayerNet, smoothness_probe,
 # perfbench wraps the runners by their names in this module: renaming them,
 # or a run that bypasses them, fails every benchmark operation.
 from .optim import (AdaGradRate, ConstantRate, DivergenceError,
-                    PolynomialRate, RunResult, default_svrg_params,
+                    PolynomialRate, RunResult, SvrgSchedule,
+                    default_svrg_params,
                     epochs_for_passes, gd_run, parse_rate, sgd_run,
                     svrg_full_run, svrg_simple_run, theory_step)
 from .verify import run_verification
@@ -290,15 +295,22 @@ def _parse_m(expr, n: int, b: int) -> int:
     return max(1, round(coef * n / (b if match.group(3) else 1)))
 
 
-def build_objective(cfg: RunConfig, rng: RandomSource):
+def _load_dataset(cfg: RunConfig, rng: RandomSource) -> Dataset:
+    """cfg's data, for train and tune alike: the synthetic instance, or the
+    parsed file (binary for ERM) with its labels flipped by ``rng``'s fork
+    7 when flip_fraction is set."""
     if cfg.synthetic is not None:
-        ds = synthetic_dataset(**cfg.synthetic)
-    else:
-        ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
-        if len(ds) == 0:
-            raise ConfigError(f"dataset {cfg.dataset} has no examples")
-        if cfg.flip_fraction:
-            ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))
+        return synthetic_dataset(**cfg.synthetic)
+    ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
+    if len(ds) == 0:
+        raise ConfigError(f"dataset {cfg.dataset} has no examples")
+    if cfg.flip_fraction:
+        ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))
+    return ds
+
+
+def build_objective(cfg: RunConfig, rng: RandomSource):
+    ds = _load_dataset(cfg, rng)
     if cfg.objective == "erm":
         return ErmObjective(ds, cfg.loss_kind, lam=cfg.lam)
     classes = cfg.net.get("classes", ds.class_count())
@@ -338,49 +350,17 @@ def _smoothness_rate(cfg: RunConfig, obj, rng: RandomSource, schedule):
                                                                alpha=step)
 
 
-def _run_length(cfg: RunConfig, obj, m: int | None = None,
-                ) -> tuple[int, int | None]:
-    """cfg's pass budget as a count of gd steps, sgd iterations, or SVRG
-    epochs of m steps (:func:`epochs_for_passes`), and sgd's eval_every, also
-    in passes, as a checkpoint stride of at least one iteration (None for
-    other runs, which read no eval_every).  Every run adds a final exact
-    evaluation on top."""
-    if cfg.passes is None:
-        raise ConfigError(f"{cfg.optimizer} needs a pass budget (passes)")
-
-    def count(key: str) -> int:
-        passes = getattr(cfg, key)
-        if cfg.optimizer == "gd":
-            return round(passes)
-        if cfg.optimizer != "sgd":
-            return epochs_for_passes(obj, passes, m, cfg.batch_size,
-                                     cfg.accounting)
-        iterations = passes * obj.n / cfg.batch_size
-        if iterations == math.inf:
-            raise ConfigError(f"{key}={passes} is more sgd iterations than "
-                              "a float holds")
-        return round(iterations)
-
-    length = count("passes")
-    if length < 1:
-        raise ConfigError(f"passes={cfg.passes} buys no {cfg.optimizer} step")
-    stride = max(1, count("eval_every")) if cfg.eval_every else None
-    return length, stride
-
-
-def run_configured(obj, cfg: RunConfig, rng: RandomSource,
-                   ) -> tuple[RunResult, dict]:
-    """Run cfg's optimizer on obj for its pass budget; returns the result
-    and the schedule/metadata echo.
-
-    Linear ERM starts at the origin, a network at a random point drawn from
-    ``rng``'s fork 17, which no other draw uses."""
+def _run_length(cfg: RunConfig, obj,
+                ) -> tuple[SvrgSchedule | None, int, int | None]:
+    """The one place a run is sized on obj: SVRG's schedule (None for gd
+    and sgd), cfg's pass budget as a count of gd steps, sgd iterations, or
+    SVRG epochs of m steps (:func:`epochs_for_passes`), and sgd's
+    eval_every, also in passes, as a checkpoint stride of at least one
+    iteration (None for other runs, which read no eval_every).  Every run
+    adds a final exact evaluation on top."""
     n, b = obj.n, cfg.batch_size
     if b is not None and b > n:
         raise ConfigError(f"batch_size {b} exceeds n={n}")
-    meta: dict = {"n": n, "dim": obj.dim}
-    x0 = (obj.initial_point(rng.fork(17)) if isinstance(obj, TwoLayerNet)
-          else np.zeros(obj.dim))
     schedule = None
     if "m" in _READS[cfg.optimizer]:
         default_m = "5n/b" if cfg.objective == "net" else "n"
@@ -393,31 +373,63 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
                               f"over {_MAX_ENTRIES} entries: m*b indices and "
                               "3*m0 stop-draw weights")
         schedule = default_svrg_params(n, m_override=m, m0_override=cfg.m0)
+    if cfg.passes is None:
+        raise ConfigError(f"{cfg.optimizer} needs a pass budget (passes)")
+
+    def count(key: str) -> int:
+        passes = getattr(cfg, key)
+        if cfg.optimizer == "gd":
+            return round(passes)
+        if schedule is not None:
+            return epochs_for_passes(obj, passes, schedule.m, b,
+                                     cfg.accounting)
+        iterations = passes * n / b
+        if iterations == math.inf:
+            raise ConfigError(f"{key}={passes} is more sgd iterations than "
+                              "a float holds")
+        return round(iterations)
+
+    length = count("passes")
+    if length < 1:
+        raise ConfigError(f"passes={cfg.passes} buys no {cfg.optimizer} step")
+    stride = max(1, count("eval_every")) if cfg.eval_every else None
+    return schedule, length, stride
+
+
+def run_configured(obj, cfg: RunConfig, rng: RandomSource,
+                   ) -> tuple[RunResult, dict]:
+    """Run cfg's optimizer on obj for its pass budget; returns the result
+    and the schedule/metadata echo.
+
+    Linear ERM starts at the origin, a network at a random point drawn from
+    ``rng``'s fork 17, which no other draw uses."""
+    schedule, length, stride = _run_length(cfg, obj)
+    b = cfg.batch_size
+    meta: dict = {"n": obj.n, "dim": obj.dim}
+    x0 = (obj.initial_point(rng.fork(17)) if isinstance(obj, TwoLayerNet)
+          else np.zeros(obj.dim))
     lr = (_smoothness_rate(cfg, obj, rng, schedule)
           if cfg.steps_from_smoothness() else cfg.rate)
 
     if cfg.optimizer == "gd":
-        steps, _ = _run_length(cfg, obj)
         meta["step"] = lr.eta
-        result = gd_run(obj, x0, steps, step=lr.eta)
+        result = gd_run(obj, x0, length, step=lr.eta)
     elif cfg.optimizer == "sgd":
-        iters, stride = _run_length(cfg, obj)
         if lr is None:
             raise ConfigError("sgd needs an lr spec")
         if isinstance(lr, AdaGradRate) and lr.alpha is None:
             raise ConfigError("sgd reads no smoothness, so an adagrad step "
                               "needs its alpha: lr adagrad:ALPHA[,DELTA]")
-        result = sgd_run(obj, x0, iters, b, rng, lr, eval_every=stride)
-        meta.update(batch_size=b, iterations=iters)
+        result = sgd_run(obj, x0, length, b, rng, lr, eval_every=stride)
+        meta.update(batch_size=b, iterations=length)
     else:
-        epochs, _ = _run_length(cfg, obj, schedule.m)
         meta.update(batch_size=b, m=schedule.m, m0=schedule.m0,
                     d_sub=schedule.d_sub, theory_ok=schedule.theory_ok,
-                    epochs=epochs)
+                    epochs=length)
         if isinstance(lr, ConstantRate):    # the step in effect
             meta["eta"] = lr.eta
         runner = svrg_simple_run if cfg.optimizer == "svrg1" else svrg_full_run
-        result = runner(obj, x0, schedule, epochs, b, rng, lr=lr,
+        result = runner(obj, x0, schedule, length, b, rng, lr=lr,
                         accounting=cfg.accounting)
     return result, meta
 
@@ -524,17 +536,17 @@ def cmd_tune(args) -> int:
             raise ConfigError(f"tune takes each cell's {key} from {owner}; "
                               f"remove the top-level {key!r}")
     rng = RandomSource(cfg.seed)
-    full = parse_libsvm(cfg.dataset)
-    if cfg.flip_fraction:
-        # Flips hit the full training pool before the split.
-        full = flip_labels(full, cfg.flip_fraction, rng.fork(7))
+    # Flips hit the full training pool before the split.
+    full = _load_dataset(cfg, rng)
     train, validation = _split(full, tune.get("train_fraction", 0.8),
                                rng.fork(0))
     test_ds = None
     if tune.get("test_dataset"):
-        # Scored with weights over the training features: no larger index.
+        # Scored with weights over the training features, so no larger
+        # index, and with the training file's label codes.
         try:
-            test_ds = parse_libsvm(tune["test_dataset"], dim=train.dim)
+            test_ds = parse_libsvm(tune["test_dataset"], dim=train.dim,
+                                   coding=full.coding)
         except ValueError as e:
             raise ConfigError(f"test_dataset: {e}") from None
     passes = tune.get("passes", 50.0)
@@ -547,7 +559,8 @@ def cmd_tune(args) -> int:
         ErmObjective(train, loss, lam=float(np.median(lambdas))).smoothness)
     betas = tune.get("betas", [round(0.1 * i, 1) for i in range(11)]
                      if cfg.optimizer == "sgd" else [None])
-    m = (_parse_m(cfg.m if cfg.m is not None else "2n", len(train), b)
+    # SVRG cells resolve m on the training split (run_configured)
+    m = ((cfg.m if cfg.m is not None else "2n")
          if "m" in _READS[cfg.optimizer] else None)
 
     cells: list[TuneCell] = []
@@ -689,26 +702,28 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out")
+    # The run flags train and tune share; each sets its RunConfig field.
+    shared = argparse.ArgumentParser(add_help=False, parents=[common])
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--dataset")
+    shared.add_argument("--loss")
+    shared.add_argument("--flip-fraction", type=float)
+    shared.add_argument("--batch-size", type=int)
+    shared.add_argument("--m")
 
-    p_train = sub.add_parser("train", help="run one optimizer")
-    add_common(p_train)
-    p_train.add_argument("--config", help="JSON config file")
-    p_train.add_argument("--dataset")
+    p_train = sub.add_parser("train", help="run one optimizer",
+                             parents=[shared])
     p_train.add_argument("--synthetic", metavar="N,D,SEED")
     p_train.add_argument("--objective", choices=("erm", "net"))
-    p_train.add_argument("--loss")
     p_train.add_argument("--lambda", dest="lam", type=float)
-    p_train.add_argument("--flip-fraction", dest="flip_fraction", type=float)
     p_train.add_argument("--optimizer", choices=OPTIMIZERS)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
     p_train.add_argument("--passes", type=float,
                          help="run length in data passes: gd runs "
                               "round(P) steps, sgd round(P*n/b) iterations, "
                               "svrg the whole epochs that fit (at least one)")
-    p_train.add_argument("--m")
     p_train.add_argument("--m0", type=int)
     p_train.add_argument("--lr",
                          help="step: constant:ETA, poly:ALPHA,BETA or "
@@ -735,26 +750,20 @@ def build_parser() -> _Parser:
                               "(breaks byte-reproducibility)")
     p_train.set_defaults(func=cmd_train)
 
-    p_tune = sub.add_parser("tune", help="steps I-IV hyperparameter search")
-    add_common(p_tune)
-    p_tune.add_argument("--config", help="JSON config file")
+    p_tune = sub.add_parser("tune", help="steps I-IV hyperparameter search",
+                            parents=[shared])
     p_tune.add_argument("--threads", type=int, default=1)
-    p_tune.add_argument("--dataset")
-    p_tune.add_argument("--loss")
     p_tune.add_argument("--optimizer", choices=TUNE_OPTIMIZERS)
-    p_tune.add_argument("--batch-size", dest="batch_size", type=int)
-    p_tune.add_argument("--flip-fraction", dest="flip_fraction", type=float)
-    p_tune.add_argument("--m")
     p_tune.set_defaults(func=cmd_tune)
 
-    p_verify = sub.add_parser("verify", help="numerical invariant gate")
-    add_common(p_verify)
+    p_verify = sub.add_parser("verify", help="numerical invariant gate",
+                              parents=[common])
     p_verify.add_argument("--inject-fault", choices=("sigmoid-scale",),
                           help="deliberately break a check (gate self-test)")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_flip = sub.add_parser("flip", help="negate a fraction of labels")
-    add_common(p_flip)
+    p_flip = sub.add_parser("flip", help="negate a fraction of labels",
+                            parents=[common])
     p_flip.add_argument("dataset")
     p_flip.add_argument("--fraction", type=float, required=True)
     p_flip.set_defaults(func=cmd_flip)
@@ -768,8 +777,8 @@ def build_parser() -> _Parser:
     p_split.add_argument("--out-validation", required=True)
     p_split.set_defaults(func=cmd_split)
 
-    p_synth = sub.add_parser("synth", help="write a synthetic LibSVM file")
-    add_common(p_synth)
+    p_synth = sub.add_parser("synth", help="write a synthetic LibSVM file",
+                             parents=[common])
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--d", type=int, required=True)
     p_synth.set_defaults(func=cmd_synth)

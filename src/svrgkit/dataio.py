@@ -62,12 +62,15 @@ class Dataset:
     Binary datasets carry labels in {-1, +1}; multiclass ones in {1..C}.
     Feature storage is CSR-style (indptr/col_idx/val) with 0-based
     columns; per-example access returns 1-based indices (the LibSVM
-    convention).  :meth:`from_csr` is the only constructor.
+    convention).  :meth:`from_csr` is the only constructor.  ``coding``
+    maps each label of the file the data were parsed from to its label
+    code; label flips keep it, and other data have None.
     """
 
     @classmethod
     def from_csr(cls, indptr, col_idx, val, labels, dim: int | None = None,
-                 binary: bool = True) -> "Dataset":
+                 binary: bool = True, coding: dict | None = None,
+                 ) -> "Dataset":
         """Dataset over CSR arrays with 0-based columns.
 
         The one place the row contract is checked: within each row the
@@ -115,7 +118,7 @@ class Dataset:
             raise ValueError("multiclass labels must be >= 1")
         ds = cls.__new__(cls)
         ds.indptr, ds.col_idx, ds.val, ds.labels = indptr, cols, vals, labels
-        ds.dim, ds.binary = int(dim), bool(binary)
+        ds.dim, ds.binary, ds.coding = int(dim), bool(binary), coding
         return ds
 
     def __len__(self) -> int:
@@ -156,36 +159,36 @@ def _parse_label(tok: str, lineno: int, binary: bool) -> float:
     return label
 
 
-def _remap_labels(raw: list[float], binary: bool) -> list[int]:
+def _label_coding(raw: list[float], binary: bool) -> dict[float, int]:
+    """Each distinct label's code: its own value when every label is in the
+    mode's range, else its rank in sort order."""
     distinct = sorted(set(raw))
     if binary:
         if set(distinct) <= {-1.0, 1.0}:
-            return [int(v) for v in raw]
+            return {v: int(v) for v in distinct}
         if len(distinct) != 2:
             raise LibsvmFormatError(
                 f"binary mode needs exactly 2 distinct labels, got {distinct}")
-        # Two observed labels map to {-1,+1} by sort order.
-        mapping = {distinct[0]: -1, distinct[1]: 1}
-        return [mapping[v] for v in raw]
+        return {distinct[0]: -1, distinct[1]: 1}
     if all(v == int(v) and v >= 1 for v in distinct):
-        return [int(v) for v in raw]
-    # Observed labels map to {1..C} by sort order.
-    mapping = {v: c + 1 for c, v in enumerate(distinct)}
-    return [mapping[v] for v in raw]
+        return {v: int(v) for v in distinct}
+    return {v: c + 1 for c, v in enumerate(distinct)}
 
 
 def parse_libsvm(source, binary: bool = True, dim: int | None = None,
-                 ) -> Dataset:
+                 coding: dict | None = None) -> Dataset:
     """Parse LibSVM text (path, file object, or iterable of lines).
 
     Only converts text to numbers and bounds the indices to 1..2^31-1;
     :meth:`Dataset.from_csr` checks the rows, and a row it rejects is
     reported by its line.  Labels outside the declared mode's range are
-    remapped by sort order of the distinct observed labels.
+    remapped by sort order of the distinct observed labels.  Given another
+    file's :attr:`Dataset.coding`, the labels take its codes instead, and
+    a label it lacks is an error naming its line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
-            return parse_libsvm(fh, binary=binary, dim=dim)
+            return parse_libsvm(fh, binary=binary, dim=dim, coding=coding)
 
     raw_labels: list[float] = []
     linenos, indptr, idxs, vals = [], [0], [], []
@@ -213,10 +216,19 @@ def parse_libsvm(source, binary: bool = True, dim: int | None = None,
         row = int(np.searchsorted(indptr, at, side="right")) - 1
         raise LibsvmFormatError(f"line {linenos[row]}: index {idxs[at]} "
                                 f"outside 1..{_MAX_INDEX}")
-    labels = _remap_labels(raw_labels, binary)
+    if coding is None:
+        coding = _label_coding(raw_labels, binary)
+    try:
+        labels = [coding[v] for v in raw_labels]
+    except KeyError as e:
+        raise LibsvmFormatError(
+            f"line {linenos[raw_labels.index(e.args[0])]}: label "
+            f"{e.args[0]!r} is not among the coded labels {sorted(coding)}",
+        ) from None
     try:
         return Dataset.from_csr(indptr, np.array(idxs, dtype=np.int64) - 1,
-                                vals, labels, dim=dim, binary=binary)
+                                vals, labels, dim=dim, binary=binary,
+                                coding=coding)
     except RowError as e:
         raise LibsvmFormatError(f"line {linenos[e.row]}: {e.detail}") from None
 
@@ -254,7 +266,8 @@ def flip_labels(ds: Dataset, fraction: float, rng: RandomSource) -> Dataset:
     chosen = rng.permutation(len(ds))[:k]
     labels = ds.labels.copy()
     labels[chosen] = -labels[chosen]
-    return Dataset.from_csr(ds.indptr, ds.col_idx, ds.val, labels, ds.dim)
+    return Dataset.from_csr(ds.indptr, ds.col_idx, ds.val, labels, ds.dim,
+                            coding=ds.coding)
 
 
 def split(ds: Dataset, train_fraction: float, rng: RandomSource,

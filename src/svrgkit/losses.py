@@ -9,6 +9,9 @@ Every loss is a function of the margin t = l * <a, x>.  Definitions:
   hinge:g     Huberized hinge, C^1 with derivative-Lipschitz constant 1/g:
               0 for t >= 1; (1-t)^2/(2g) for 1-g <= t < 1; (1-t) - g/2 below
 
+A loss is ``LossKind(name)``, or ``LossKind("hinge", g)``;
+:meth:`LossKind.parse` reads the one text form, 'name' or 'hinge:g'.
+
 All evaluations are overflow-safe for arbitrarily large |t| and accept
 scalars or numpy arrays.  The sigmoid and logistic derivatives go through
 one falling-sigmoid formula, 1/(1+e^t) from e = exp(-|t|) (as e/(1+e) for
@@ -48,22 +51,6 @@ class LossKind:
             raise ValueError(f"{self.name} loss takes no gamma")
 
     @classmethod
-    def sigmoid(cls):
-        return cls("sigmoid")
-
-    @classmethod
-    def logistic(cls):
-        return cls("logistic")
-
-    @classmethod
-    def squared(cls):
-        return cls("squared")
-
-    @classmethod
-    def smoothed_hinge(cls, gamma: float):
-        return cls("hinge", float(gamma))
-
-    @classmethod
     def parse(cls, text: str) -> "LossKind":
         """Parse the config-file form: 'sigmoid', 'hinge:0.1', ..."""
         text = text.strip()
@@ -71,7 +58,7 @@ class LossKind:
             name, _, arg = text.partition(":")
             if name != "hinge":
                 raise ValueError(f"unexpected parameter on loss {name!r}")
-            return cls.smoothed_hinge(float(arg))
+            return cls("hinge", float(arg))
         return cls(text)
 
 
@@ -172,10 +159,10 @@ def make_scalar_derivative(kind: LossKind):
 
 
 ALL_ERM_LOSSES = (
-    LossKind.sigmoid(),
-    LossKind.logistic(),
-    LossKind.squared(),
-    LossKind.smoothed_hinge(0.01),
-    LossKind.smoothed_hinge(0.1),
-    LossKind.smoothed_hinge(1.0),
+    LossKind("sigmoid"),
+    LossKind("logistic"),
+    LossKind("squared"),
+    LossKind("hinge", 0.01),
+    LossKind("hinge", 0.1),
+    LossKind("hinge", 1.0),
 )

@@ -209,9 +209,6 @@ class ErmObjective(FiniteSumObjective):
         return np.bincount(np.repeat(np.arange(self.n), counts), weights,
                            minlength=self.n)
 
-    def margins(self, x: np.ndarray) -> np.ndarray:
-        return self.labels * self._times(x)
-
     # -- finite-sum surface -------------------------------------------------
 
     def component(self, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -233,7 +230,7 @@ class ErmObjective(FiniteSumObjective):
     def _full_pass(self, x):
         """Full value and gradient at x, and every row's loss derivative
         at its margin, from one loss evaluation."""
-        values, derivs = eval_loss(self.loss, self.margins(x))
+        values, derivs = eval_loss(self.loss, self.labels * self._times(x))
         grad = self._times(derivs * self.labels / self.n, transpose=True)
         value = float(values.mean())
         if self.lam:
@@ -441,4 +438,4 @@ def make_synthetic(n: int, d: int, seed: int, loss: LossKind | None = None,
                    lam: float = 1e-3) -> ErmObjective:
     """ERM over :func:`synthetic_dataset`, sigmoid loss by default."""
     return ErmObjective(synthetic_dataset(n, d, seed),
-                        loss or LossKind.sigmoid(), lam=lam)
+                        loss or LossKind("sigmoid"), lam=lam)

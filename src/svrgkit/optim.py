@@ -71,8 +71,6 @@ def beta_weights(m0: int) -> np.ndarray:
     """
     if m0 < 1:
         raise ValueError(f"need m0 >= 1, got {m0}")
-    if m0 == 1:
-        return np.ones(1)
     # cumprod of the constant ratio; error stays ~m0*eps, far inside the
     # tolerances used anywhere downstream, and is ~5x faster than power().
     out = np.empty(m0)

@@ -231,7 +231,7 @@ def test_08_svrg_beats_gd():
 
 def test_10_erm_desk_scale_svrg_vs_sgd():
     ds = parse_libsvm(bundled_dataset_path())
-    obj = ErmObjective(ds, LossKind.sigmoid(), lam=1e-4)
+    obj = ErmObjective(ds, LossKind("sigmoid"), lam=1e-4)
     n = obj.n
     x0 = np.zeros(obj.dim)
     alphas = default_alpha_grid(obj.smoothness)

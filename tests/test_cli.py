@@ -402,7 +402,7 @@ class TestTrain:
             assert "gd takes a constant step" in capsys.readouterr().err
         assert run_cli(*argv, "--lr", "constant:0.25") == 0
         assert schedule_echo(out)["step"] == 0.25
-        obj = ErmObjective(synthetic_dataset(16, 2, 1), LossKind.sigmoid())
+        obj = ErmObjective(synthetic_dataset(16, 2, 1), LossKind("sigmoid"))
         result = gd_run(obj, np.zeros(2), 3, step=0.25)
         assert read_trace(out) == [replace(r, wall_seconds=0.0)
                                    for r in result.trace]
@@ -414,7 +414,7 @@ class TestTrain:
                 "--out", str(out))
         assert run_cli(*argv) == 0
         theory = schedule_echo(out)
-        obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind.sigmoid())
+        obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind("sigmoid"))
         assert theory["eta"] == 1.0 / (theory["m0"] * obj.smoothness)
         assert run_cli(*argv, "--lr", "constant:0.5") == 0
         echo = schedule_echo(out)
@@ -600,17 +600,18 @@ class TestTrain:
     def test_huge_budgets_count_without_running(self):
         # A pass budget is the run's length, however large; it is counted
         # exactly here, and only an epoch's allocation is bounded.
-        obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind.sigmoid())
+        obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind("sigmoid"))
         synth = {"n": 64, "d": 3, "seed": 1}
         gd = RunConfig(synthetic=synth, optimizer="gd", passes=1e12)
-        assert cli._run_length(gd, obj) == (10 ** 12, None)
+        assert cli._run_length(gd, obj) == (None, 10 ** 12, None)
         sgd = RunConfig(synthetic=synth, optimizer="sgd", lr="constant:0.1",
                         batch_size=1, passes=1e300)
-        assert cli._run_length(sgd, obj) == (int(1e300) * 64, None)
-        # stored references at b=1, m=n: 2 passes an epoch
+        assert cli._run_length(sgd, obj) == (None, int(1e300) * 64, None)
+        # stored references at b=1 and the default m=n: 2 passes an epoch
         svrg = RunConfig(synthetic=synth, optimizer="svrg2", batch_size=1,
                          passes=1e300)
-        epochs, stride = cli._run_length(svrg, obj, 64)
+        schedule, epochs, stride = cli._run_length(svrg, obj)
+        assert (schedule.m, schedule.m0) == (64, 64)
         assert type(epochs) is int and stride is None
         assert epochs == int(1e300) // 2
 
@@ -634,7 +635,7 @@ class TestTrain:
 
 @pytest.mark.parametrize("smoothness", [None, "2"])
 def test_bare_adagrad_takes_alpha_one_over_l(smoothness, tmp_path):
-    obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind.sigmoid(),
+    obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind("sigmoid"),
                        lam=1e-3)
     L = obj.smoothness if smoothness is None else float(smoothness)
     extra = () if smoothness is None else ("--smoothness", smoothness)
@@ -900,7 +901,7 @@ def test_a_budget_of_whole_epochs_plans_them_all(n, m, b, accounting,
     epochs = odd * multiple
     budget = float(epochs * cost)
     assert budget == epochs * cost
-    obj = ErmObjective(synthetic_dataset(n, 2, 0), LossKind.sigmoid())
+    obj = ErmObjective(synthetic_dataset(n, 2, 0), LossKind("sigmoid"))
     assert epochs_for_passes(obj, budget, m, b, accounting) == epochs
     # one float less buys one epoch less, and never none
     assert epochs_for_passes(obj, math.nextafter(budget, 0), m, b,
@@ -1131,7 +1132,7 @@ class TestTune:
         # training split, m = 2n
         train, _ = split(parse_libsvm(small_file), 0.8,
                          RandomSource(4).fork(0))
-        obj = ErmObjective(train, LossKind.logistic(), lam=1e-2)
+        obj = ErmObjective(train, LossKind("logistic"), lam=1e-2)
         sched = default_svrg_params(obj.n, m_override=2 * obj.n)
         runner = svrg_simple_run if optimizer == "svrg1" else svrg_full_run
         result = runner(obj, np.zeros(obj.dim), sched,
@@ -1154,7 +1155,7 @@ class TestTune:
         full = flip_labels(parse_libsvm(small_file), 0.25,
                            RandomSource(4).fork(7))
         train, _ = split(full, 0.8, RandomSource(4).fork(0))
-        obj = ErmObjective(train, LossKind.logistic(), lam=1e-2)
+        obj = ErmObjective(train, LossKind("logistic"), lam=1e-2)
         result = sgd_run(obj, np.zeros(obj.dim), 6 * len(train), 1,
                          RandomSource(4, (1, 0)), ConstantRate(0.05))
         assert final["0.25"] == result.final_value
@@ -1195,6 +1196,40 @@ class TestTune:
         test.write_text("+1 1:1 6:2\n")  # an index the weights do not have
         assert run_cli("tune", "--config", str(cfg)) == 1
         assert "test_dataset" in capsys.readouterr().err
+
+    def test_held_out_labels_take_the_training_coding(self, tmp_path,
+                                                      capsys):
+        # The same rows labelled {1, 2}, 2 the positive class, and {-1, +1}
+        # train the same cells; each one-class held-out file must score as
+        # its {-1, +1} copy does, not be coded on its own labels.
+        rng = np.random.default_rng(3)
+        rows = [(c, rng.normal() + 2 * c - 3) for c in (1, 2) * 20]
+        accuracy = {}
+        for names in ({1: "1", 2: "2"}, {1: "-1", 2: "+1"}):
+            def write(path, rows):
+                path.write_text("".join(f"{names[c]} 1:{v!r} 2:1\n"
+                                        for c, v in rows))
+                return str(path)
+
+            train = write(tmp_path / "train.libsvm", rows)
+            for c in (1, 2):
+                test = write(tmp_path / "test.libsvm",
+                             [row for row in rows if row[0] == c])
+                cfg = tmp_path / "tune.json"
+                cfg.write_text(json.dumps({
+                    "dataset": train, "optimizer": "sgd", "batch_size": 2,
+                    "tune": {"passes": 2, "lambdas": [1e-3], "alphas": [0.1],
+                             "betas": [0.0], "test_dataset": test}}))
+                assert run_cli("tune", "--config", str(cfg)) == 0, (names, c)
+                out = capsys.readouterr().out
+                accuracy[names[1], c] = float(
+                    out.split("test_accuracy=")[1].split()[0])
+        for c in (1, 2):
+            assert accuracy["1", c] == accuracy["-1", c] > 0.5, c
+        # a held-out label the training file lacks names its line
+        Path(test).write_text("+1 1:1 2:1\n0 1:1 2:1\n")
+        assert run_cli("tune", "--config", str(cfg)) == 1
+        assert "test_dataset: line 2: label 0.0" in capsys.readouterr().err
 
     def test_tie_break_prefers_small_step_then_small_lambda(self):
         def cell(cid, lam, alpha, obj):

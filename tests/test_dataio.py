@@ -95,6 +95,19 @@ class TestParseLibsvm:
         ds = parse_libsvm(["0 1:1", "2 1:1", "0 2:1"])
         assert ds.labels.tolist() == [-1, 1, -1]
 
+    def test_another_files_coding(self):
+        # A one-class file takes the codes of the file it is coded by, and
+        # its label flips keep them.
+        coding = parse_libsvm(["1 1:1", "2 1:1"]).coding
+        assert coding == {1.0: -1, 2.0: 1}
+        for rows, codes in ((["1 1:1", "1 2:1"], [-1, -1]),
+                            (["2 2:1"], [1])):
+            ds = parse_libsvm(rows, coding=coding)
+            assert ds.labels.tolist() == codes and ds.coding == coding
+            assert flip_labels(ds, 1.0, RandomSource(0)).coding == coding
+        with pytest.raises(LibsvmFormatError, match="line 3: label 3.0"):
+            parse_libsvm(["2 1:1", "", "3 1:1"], coding=coding)
+
     def test_binary_three_labels_rejected(self):
         with pytest.raises(LibsvmFormatError):
             parse_libsvm(["0 1:1", "1 1:1", "2 1:1"])

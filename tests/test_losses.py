@@ -20,7 +20,7 @@ def central_diff(kind, t, h=1e-6):
 
 class TestPointValues:
     def test_scaled_sigmoid_at_zero(self):
-        value, deriv = eval_loss(LossKind.sigmoid(), 0.0)
+        value, deriv = eval_loss(LossKind("sigmoid"), 0.0)
         assert math.isclose(value, 0.5 * 6 * math.sqrt(3), rel_tol=1e-12)
         assert math.isclose(value, 5.196152, abs_tol=5e-7)
         assert math.isclose(deriv, -2.598076, abs_tol=5e-7)
@@ -29,7 +29,7 @@ class TestPointValues:
         # densely scan the second derivative of 1/(1+e^t), the sigmoid loss
         # over its scale; its max magnitude should be the reciprocal of the
         # scaling constant
-        sigmoid = LossKind.sigmoid()
+        sigmoid = LossKind("sigmoid")
         ts = np.linspace(-6, 6, 200_001)
         h = 1e-4
         second = (eval_loss(sigmoid, ts + h).derivative
@@ -38,36 +38,36 @@ class TestPointValues:
                             1.0 / SIGMOID_SCALE, rel_tol=1e-6)
 
     def test_logistic_at_zero(self):
-        value, deriv = eval_loss(LossKind.logistic(), 0.0)
+        value, deriv = eval_loss(LossKind("logistic"), 0.0)
         assert math.isclose(value, math.log(2), rel_tol=1e-15)
         assert deriv == -0.5
 
     def test_hinge_gamma1_at_zero(self):
-        value, deriv = eval_loss(LossKind.smoothed_hinge(1.0), 0.0)
+        value, deriv = eval_loss(LossKind("hinge", 1.0), 0.0)
         assert value == 0.5
         assert deriv == -1.0
 
     def test_hinge_flat_branch(self):
-        value, deriv = eval_loss(LossKind.smoothed_hinge(1.0), 2.0)
+        value, deriv = eval_loss(LossKind("hinge", 1.0), 2.0)
         assert value == 0.0 and deriv == 0.0
 
     def test_hinge_linear_branch(self):
-        value, deriv = eval_loss(LossKind.smoothed_hinge(0.1), -3.0)
+        value, deriv = eval_loss(LossKind("hinge", 0.1), -3.0)
         assert math.isclose(value, 4.0 - 0.05, rel_tol=1e-15)
         assert deriv == -1.0
 
     def test_squared_at_zero(self):
-        value, deriv = eval_loss(LossKind.squared(), 0.0)
+        value, deriv = eval_loss(LossKind("squared"), 0.0)
         assert value == 0.5 and deriv == -1.0
 
 
 class TestSmoothnessConstants:
     def test_values(self):
-        assert loss_smoothness(LossKind.sigmoid()) == 1.0
-        assert loss_smoothness(LossKind.logistic()) == 0.25
-        assert loss_smoothness(LossKind.squared()) == 1.0
-        assert loss_smoothness(LossKind.smoothed_hinge(0.1)) == 10.0
-        assert loss_smoothness(LossKind.smoothed_hinge(0.01)) == 100.0
+        assert loss_smoothness(LossKind("sigmoid")) == 1.0
+        assert loss_smoothness(LossKind("logistic")) == 0.25
+        assert loss_smoothness(LossKind("squared")) == 1.0
+        assert loss_smoothness(LossKind("hinge", 0.1)) == 10.0
+        assert loss_smoothness(LossKind("hinge", 0.01)) == 100.0
 
     @pytest.mark.parametrize("kind", ALL_ERM_LOSSES, ids=loss_id)
     def test_numeric_curvature_never_exceeds_constant(self, kind):
@@ -98,9 +98,9 @@ class TestDerivativeProperties:
         assert np.all(gap <= L * np.abs(s - t) + 1e-9)
 
     @pytest.mark.parametrize(
-        "kind", [LossKind.sigmoid(), LossKind.logistic(),
-                 LossKind.smoothed_hinge(0.01), LossKind.smoothed_hinge(0.1),
-                 LossKind.smoothed_hinge(1.0)], ids=loss_id)
+        "kind", [LossKind("sigmoid"), LossKind("logistic"),
+                 LossKind("hinge", 0.01), LossKind("hinge", 0.1),
+                 LossKind("hinge", 1.0)], ids=loss_id)
     def test_margin_losses_non_increasing(self, kind):
         ts = np.linspace(-50, 50, 5001)
         assert np.all(eval_loss(kind, ts).derivative <= 0.0)
@@ -143,7 +143,7 @@ def expit_reference(kind, t):
     return None, -expit(-t)
 
 
-SIGMOID_KINDS = (LossKind.sigmoid(), LossKind.logistic())
+SIGMOID_KINDS = (LossKind("sigmoid"), LossKind("logistic"))
 
 
 class TestSigmoidFormula:

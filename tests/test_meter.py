@@ -9,7 +9,9 @@ from svrgkit import cli
 from svrgkit.cli import RunConfig, build_objective, run_configured
 from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset
-from svrgkit.objectives import TwoLayerNet
+from svrgkit.objectives import TwoLayerNet, make_synthetic
+from svrgkit.optim import (ConstantRate, SvrgSchedule, svrg_full_run,
+                           svrg_simple_run)
 
 from meter import metered
 
@@ -73,3 +75,31 @@ def test_the_ledger_charges_every_gradient_the_runner_computes(case):
     # no ledger charges.
     probes = cfg.objective == "net" and cfg.steps_from_smoothness()
     assert meter.outside == (400 if probes else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 16), seed=st.integers(0, 5),
+       runner=st.sampled_from([svrg_simple_run, svrg_full_run]),
+       accounting=st.sampled_from(["stored", "recompute"]),
+       batch_size=st.sampled_from([1, 3]), m0=st.integers(1, 4),
+       sub_epochs=st.integers(1, 4), epochs=st.integers(1, 3),
+       stride=st.integers(1, 6),
+       target=st.one_of(st.none(), st.floats(1e-3, 0.5)))
+def test_probes_are_computed_and_charged_only_when_they_stop_the_run(
+        n, seed, runner, accounting, batch_size, m0, sub_epochs, epochs,
+        stride, target):
+    obj = make_synthetic(n, 3, seed)
+    schedule = SvrgSchedule(m0 * sub_epochs, m0, False)
+    with metered(obj) as meter:
+        result = meter.runner(runner)(
+            obj, np.zeros(obj.dim), schedule, epochs, batch_size,
+            RandomSource(seed), lr=ConstantRate(0.1), accounting=accounting,
+            probe_stride=stride, target_grad_sq=target)
+    # A probe at k = 0 reads its snapshot's evaluation.  One at k > 0 is a
+    # full pass that the ledger charges only when it meets the target and
+    # ends the run there.
+    uncharged = sum(p.k > 0 and not (target is not None
+                                     and p.grad_norm_sq <= target)
+                    for p in result.probe_samples)
+    assert meter.inside == result.grad_evals + obj.n * uncharged
+    assert meter.outside == 0

@@ -38,27 +38,27 @@ def erm_from_rows(rows, labels, loss, lam=0.0):
 
 class TestErmComponent:
     def test_logistic_at_origin(self):
-        obj = erm_from_rows([[1.0, 0.0]], [1], LossKind.logistic())
+        obj = erm_from_rows([[1.0, 0.0]], [1], LossKind("logistic"))
         value, grad = obj.component(1, np.array([0.0, 0.0]))
         assert math.isclose(value, math.log(2), rel_tol=1e-15)
         assert np.allclose(grad, [-0.5, 0.0], atol=1e-15)
 
     def test_flat_branch_leaves_only_regularizer(self):
         # margin 2 sits on the smoothed hinge's flat branch
-        obj = erm_from_rows([[2.0, 0.0]], [1], LossKind.smoothed_hinge(1.0),
+        obj = erm_from_rows([[2.0, 0.0]], [1], LossKind("hinge", 1.0),
                             lam=1.0)
         value, grad = obj.component(1, np.array([1.0, 0.0]))
         assert np.allclose(grad, [1.0, 0.0], atol=1e-15)
         assert math.isclose(value, 0.5, rel_tol=1e-15)  # lam/2 * |x|^2
 
     def test_squared_loss_at_origin(self):
-        obj = erm_from_rows([[0.5, -1.5]], [-1], LossKind.squared())
+        obj = erm_from_rows([[0.5, -1.5]], [-1], LossKind("squared"))
         value, grad = obj.component(1, np.array([0.0, 0.0]))
         assert value == 0.5
         assert np.allclose(grad, [0.5, -1.5], atol=1e-15)  # -l * a
 
     def test_index_out_of_range(self):
-        obj = erm_from_rows([[1.0]], [1], LossKind.logistic())
+        obj = erm_from_rows([[1.0]], [1], LossKind("logistic"))
         with pytest.raises(IndexError):
             obj.component(2, np.zeros(1))
         with pytest.raises(IndexError):
@@ -67,9 +67,9 @@ class TestErmComponent:
     def test_batch_index_out_of_range(self):
         labels = [1, -1]
         sparse = erm_from_rows([[1.0, 0.0], [0.0, 2.0]], labels,
-                               LossKind.logistic())
+                               LossKind("logistic"))
         dense = erm_from_rows([[1.0, 0.5], [-0.5, 2.0]], labels,
-                              LossKind.logistic())
+                              LossKind("logistic"))
         assert sparse._X is None and dense._X is not None
         for obj in (sparse, dense):
             for batch in ([0], [3], [1, 0], [2, 3]):
@@ -101,28 +101,28 @@ class TestFullValueAndGradient:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             ErmObjective(Dataset.from_csr([0], [], [], [], dim=3),
-                         LossKind.logistic())
+                         LossKind("logistic"))
 
 
 class TestErmSmoothness:
     def test_formula(self):
-        obj = erm_from_rows([[1.0, 1.0]], [1], LossKind.logistic(), lam=0.1)
+        obj = erm_from_rows([[1.0, 1.0]], [1], LossKind("logistic"), lam=0.1)
         assert math.isclose(obj.smoothness, 0.25 * 2 + 0.1,
                             rel_tol=1e-15)
 
     def test_scaled_sigmoid_norm25(self):
-        obj = erm_from_rows([[3.0, 4.0]], [1], LossKind.sigmoid())
+        obj = erm_from_rows([[3.0, 4.0]], [1], LossKind("sigmoid"))
         assert math.isclose(obj.smoothness, 25.0, rel_tol=1e-15)
 
     def test_degenerate_all_zero_features(self):
-        obj = erm_from_rows([[0.0, 0.0]], [1], LossKind.logistic())
+        obj = erm_from_rows([[0.0, 0.0]], [1], LossKind("logistic"))
         assert obj.smoothness == 0.0  # callers must reject L = 0
 
     def test_reorder_invariance(self):
         rows = [[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]]
         labels = [1, -1, 1]
-        a = erm_from_rows(rows, labels, LossKind.sigmoid(), lam=1e-3)
-        b = erm_from_rows(rows[::-1], labels[::-1], LossKind.sigmoid(),
+        a = erm_from_rows(rows, labels, LossKind("sigmoid"), lam=1e-3)
+        b = erm_from_rows(rows[::-1], labels[::-1], LossKind("sigmoid"),
                           lam=1e-3)
         x = np.array([0.3, -0.7])
         va, ga = a.full_value_and_gradient(x)
@@ -299,14 +299,14 @@ def random_csr_dataset(n, d, per_row, seed):
 class TestErmSharesDatasetArrays:
     def test_full_rows_view_the_values_as_a_matrix(self):
         ds = dense_dataset([[1.0, 2.0], [3.0, -4.0], [0.5, 6.0]], [1, -1, 1])
-        obj = ErmObjective(ds, LossKind.logistic())
+        obj = ErmObjective(ds, LossKind("logistic"))
         assert obj._X.shape == (3, 2)
         assert np.shares_memory(obj._X, ds.val)
         assert np.shares_memory(obj.labels, ds.labels)
 
     def test_views_the_int64_csr_arrays(self):
         ds = random_csr_dataset(50, 300, 20, seed=1)
-        obj = ErmObjective(ds, LossKind.logistic(), lam=1e-3)
+        obj = ErmObjective(ds, LossKind("logistic"), lam=1e-3)
         assert obj._X is None
         for held, own, dtype in ((obj._cols, ds.col_idx, np.intp),
                                  (obj._indptr, ds.indptr, np.intp),
@@ -320,9 +320,10 @@ class TestErmSharesDatasetArrays:
         ds = random_csr_dataset(n, 300, 20, seed=4)
         tracemalloc.start()
         try:
-            objs = [ErmObjective(ds, LossKind.logistic())]  # first-call caches
+            # the first call fills one-time caches
+            objs = [ErmObjective(ds, LossKind("logistic"))]
             before = tracemalloc.get_traced_memory()[0]
-            objs.append(ErmObjective(ds, LossKind.logistic()))
+            objs.append(ErmObjective(ds, LossKind("logistic")))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -337,9 +338,9 @@ class TestErmSharesDatasetArrays:
         nnz = n * per_row
         tracemalloc.start()
         try:
-            objs = [ErmObjective(ds, LossKind.logistic(), lam=1e-4)]
+            objs = [ErmObjective(ds, LossKind("logistic"), lam=1e-4)]
             before = tracemalloc.get_traced_memory()[0]
-            objs += [ErmObjective(ds, LossKind.logistic(), lam=1e-4 * k)
+            objs += [ErmObjective(ds, LossKind("logistic"), lam=1e-4 * k)
                      for k in range(2, 13)]
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -370,7 +371,7 @@ def csr_instances(draw):
 @given(case=csr_instances())
 def test_csr_products_equal_scipy_bit_for_bit(case):
     ds, x, v = case
-    obj = ErmObjective(ds, LossKind.squared())
+    obj = ErmObjective(ds, LossKind("squared"))
     if ds.val.size == len(ds) * ds.dim:
         # every row full: the dense layout, whose products are BLAS ones
         dense = ds.val.reshape(len(ds), ds.dim)

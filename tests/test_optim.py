@@ -219,7 +219,7 @@ class TestSvrgSimpleRun:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
-        obj = make_synthetic(16, 3, seed=2, loss=LossKind.squared(), lam=0.0)
+        obj = make_synthetic(16, 3, seed=2, loss=LossKind("squared"), lam=0.0)
         sched = default_svrg_params(obj.n)
         with pytest.raises(DivergenceError):
             svrg_simple_run(obj, np.zeros(3), sched, epochs=50, batch_size=1,
@@ -345,7 +345,7 @@ def sparse_erm(n: int, d: int, nnz: int, seed: int) -> ErmObjective:
     data = Dataset.from_csr(np.arange(n + 1) * nnz, cols.ravel(),
                             rng.standard_normal(n * nnz) / math.sqrt(nnz),
                             labels, dim=d)
-    return ErmObjective(data, LossKind.logistic(), lam=1e-3)
+    return ErmObjective(data, LossKind("logistic"), lam=1e-3)
 
 
 class TestRunMemory:
@@ -620,7 +620,7 @@ class TestSgdRun:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence(self):
-        obj = make_synthetic(8, 2, seed=9, loss=LossKind.squared(), lam=0.0)
+        obj = make_synthetic(8, 2, seed=9, loss=LossKind("squared"), lam=0.0)
         with pytest.raises(DivergenceError):
             sgd_run(obj, np.zeros(2), 5000, 1, RandomSource(0),
                     ConstantRate(1e5))

@@ -23,7 +23,7 @@ class TestFdGradient:
         assert np.allclose(got, [1.0, 2.0], atol=1e-8)
 
     def test_matches_analytic_erm_gradient(self):
-        obj = make_synthetic(12, 4, seed=0, loss=LossKind.logistic(),
+        obj = make_synthetic(12, 4, seed=0, loss=LossKind("logistic"),
                              lam=1e-2)
         x = RandomSource(1).normals(4)
         _, grad = obj.full_value_and_gradient(x)
@@ -80,8 +80,9 @@ class TestSmoothnessProbe:
         assert smoothness_probe(obj, 20, RandomSource(1)) == 0.0
 
     def test_never_exceeds_declared_constant(self):
-        for trial, loss in enumerate((LossKind.sigmoid(), LossKind.logistic(),
-                                      LossKind.smoothed_hinge(0.1))):
+        for trial, loss in enumerate((LossKind("sigmoid"),
+                                      LossKind("logistic"),
+                                      LossKind("hinge", 0.1))):
             obj = make_synthetic(25, 5, seed=trial, loss=loss, lam=1e-2)
             got = smoothness_probe(obj, 300, RandomSource(trial))
             assert got <= obj.smoothness + 1e-9
