@@ -117,7 +117,6 @@ class RunConfig:
     lr: str | None = None
     seed: int = 0
     accounting: str = "auto"
-    smoothness: float | None = None
     eval_every: float | None = None
     net: dict = field(default_factory=dict)
     out: str | None = None
@@ -182,7 +181,7 @@ class RunConfig:
             _check_type(f"net.{key}", value, (int,))
             if value < 1:
                 raise ConfigError(f"net.{key} must be positive, got {value}")
-        for key in ("m0", "passes", "batch_size", "eval_every", "smoothness"):
+        for key in ("m0", "passes", "batch_size", "eval_every"):
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, "
@@ -194,25 +193,22 @@ class RunConfig:
         for key in _RUN_KEYS:
             if key not in echoed and key not in ("out", "wall_clock") and (
                     getattr(self, key) != getattr(RunConfig, key, {})):
-                when = " when lr is set" if key in _READS[self.optimizer] else ""
                 raise ConfigError(f"optimizer {self.optimizer} on objective "
-                                  f"{self.objective} does not read {key}{when}")
+                                  f"{self.objective} does not read {key}")
         if self.batch_size is None and "batch_size" in _READS[self.optimizer]:
             self.batch_size = 100
 
     def steps_from_smoothness(self) -> bool:
-        """Whether a step comes from the smoothness L: gd's 1/L or SVRG's
-        1/(m0*L) without an lr, or a bare adagrad's alpha 1/L."""
-        return "smoothness" in _READS[self.optimizer] and self.rate in (
-            None, AdaGradRate())
+        """Whether a step comes from the objective's smoothness L: gd's 1/L
+        or SVRG's 1/(m0*L) without an lr, or a bare adagrad's alpha 1/L."""
+        return self.optimizer != "sgd" and self.rate in (None, AdaGradRate())
 
     def effective(self) -> dict:
         """Run semantics for the trace header: the set values of the
         settings the run reads (:data:`_READS`), and no other."""
         return {key: getattr(self, key) for key in
                 _ALWAYS_READ + _READS[self.objective] + _READS[self.optimizer]
-                if getattr(self, key) not in (None, {}) and (
-                    key != "smoothness" or self.steps_from_smoothness())}
+                if getattr(self, key) not in (None, {})}
 
 
 # RunConfig's settable fields, which are also the flag destinations; the
@@ -228,15 +224,15 @@ _CONFIG_KEYS = {"lambda" if key == "lam" else key
 # The settings each run reads: these, and its objective's and its
 # optimizer's rows below.  svrg1 and svrg2 (OPTIMIZERS[2:]) read sgd's batch
 # size and lr, and their schedule's settings; every snapshot is an exact
-# evaluation, so only sgd reads eval_every.  gd, svrg1 and svrg2 read
-# smoothness only where a step comes from it
-# (RunConfig.steps_from_smoothness).
+# evaluation, so only sgd reads eval_every.  The rows depend on the
+# objective and the optimizer alone: a step that comes from the smoothness
+# takes it from the objective (RunConfig.steps_from_smoothness).
 _ALWAYS_READ = ("optimizer", "passes", "seed", "objective", "lam", "dataset",
                 "synthetic")
 _READS = {"erm": ("loss", "flip_fraction"), "net": ("net",),
-          "gd": ("lr", "smoothness"), "sgd": ("batch_size", "lr", "eval_every")}
+          "gd": ("lr",), "sgd": ("batch_size", "lr", "eval_every")}
 _READS.update(dict.fromkeys(OPTIMIZERS[2:], (
-    "batch_size", "lr", "m", "m0", "accounting", "smoothness")))
+    "batch_size", "lr", "m", "m0", "accounting")))
 
 
 def load_config(args) -> tuple[RunConfig, dict]:
@@ -327,25 +323,23 @@ def build_objective(cfg: RunConfig, rng: RandomSource):
 
 
 def _smoothness_rate(cfg: RunConfig, obj, rng: RandomSource, schedule):
-    """cfg's rate with the step that comes from the smoothness L: a bare
-    adagrad's alpha 1/L, else SVRG's :func:`theory_step` 1/(m0*L) or gd's
-    1/L, a config error unless positive and finite.  The one place a run
-    computes L; for a network that is twice :func:`smoothness_probe` at
-    scale 0.1 over 200 pairs, whose 400 component gradients no ledger
-    charges."""
-    L = cfg.smoothness
-    if L is None:
-        L = (2.0 * smoothness_probe(obj, 200, rng.fork(13), 0.1)
-             if isinstance(obj, TwoLayerNet) else obj.smoothness)
-        if not 0 < L < math.inf:
-            raise ConfigError(f"the data give a smoothness constant of {L}, "
-                              "not a positive finite one; set --smoothness")
+    """cfg's rate with the step that comes from the objective's smoothness
+    L: a bare adagrad's alpha 1/L, else SVRG's :func:`theory_step`
+    1/(m0*L) or gd's 1/L, a config error unless L and the step are positive
+    and finite.  The one place a run computes L: ERM's closed form, or for
+    a network twice :func:`smoothness_probe` at scale 0.1 over 200 pairs,
+    whose 400 component gradients no ledger charges.  A step from a known
+    L is an --lr: constant:1/L, constant:1/(m0*L) or adagrad:1/L."""
+    L = (2.0 * smoothness_probe(obj, 200, rng.fork(13), 0.1)
+         if isinstance(obj, TwoLayerNet) else obj.smoothness)
+    if not 0 < L < math.inf:
+        raise ConfigError(f"the data give a smoothness constant of {L}, "
+                          "not a positive finite one; set --lr")
     theory = schedule is not None and cfg.rate is None
     step = theory_step(schedule, L) if theory else 1.0 / L
     if not 0 < step < math.inf:
         raise ConfigError(f"the step {'1/(m0*L)' if theory else '1/L'} is "
-                          f"{step} at smoothness {L}; set --lr or "
-                          "--smoothness")
+                          f"{step} at smoothness {L}; set --lr")
     return ConstantRate(step) if cfg.rate is None else replace(cfg.rate,
                                                                alpha=step)
 
@@ -526,6 +520,9 @@ def cmd_tune(args) -> int:
                 raise ConfigError(f"tune.{key} is an empty grid")
             for entry in value:
                 _check_type(f"tune.{key} entry", entry, (float,))
+                if key == "lambdas" and not 0 <= entry < math.inf:
+                    raise ConfigError(f"tune.lambdas entries must be "
+                                      f"non-negative and finite, got {entry}")
     if cfg.synthetic is not None or cfg.objective != "erm":
         raise ConfigError("tune drives LibSVM-backed linear ERM runs")
     if cfg.optimizer not in TUNE_OPTIMIZERS:
@@ -555,8 +552,14 @@ def cmd_tune(args) -> int:
     loss = cfg.loss_kind
     # Ten regularization weights log-spaced from 1e-6 to 1e-1 by default.
     lambdas = tune.get("lambdas", list(np.logspace(-6.0, -1.0, 10)))
-    alphas = tune.get("alphas") or default_alpha_grid(
-        ErmObjective(train, loss, lam=float(np.median(lambdas))).smoothness)
+    alphas = tune.get("alphas")
+    if alphas is None:
+        L = ErmObjective(train, loss, lam=float(np.median(lambdas))).smoothness
+        if not 0 < L < math.inf:
+            raise ConfigError(f"the data give a smoothness constant of {L} at "
+                              "the median lambda, not a positive finite one; "
+                              "set tune.alphas")
+        alphas = default_alpha_grid(L)
     betas = tune.get("betas", [round(0.1 * i, 1) for i in range(11)]
                      if cfg.optimizer == "sgd" else [None])
     # SVRG cells resolve m on the training split (run_configured)
@@ -726,18 +729,13 @@ def build_parser() -> _Parser:
                               "svrg the whole epochs that fit (at least one)")
     p_train.add_argument("--m0", type=int)
     p_train.add_argument("--lr",
-                         help="step: constant:ETA, poly:ALPHA,BETA or "
+                         help="the step: constant:ETA, poly:ALPHA,BETA or "
                               "adagrad[:ALPHA[,DELTA]]; gd takes constant "
-                              "(default 1/L), sgd needs one (adagrad with "
-                              "its ALPHA), svrg1/svrg2 default to "
-                              "1/(m0*L) and a bare adagrad to ALPHA=1/L")
+                              "(default 1/L, L the objective's smoothness), "
+                              "sgd needs one (adagrad with its ALPHA), svrg "
+                              "defaults to 1/(m0*L), a bare adagrad to 1/L")
     p_train.add_argument("--accounting",
                          choices=("auto", "stored", "recompute"))
-    p_train.add_argument("--smoothness", type=float,
-                         help="the smoothness L in place of the data's "
-                              "(a network's is probed); read only where a "
-                              "step comes from it: gd or svrg1/svrg2 "
-                              "without --lr, or a bare --lr adagrad")
     p_train.add_argument("--eval-every", dest="eval_every", type=float,
                          help="sgd only: exact evaluation every P passes, "
                               "rounded as --passes is to whole iterations (at "

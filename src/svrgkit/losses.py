@@ -9,7 +9,7 @@ Every loss is a function of the margin t = l * <a, x>.  Definitions:
   hinge:g     Huberized hinge, C^1 with derivative-Lipschitz constant 1/g:
               0 for t >= 1; (1-t)^2/(2g) for 1-g <= t < 1; (1-t) - g/2 below
 
-A loss is ``LossKind(name)``, or ``LossKind("hinge", g)``;
+A loss is ``LossKind(name)``, or ``LossKind("hinge", g)`` with 0 < g < inf;
 :meth:`LossKind.parse` reads the one text form, 'name' or 'hinge:g'.
 
 All evaluations are overflow-safe for arbitrarily large |t| and accept
@@ -45,8 +45,8 @@ class LossKind:
         if self.name not in _KNOWN:
             raise ValueError(f"unknown loss {self.name!r}")
         if self.name == "hinge":
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError("hinge loss needs gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ValueError("hinge loss needs 0 < gamma < inf")
         elif self.gamma is not None:
             raise ValueError(f"{self.name} loss takes no gamma")
 

@@ -256,7 +256,13 @@ class ErmObjective(FiniteSumObjective):
                              out=None) -> np.ndarray:
         """mu + mean_i(grad_i(x) - grad_i(x_ref)) without per-row allocs,
         reading the reference derivatives from a stored-mode ``cache``;
-        written into ``out`` (which must not alias ``x``) when given."""
+        written into ``out`` (which must not alias ``x``) when given.
+
+        At x == x_ref the estimate is ``cache.full_grad`` up to rounding,
+        not exactly as in the generic path: the stored derivatives come
+        from the full pass's margins (``X @ x``), while each row here
+        recomputes its margin with ``np.dot``, and the two may round
+        differently.  Making them agree would cost a Python sum per row."""
         est = np.empty(self.dim) if out is None else out
         if self.lam:
             np.subtract(x, cache.x_ref, out=est)

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrgkit import cli, optim
-from svrgkit.cli import (OPTIMIZERS, ConfigError, RunConfig, TuneCell,
-                         build_objective, build_parser, main, run_configured,
-                         select_step_winners)
+from svrgkit.cli import (OPTIMIZERS, TUNE_OPTIMIZERS, ConfigError, RunConfig,
+                         TuneCell, build_objective, build_parser, main,
+                         run_configured, select_step_winners)
 from svrgkit.core import RandomSource
 from svrgkit.dataio import (Dataset, bundled_dataset_path, flip_labels,
                             parse_libsvm, read_trace, split, write_trace)
@@ -33,7 +33,8 @@ from svrgkit.verify import run_verification
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Run lengths and step settings that train no longer takes: passes is the
 # only run length and lr the only step setting.
-_REMOVED_TRAIN_FLAGS = ("--epochs", "--iterations", "--steps", "--eta")
+_REMOVED_TRAIN_FLAGS = ("--epochs", "--iterations", "--steps", "--eta",
+                        "--smoothness")
 
 
 def run_cli(*argv):
@@ -186,16 +187,13 @@ class TestTrain:
                     ("sgd", "--lr", "constant:0.1", "--passes", "4",
                      "--eval-every", "0"),
                     ("svrg1", "--m", "0", "--passes", "2"),
-                    ("gd", "--lambda", "-1", "--passes", "2"),
-                    ("svrg1", "--smoothness", "-1", "--passes", "2")):
+                    ("gd", "--lambda", "-1", "--passes", "2")):
             assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
                            *bad) == 1, bad
         # non-finite numbers, and an empty lr (not an unset one): exit 1
         # naming the key, not a traceback, a diverged run or a default step
         capsys.readouterr()
-        for key, bad in (("smoothness", ("svrg1", "--smoothness", "inf",
-                                         "--passes", "2")),
-                         ("lr", ("svrg1", "--lr", "constant:inf",
+        for key, bad in (("lr", ("svrg1", "--lr", "constant:inf",
                                  "--passes", "2")),
                          ("lr", ("svrg1", "--lr", "", "--passes", "2")),
                          ("passes", ("svrg1", "--passes", "inf")),
@@ -225,7 +223,8 @@ class TestTrain:
         # malformed values fail at the boundary, not as tracebacks or runs
         for bad in (("--synthetic", "16,2"), ("--synthetic", "0,2,1"),
                     ("--synthetic", "16,0,1"), ("--loss", "bogus"),
-                    ("--loss", "hinge:0"), ("--lr", "bogus"),
+                    ("--loss", "hinge:0"), ("--loss", "hinge:inf"),
+                    ("--lr", "bogus"),
                     ("--lr", "poly:0.1"), ("--lr", "adagrad:abc"),
                     ("--lr", "constant:-1"), ("--lr", "poly:0.1,-1"),
                     ("--lr", "adagrad:0.1,-1"),
@@ -308,7 +307,7 @@ class TestTrain:
             cfg.write_text(json.dumps({**train, **bad}))
             assert run_cli("train", "--config", str(cfg)) == 1, bad
             assert key in capsys.readouterr().err, bad
-        cfg.write_text(json.dumps({**train, "lambda": 0, "smoothness": 1}))
+        cfg.write_text(json.dumps({**train, "lambda": 0}))
         assert run_cli("train", "--config", str(cfg)) == 0
         for key, bad in (("pases", {"pases": 2}), ("passes", {"passes": "2"}),
                          ("alphas", {"alphas": 0.1}),
@@ -633,59 +632,61 @@ class TestTrain:
         assert any(w > 0 for w in walls)
 
 
-@pytest.mark.parametrize("smoothness", [None, "2"])
-def test_bare_adagrad_takes_alpha_one_over_l(smoothness, tmp_path):
+def test_bare_adagrad_takes_alpha_one_over_l(tmp_path):
     obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind("sigmoid"),
                        lam=1e-3)
-    L = obj.smoothness if smoothness is None else float(smoothness)
-    extra = () if smoothness is None else ("--smoothness", smoothness)
     bodies = []
-    # Only the bare adagrad reads the smoothness.
-    for lr, more in (("adagrad", extra), (f"adagrad:{1.0 / L!r}", ())):
+    for lr in ("adagrad", f"adagrad:{1.0 / obj.smoothness!r}"):
         out = tmp_path / "trace.csv"
         assert run_cli("train", "--synthetic", "64,3,1", "--lambda", "1e-3",
                        "--optimizer", "svrg2", "--batch-size", "1",
                        "--passes", "6", "--seed", "2", "--lr", lr,
-                       "--out", str(out), *more) == 0
+                       "--out", str(out)) == 0
         bodies.append([line for line in out.read_text().splitlines()
                        if not line.startswith("#")])
     assert bodies[0] == bodies[1]
 
 
 # A smoothness constant or a step derived from it (1/L, 1/(m0*L), AdaGrad's
-# 1/L) that is not positive and finite: exit 1 naming the value and the
-# setting to change.  The dataset's row norms overflow to inf.
+# 1/L) that is not positive and finite: exit 1 naming the value and --lr,
+# the setting to change.  The first dataset's row norms overflow to inf; the
+# second's rows have norm 0.1, so under a hinge of width 1e308 L is about
+# 1e-310 and 1/L overflows.
 _OVERFLOW_ROWS = "+1 1:1e200 2:1\n-1 1:2 2:1e200\n+1 1:1\n-1 2:1\n"
+_TINY_ROWS = "+1 1:0.1\n-1 2:0.1\n+1 2:0.1\n-1 1:0.1\n"
+_TINY = ("--dataset", "{tiny}", "--loss", "hinge:1e308")
 _BAD_DERIVED = {
-    "svrg-tiny-smoothness": (("--synthetic", "64,3,1", "--optimizer", "svrg2",
-                              "--batch-size", "1", "--smoothness", "1e-320"),
-                             "inf", "--smoothness"),
+    "svrg-tiny-smoothness": ((*_TINY, "--optimizer", "svrg2",
+                              "--batch-size", "1"),
+                             "inf", "1/(m0*L)"),
     "svrg-huge-lambda": (("--synthetic", "64,3,1", "--optimizer", "svrg2",
                           "--batch-size", "1", "--lambda", "1e308"),
-                         "0.0", "--smoothness"),
-    "adagrad-tiny-smoothness": (("--synthetic", "64,3,1", "--optimizer",
-                                 "svrg2", "--batch-size", "1", "--lr",
-                                 "adagrad", "--smoothness", "1e-320"),
-                                "inf", "--lr"),
-    "gd-tiny-smoothness": (("--synthetic", "64,3,1", "--optimizer", "gd",
-                            "--smoothness", "1e-320"), "inf", "--lr"),
+                         "0.0", "1/(m0*L)"),
+    "adagrad-tiny-smoothness": ((*_TINY, "--optimizer", "svrg2",
+                                 "--batch-size", "1", "--lr", "adagrad"),
+                                "inf", "1/L"),
+    "gd-tiny-smoothness": ((*_TINY, "--optimizer", "gd"), "inf", "1/L"),
     "svrg-overflowing-rows": (("--dataset", "{overflow}", "--optimizer",
                                "svrg2", "--batch-size", "1"),
-                              "inf", "--smoothness"),
+                              "inf", "smoothness constant"),
 }
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", list(_BAD_DERIVED))
 def test_derived_step_out_of_range_is_config_error(case, tmp_path, capsys):
-    argv, value, flag = _BAD_DERIVED[case]
-    overflow = tmp_path / "overflow.libsvm"
+    argv, value, what = _BAD_DERIVED[case]
+    overflow, tiny = tmp_path / "overflow.libsvm", tmp_path / "tiny.libsvm"
     overflow.write_text(_OVERFLOW_ROWS)
+    tiny.write_text(_TINY_ROWS)
     assert main(["train", "--passes", "2",
-                 *(a.format(overflow=overflow) for a in argv)]) == 1
+                 *(a.format(overflow=overflow, tiny=tiny) for a in argv)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:"), err
-    assert value in re.findall(r"[\w.+-]+", err) and flag in err, err
+    assert value in re.findall(r"[\w.+-]+", err), err
+    assert what in err and err.rstrip().endswith("; set --lr"), err
+    if "tiny" in case:
+        assert "at smoothness 1e-310;" in err, err
 
 
 def _multiclass_file(tmp_path) -> Path:
@@ -743,8 +744,6 @@ _BASE_RUNS = {
     "net-svrg1": ("--dataset", "{mc}", "--objective", "net", "--optimizer",
                   "svrg1", "--passes", "11", "--batch-size", "2"),
 }
-# SVRG reads smoothness only where a step comes from it: not with an lr
-# other than a bare adagrad.
 _SVRG_LR = ("constant:0.1", "poly:0.3,0.5", "adagrad:0.1")
 _BASE_RUNS.update({f"{opt}-{lr.split(':')[0]}": (
     "--synthetic", "16,2,1", "--optimizer", opt, "--passes", "2",
@@ -761,13 +760,16 @@ _UNREAD = [
     ("gd", "m", ("--m", "2n")),
     ("gd", "m0", ("--m0", "2")),
     ("gd", "accounting", ("--accounting", "recompute")),
-    ("gd-lr", "smoothness", ("--smoothness", "5")),
-    ("sgd", "smoothness", ("--smoothness", "5")),
     ("sgd", "m", ("--m", "5")),
     ("sgd", "m0", ("--m0", "2")),
     ("sgd", "accounting", ("--accounting", "stored")),
-] + [(f"{opt}-{lr.split(':')[0]}", "smoothness", ("--smoothness", "5"))
-     for opt in OPTIMIZERS[2:] for lr in _SVRG_LR]
+]
+# No run reads a smoothness setting, so a config "smoothness" is an unknown
+# key (test_smoothness_is_no_setting checks the flag and the runs that took
+# a step from it).
+_UNREAD += [(run, "smoothness", {"smoothness": 5.0}) for run in (
+    "gd-lr", "sgd", *(f"{opt}-{lr.split(':')[0]}" for opt in OPTIMIZERS[2:]
+                      for lr in _SVRG_LR))]
 
 
 @pytest.mark.parametrize("run,key,extra", _UNREAD,
@@ -787,6 +789,31 @@ def test_unread_setting_is_config_error(run, key, extra, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_smoothness_is_no_setting(small_file, tmp_path, capsys):
+    # --lr is the one step setting: a step from a known L is constant:1/L,
+    # constant:1/(m0*L) or adagrad:1/L.  Checked on the runs whose step
+    # comes from L, with train's flag and config key, and on tune's key.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"smoothness": 5.0}))
+    for run in (("gd",), ("svrg2", "--batch-size", "2"),
+                ("svrg1", "--batch-size", "2", "--lr", "adagrad")):
+        argv = ["train", "--synthetic", "16,2,1", "--passes", "2",
+                "--optimizer", *run]
+        assert main(argv) == 0, run
+        for extra in (("--smoothness", "5"), ("--config", str(config))):
+            capsys.readouterr()
+            assert main(argv + list(extra)) == 1, (run, extra)
+            assert "smoothness" in capsys.readouterr().err, (run, extra)
+    grid = {"passes": 1, "lambdas": [1e-3], "alphas": [0.1], "betas": [0.0]}
+    for optimizer in TUNE_OPTIMIZERS:
+        config.write_text(json.dumps({"dataset": str(small_file),
+                                      "optimizer": optimizer, "batch_size": 4,
+                                      "smoothness": 5.0, "tune": grid}))
+        capsys.readouterr()
+        assert run_cli("tune", "--config", str(config)) == 1, optimizer
+        assert "smoothness" in capsys.readouterr().err, optimizer
+
+
 def test_headers_echo_the_settings_each_run_reads(tmp_path):
     # One run per optimizer and a network run; the keys of the "# config:"
     # and "# schedule:" lines, written out.
@@ -797,8 +824,7 @@ def test_headers_echo_the_settings_each_run_reads(tmp_path):
     net_config = tmp_path / "net.json"
     net_config.write_text(json.dumps({"net": {"hidden": 4}}))
     cases = [
-        (("--optimizer", "gd", "--smoothness", "5"),
-         erm | {"smoothness"}, {"dim", "n", "step"}),
+        (("--optimizer", "gd"), erm, {"dim", "n", "step"}),
         (("--optimizer", "sgd", "--lr", "constant:0.1", "--batch-size", "2",
           "--eval-every", "3"),
          erm | {"batch_size", "eval_every", "lr"},
@@ -808,14 +834,11 @@ def test_headers_echo_the_settings_each_run_reads(tmp_path):
         (("--optimizer", "svrg2", "--batch-size", "2", "--lr",
           "poly:0.3,0.5", "--m0", "2"),
          erm | {"accounting", "batch_size", "lr", "m0"}, svrg),
+        # a step from the smoothness: a bare adagrad's 1/L, the theory step
         (("--optimizer", "svrg2", "--batch-size", "2", "--lr", "adagrad"),
          erm | {"accounting", "batch_size", "lr"}, svrg),
-        # a step from the smoothness: the theory step, a bare adagrad's 1/L
-        (("--optimizer", "svrg2", "--batch-size", "2", "--smoothness", "5"),
-         erm | {"accounting", "batch_size", "smoothness"}, svrg | {"eta"}),
-        (("--optimizer", "svrg1", "--batch-size", "2", "--lr", "adagrad",
-          "--smoothness", "5"),
-         erm | {"accounting", "batch_size", "lr", "smoothness"}, svrg),
+        (("--optimizer", "svrg2", "--batch-size", "2"),
+         erm | {"accounting", "batch_size"}, svrg | {"eta"}),
         (("--optimizer", "svrg1", "--batch-size", "2", "--m", "2n", "--lr",
           "constant:0.5"),
          erm | {"accounting", "batch_size", "lr", "m"}, svrg | {"eta"}),
@@ -1100,22 +1123,37 @@ class TestTune:
         for top, tune, key in (({}, {"lambdas": []}, "tune.lambdas"),
                                ({}, {"alphas": []}, "tune.alphas"),
                                ({}, {"betas": []}, "tune.betas"),
-                               ({"smoothness": 5.0}, {}, "smoothness"),
                                ({"lr": "constant:0.1"}, {}, "lr")):
             cfg.write_text(json.dumps({"dataset": str(small_file),
                                        "optimizer": "sgd", "batch_size": 4,
                                        **top, "tune": {**grid, **tune}}))
             assert run_cli("tune", "--config", str(cfg)) == 1, (top, tune)
             assert key in capsys.readouterr().err, (top, tune)
-        # every cell steps with its grid rate, so SVRG cells read no
-        # smoothness either
-        for optimizer in ("svrg1", "svrg2"):
-            cfg.write_text(json.dumps({"dataset": str(small_file),
-                                       "optimizer": optimizer,
-                                       "batch_size": 4, "smoothness": 5.0,
-                                       "tune": grid}))
-            assert run_cli("tune", "--config", str(cfg)) == 1, optimizer
-            assert "smoothness" in capsys.readouterr().err, optimizer
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_default_step_grid_needs_a_finite_smoothness(self, tmp_path,
+                                                         capsys):
+        # Without tune.alphas the grid centres on 1/L at the median lambda:
+        # every lambda is checked before that objective is built, and L
+        # must be positive and finite.  Ten label-only rows give L = 0.
+        labels = tmp_path / "labels.libsvm"
+        labels.write_text("+1\n-1\n" * 5)
+        bundled = bundled_dataset_path()
+        cfg = tmp_path / "tune.json"
+        for data, lambdas, extra, words in (
+                (bundled, [-1, -2, -3], (), ("tune.lambdas", "-1")),
+                (bundled, [math.inf], (), ("tune.lambdas", "inf")),
+                # the median of two 1e308 overflows to inf
+                (bundled, [1e308, 1e308], (), ("tune.alphas", "inf")),
+                (labels, [0], ("--batch-size", "2"), ("tune.alphas", "0.0"))):
+            cfg.write_text(json.dumps({"tune": {"passes": 1,
+                                                "lambdas": lambdas}}))
+            assert run_cli("tune", "--config", str(cfg), "--dataset",
+                           str(data), "--optimizer", "sgd", *extra) == 1, (
+                               data, lambdas)
+            err = capsys.readouterr().err
+            assert err.startswith("config error:"), err
+            assert all(w in re.findall(r"[\w.+-]+", err) for w in words), err
 
     @pytest.mark.parametrize("optimizer", ["svrg1", "svrg2"])
     def test_svrg_cells_step_with_their_grid_rate(self, optimizer, small_file,

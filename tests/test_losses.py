@@ -201,3 +201,12 @@ class TestSerialization:
             LossKind.parse("hinge:0")
         with pytest.raises(ValueError):
             LossKind("sigmoid", gamma=1.0)
+
+    def test_hinge_width_is_finite(self):
+        # a hinge of infinite width is zero everywhere; any finite width runs
+        for make in (lambda: LossKind("hinge", math.inf),
+                     lambda: LossKind.parse("hinge:inf"),
+                     lambda: LossKind.parse("hinge:nan")):
+            with pytest.raises(ValueError, match="0 < gamma < inf"):
+                make()
+        assert LossKind.parse("hinge:1e308").gamma == 1e308

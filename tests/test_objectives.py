@@ -241,6 +241,22 @@ class TestSnapshotCache:
             1 + np.linalg.norm(grad))
         assert math.isclose(cache.value, value, rel_tol=1e-12)
 
+    def test_estimate_at_the_snapshot_is_its_full_gradient(self):
+        # The generic estimator returns full_grad exactly at x == x_ref; the
+        # fused kernel recomputes each margin with np.dot against stored
+        # derivatives from X @ x_ref, so it agrees up to rounding.
+        for seed in range(20):
+            obj = make_synthetic(64, 5, seed=seed)
+            ref = RandomSource(seed).normals(5)
+            stored = obj.build_snapshot(ref)
+            recompute = obj.build_snapshot(ref, mode="recompute")
+            bound = 1e-12 * np.linalg.norm(stored.full_grad)
+            for i in range(1, obj.n + 1):
+                assert np.array_equal(svrg_estimator(recompute, obj, ref, [i]),
+                                      recompute.full_grad)
+                fused = svrg_estimator(stored, obj, ref, [i])
+                assert np.linalg.norm(fused - stored.full_grad) <= bound
+
     def test_net_snapshot_is_recompute_mode(self):
         ds = dense_dataset([[1.0, 0.5], [0.0, 2.0]], [1, 2], binary=False)
         net = TwoLayerNet(ds, hidden_dim=2, class_count=2)
