@@ -44,11 +44,12 @@ from svrgkit.optim import (AdaGradRate, ConstantRate,  # noqa: E402
 # gd reads no batch size, so the base runs give one to the other optimizers.
 BUNDLED = ("--dataset", "{bundled}", "--loss", "sigmoid", "--passes", "6",
            "--seed", "3", "--lambda", "1e-4")
-SYNTH = ("--synthetic", "128,4,1", "--passes", "8", "--seed", "3",
+# {synth} and {nonunit} are files `svrgkit synth` writes: full Gaussian
+# rows, ERM's dense layout.
+SYNTH = ("--dataset", "{synth}", "--passes", "8", "--seed", "3",
          "--lambda", "1e-3")
 # Values that are not all 1.0, so a change in summation order shows in the
-# hashes.  {nonunit} holds the full Gaussian rows `svrgkit synth` writes
-# (ERM's dense layout); {sparse} holds Gaussian rows with most entries
+# hashes: {nonunit}, and {sparse}, which holds Gaussian rows with most entries
 # zero, some rows empty (the CSR layout's bincount products).
 NONUNIT = ("--loss", "logistic", "--passes", "6", "--seed", "5",
            "--lambda", "1e-3")
@@ -129,12 +130,14 @@ LIB_RATES = (ConstantRate(0.5), PolynomialRate(0.5, 0.5), AdaGradRate(0.3))
 
 
 def _write_inputs(tmp: Path) -> dict[str, str]:
-    nonunit = tmp / "nonunit.libsvm"
-    with redirect_stdout(io.StringIO()):
-        rc = cli.main(["synth", "--n", "160", "--d", "12", "--seed", "9",
-                       "--out", str(nonunit)])
-    if rc != 0:
-        raise SystemExit(f"synth exited {rc}")
+    inputs = {"bundled": str(bundled_dataset_path())}
+    for name, n, d, seed in (("synth", 128, 4, 1), ("nonunit", 160, 12, 9)):
+        inputs[name] = str(tmp / f"{name}.libsvm")
+        with redirect_stdout(io.StringIO()):
+            rc = cli.main(["synth", "--n", str(n), "--d", str(d), "--seed",
+                           str(seed), "--out", inputs[name]])
+        if rc != 0:
+            raise SystemExit(f"synth exited {rc}")
     rng = np.random.default_rng(13)
     n, d = 160, 12
     sparse = tmp / "sparse.libsvm"
@@ -150,8 +153,7 @@ def _write_inputs(tmp: Path) -> dict[str, str]:
                                   rng.normal(size=n * d),
                                   rng.integers(1, classes + 1, size=n),
                                   dim=d, binary=False), net)
-    return {"bundled": str(bundled_dataset_path()), "nonunit": str(nonunit),
-            "sparse": str(sparse), "net": str(net)}
+    return {**inputs, "sparse": str(sparse), "net": str(net)}
 
 
 def _run(name: str, tmp: Path, inputs: dict[str, str]) -> str:

@@ -14,8 +14,9 @@ Subcommands:
   synth    write a synthetic instance as a LibSVM file
 
 train and tune declare their shared run flags once, read their data
-through one loader (``_load_dataset``) and size every run in one call
-(``_run_length``); a tune cell is the train run of its config.
+through one loader (``_load_dataset``) from a LibSVM file, and size every
+run in one call (``_run_length``); a tune cell is the train run of its
+config.  A synthetic instance reaches them as the file synth writes.
 
 Exit codes: 0 ok, 1 config error, 2 divergence, 3 every grid cell diverged,
 4 verification failure.
@@ -62,9 +63,9 @@ OPTIMIZERS = ("gd", "sgd", "svrg1", "svrg2")
 TUNE_OPTIMIZERS = ("sgd", "svrg1", "svrg2")
 # Arrays sized by the input, 8 bytes an entry, stay within 1 GiB: an SVRG
 # epoch's m*b component indices, drawn at once, with the 3*m0 entries its
-# stop-draw weights take to build, a synthetic instance's n*d features
-# (with as many column indices), and a network's dense n*d features and
-# its parameter vector.
+# stop-draw weights take to build, the n*d features (with as many column
+# indices) of the synthetic instance synth writes, and a network's dense
+# n*d features and its parameter vector.
 _MAX_ENTRIES = 2 ** 27
 
 
@@ -104,7 +105,6 @@ class RunConfig:
     """One training run, resolved from config file + flags."""
 
     dataset: str | None = None
-    synthetic: dict | None = None
     objective: str = "erm"
     loss: str = "sigmoid"
     lam: float = 0.0
@@ -130,8 +130,8 @@ class RunConfig:
         for key in _RUN_KEYS:
             _check_type("lambda" if key == "lam" else key, getattr(self, key),
                         _RUN_TYPES[key])
-        if (self.dataset is None) == (self.synthetic is None):
-            raise ConfigError("exactly one of dataset / synthetic is required")
+        if self.dataset is None:
+            raise ConfigError("a run needs a dataset")
         try:
             self.loss_kind = LossKind.parse(self.loss)
         except ValueError as e:
@@ -152,21 +152,6 @@ class RunConfig:
             raise ConfigError(f"unknown accounting mode {self.accounting!r}")
         if self.flip_fraction and not 0 <= self.flip_fraction <= 1:
             raise ConfigError("flip_fraction must be in [0,1]")
-        spec = self.synthetic
-        if spec is not None:
-            if set(spec) != {"n", "d", "seed"}:
-                raise ConfigError(f"synthetic needs n, d and seed, got {spec!r}")
-            for key, low in (("n", 1), ("d", 1), ("seed", 0)):
-                _check_type(f"synthetic.{key}", spec[key], (int,))
-                if spec[key] < low:
-                    raise ConfigError(f"synthetic.{key} must be >= {low}, "
-                                      f"got {spec[key]}")
-            _check_synthetic_size(spec["n"], spec["d"])
-        if self.synthetic is not None and self.objective != "erm":
-            raise ConfigError("synthetic inputs are linear ERM instances; "
-                              "objective 'net' needs a dataset")
-        if self.synthetic is not None and self.flip_fraction:
-            raise ConfigError("flip_fraction applies to dataset inputs only")
         if self.objective == "net" and self.accounting == "stored":
             raise ConfigError("networks recompute reference gradients; "
                               "accounting 'stored' is for linear ERM")
@@ -227,8 +212,7 @@ _CONFIG_KEYS = {"lambda" if key == "lam" else key
 # evaluation, so only sgd reads eval_every.  The rows depend on the
 # objective and the optimizer alone: a step that comes from the smoothness
 # takes it from the objective (RunConfig.steps_from_smoothness).
-_ALWAYS_READ = ("optimizer", "passes", "seed", "objective", "lam", "dataset",
-                "synthetic")
+_ALWAYS_READ = ("optimizer", "passes", "seed", "objective", "lam", "dataset")
 _READS = {"erm": ("loss", "flip_fraction"), "net": ("net",),
           "gd": ("lr",), "sgd": ("batch_size", "lr", "eval_every")}
 _READS.update(dict.fromkeys(OPTIMIZERS[2:], (
@@ -253,14 +237,6 @@ def load_config(args) -> tuple[RunConfig, dict]:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    if getattr(args, "synthetic", None) is not None:
-        try:
-            n, d, seed = (int(v) for v in args.synthetic.split(","))
-        except ValueError:
-            raise ConfigError(f"--synthetic takes N,D,SEED, got "
-                              f"{args.synthetic!r}") from None
-        raw["synthetic"] = {"n": n, "d": d, "seed": seed}
-        raw.pop("dataset", None)
     try:
         cfg = RunConfig(**raw)
     except TypeError as e:
@@ -292,11 +268,9 @@ def _parse_m(expr, n: int, b: int) -> int:
 
 
 def _load_dataset(cfg: RunConfig, rng: RandomSource) -> Dataset:
-    """cfg's data, for train and tune alike: the synthetic instance, or the
-    parsed file (binary for ERM) with its labels flipped by ``rng``'s fork
-    7 when flip_fraction is set."""
-    if cfg.synthetic is not None:
-        return synthetic_dataset(**cfg.synthetic)
+    """cfg's data, for train and tune alike: the parsed LibSVM file (binary
+    for ERM) with its labels flipped by ``rng``'s fork 7 when flip_fraction
+    is set."""
     ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
     if len(ds) == 0:
         raise ConfigError(f"dataset {cfg.dataset} has no examples")
@@ -523,8 +497,8 @@ def cmd_tune(args) -> int:
                 if key == "lambdas" and not 0 <= entry < math.inf:
                     raise ConfigError(f"tune.lambdas entries must be "
                                       f"non-negative and finite, got {entry}")
-    if cfg.synthetic is not None or cfg.objective != "erm":
-        raise ConfigError("tune drives LibSVM-backed linear ERM runs")
+    if cfg.objective != "erm":
+        raise ConfigError("tune drives linear ERM runs")
     if cfg.optimizer not in TUNE_OPTIMIZERS:
         raise ConfigError(f"tune runs {', '.join(TUNE_OPTIMIZERS)}, "
                           f"not {cfg.optimizer!r}")
@@ -555,10 +529,11 @@ def cmd_tune(args) -> int:
     alphas = tune.get("alphas")
     if alphas is None:
         L = ErmObjective(train, loss, lam=float(np.median(lambdas))).smoothness
-        if not 0 < L < math.inf:
+        # the grid centres on 1/L, which overflows at a subnormal L
+        if not 0 < L < math.inf or 1.0 / L == math.inf:
             raise ConfigError(f"the data give a smoothness constant of {L} at "
-                              "the median lambda, not a positive finite one; "
-                              "set tune.alphas")
+                              "the median lambda, not a positive finite one "
+                              "with a finite 1/L; set tune.alphas")
         alphas = default_alpha_grid(L)
     betas = tune.get("betas", [round(0.1 * i, 1) for i in range(11)]
                      if cfg.optimizer == "sgd" else [None])
@@ -719,7 +694,6 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="run one optimizer",
                              parents=[shared])
-    p_train.add_argument("--synthetic", metavar="N,D,SEED")
     p_train.add_argument("--objective", choices=("erm", "net"))
     p_train.add_argument("--lambda", dest="lam", type=float)
     p_train.add_argument("--optimizer", choices=OPTIMIZERS)

@@ -303,7 +303,7 @@ def test_11_pass_accounting_exact():
            "1 + 2m*b/n (recompute) exactly on 10 random configs")
 
 
-def test_12_cli_train_determinism(tmp_path):
+def test_12_cli_train_determinism(tmp_path, synth):
     mismatches = []
     for opt, lr in (("gd", None), ("sgd", "poly:0.3,0.5"), ("svrg1", None),
                     ("svrg2", None), ("svrg2", "adagrad")):
@@ -313,7 +313,7 @@ def test_12_cli_train_determinism(tmp_path):
         blobs = []
         for tag in "ab":
             out = tmp_path / f"{opt}_{lr}_{tag}.csv"
-            rc = main(["train", "--synthetic", "128,4,1", "--optimizer",
+            rc = main(["train", "--dataset", synth(128, 4, 1), "--optimizer",
                        opt, "--passes", "8", "--seed", "3",
                        "--lambda", "1e-3", "--out", str(out), *extra])
             assert rc == 0

@@ -7,13 +7,14 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svrgkit import cli, optim
@@ -60,9 +61,9 @@ def small_file(tmp_path):
 
 
 class TestTrain:
-    def test_synthetic_run_writes_trace(self, tmp_path, capsys):
+    def test_synthetic_run_writes_trace(self, tmp_path, capsys, synth):
         out = tmp_path / "trace.csv"
-        rc = run_cli("train", "--synthetic", "64,4,1", "--optimizer",
+        rc = run_cli("train", "--dataset", synth(64, 4, 1), "--optimizer",
                      "svrg2", "--batch-size", "1", "--passes", "6",
                      "--seed", "5", "--lambda", "1e-3", "--out", str(out))
         assert rc == 0
@@ -130,7 +131,7 @@ class TestTrain:
                        "--passes", "11", "--seed", "3", "--out", str(out)) == 0
         assert read_trace(out)[0].grad_norm_sq > 1e-8
 
-    def test_rerun_byte_identical_every_optimizer(self, tmp_path):
+    def test_rerun_byte_identical_every_optimizer(self, tmp_path, synth):
         for opt, lr in (("gd", None), ("sgd", "poly:0.3,0.5"),
                         ("svrg1", None), ("svrg2", None),
                         ("svrg2", "adagrad")):
@@ -140,7 +141,7 @@ class TestTrain:
             outs = []
             for tag in "ab":
                 out = tmp_path / f"{opt}_{lr}_{tag}.csv"
-                rc = run_cli("train", "--synthetic", "64,4,1",
+                rc = run_cli("train", "--dataset", synth(64, 4, 1),
                              "--optimizer", opt, "--passes", "8",
                              "--seed", "3", "--lambda", "1e-3",
                              "--out", str(out), *extra)
@@ -160,21 +161,21 @@ class TestTrain:
             outs.append(out.read_text())
         assert outs[0] != outs[1]
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
+    def test_config_file_with_flag_override(self, tmp_path, capsys, synth):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "synthetic": {"n": 32, "d": 3, "seed": 2}, "optimizer": "gd",
+            "dataset": synth(32, 3, 2), "optimizer": "gd",
             "passes": 2, "lambda": 1e-3, "seed": 9}))
         rc = run_cli("train", "--config", str(cfg), "--passes", "4")
         assert rc == 0
 
-    def test_config_error_exit_code(self, small_file, tmp_path, capsys):
-        assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
+    def test_config_error_exit_code(self, small_file, tmp_path, capsys, synth):
+        assert run_cli("train", "--dataset", synth(16, 2, 1), "--optimizer",
                        "sgd", "--passes", "2") == 1  # sgd needs lr
         assert run_cli("train", "--optimizer", "gd", "--passes", "1") == 1
-        assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
+        assert run_cli("train", "--dataset", synth(16, 2, 1), "--optimizer",
                        "nope", "--passes", "1") == 1
-        assert run_cli("train", "--synthetic", "8,2,1", "--optimizer",
+        assert run_cli("train", "--dataset", synth(8, 2, 1), "--optimizer",
                        "svrg1", "--batch-size", "100", "--passes", "2") == 1
         # zero or negative numbers are rejected, not read as "absent"
         for bad in (("gd", "--lr", "constant:0", "--passes", "2"),
@@ -188,8 +189,8 @@ class TestTrain:
                      "--eval-every", "0"),
                     ("svrg1", "--m", "0", "--passes", "2"),
                     ("gd", "--lambda", "-1", "--passes", "2")):
-            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
-                           *bad) == 1, bad
+            assert run_cli("train", "--dataset", synth(16, 2, 1),
+                           "--optimizer", *bad) == 1, bad
         # non-finite numbers, and an empty lr (not an unset one): exit 1
         # naming the key, not a traceback, a diverged run or a default step
         capsys.readouterr()
@@ -217,25 +218,21 @@ class TestTrain:
                          ("adagrad:ALPHA", ("sgd", "--lr", "adagrad",
                                             "--batch-size", "2",
                                             "--passes", "1"))):
-            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
-                           *bad) == 1, bad
+            assert run_cli("train", "--dataset", synth(16, 2, 1),
+                           "--optimizer", *bad) == 1, bad
             assert key in capsys.readouterr().err, bad
         # malformed values fail at the boundary, not as tracebacks or runs
-        for bad in (("--synthetic", "16,2"), ("--synthetic", "0,2,1"),
-                    ("--synthetic", "16,0,1"), ("--loss", "bogus"),
-                    ("--loss", "hinge:0"), ("--loss", "hinge:inf"),
+        for bad in (("--loss", "bogus"), ("--loss", "hinge:0"),
+                    ("--loss", "hinge:inf"),
                     ("--lr", "bogus"),
                     ("--lr", "poly:0.1"), ("--lr", "adagrad:abc"),
                     ("--lr", "constant:-1"), ("--lr", "poly:0.1,-1"),
                     ("--lr", "adagrad:0.1,-1"),
                     ("--optimizer", "svrg1", "--m", "0n")):
-            assert run_cli("train", "--synthetic", "16,2,1", "--batch-size",
-                           "2", "--optimizer", "sgd", "--passes", "1",
-                           "--lr", "constant:0.1", *bad) == 1, bad
-        # synthetic inputs are linear ERM; a network needs a dataset
-        assert run_cli("train", "--synthetic", "16,2,1", "--objective", "net",
-                       "--optimizer", "svrg1", "--passes", "2",
-                       "--batch-size", "2") == 1
+            assert run_cli("train", "--dataset", synth(16, 2, 1),
+                           "--batch-size", "2", "--optimizer", "sgd",
+                           "--passes", "1", "--lr", "constant:0.1",
+                           *bad) == 1, bad
         multiclass = tmp_path / "mc.libsvm"
         multiclass.write_text("".join(f"{1 + i % 3} 1:{i}.5\n"
                                       for i in range(12)))
@@ -272,9 +269,9 @@ class TestTrain:
         # once rather than touching memory)
         capsys.readouterr()
         for m, m0 in (("1000000000000000", "1"), ("16", "1000000000000000")):
-            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
-                           "svrg1", "--batch-size", "1", "--m", m, "--m0", m0,
-                           "--passes", "1") == 1, (m, m0)
+            assert run_cli("train", "--dataset", synth(16, 2, 1),
+                           "--optimizer", "svrg1", "--batch-size", "1",
+                           "--m", m, "--m0", m0, "--passes", "1") == 1, (m, m0)
             err = capsys.readouterr().err
             assert "m=1000000000000000" in err and "b=1" in err, err
         for top, tune in (({}, {"train_fraction": 0.0}),
@@ -291,11 +288,10 @@ class TestTrain:
         # config values of the wrong JSON type: exit 1 naming the key (an
         # int is no bool and no float; a float may be written as an int)
         capsys.readouterr()
-        train = {"synthetic": {"n": 16, "d": 2, "seed": 1},
+        train = {"dataset": synth(16, 2, 1),
                  "optimizer": "svrg1", "passes": 2, "batch_size": 2}
         for key, bad in (("loss", {"loss": 5}), ("lr", {"lr": 5}),
-                         ("synthetic.n",
-                          {"synthetic": {"n": 16.5, "d": 2, "seed": 1}}),
+                         ("dataset", {"dataset": 5}),
                          ("passes", {"passes": "2"}), ("seed", {"seed": "a"}),
                          ("m0", {"m0": 2.5}), ("seed", {"seed": 1.5}),
                          ("batch_size", {"batch_size": True}),
@@ -321,10 +317,11 @@ class TestTrain:
             assert run_cli("tune", "--config", str(cfg)) == 1, bad
             assert key in capsys.readouterr().err, bad
 
-    def test_negative_seed_is_config_error(self, small_file, tmp_path, capsys):
+    def test_negative_seed_is_config_error(self, small_file, tmp_path, capsys,
+                                           synth):
         out = str(tmp_path / "o")
-        for argv in (("train", "--synthetic", "16,2,1", "--optimizer", "gd",
-                      "--passes", "1"),
+        for argv in (("train", "--dataset", synth(16, 2, 1), "--optimizer",
+                      "gd", "--passes", "1"),
                      ("tune", "--dataset", str(small_file), "--optimizer",
                       "sgd"),
                      ("verify",), ("synth", "--n", "4", "--d", "2",
@@ -335,40 +332,38 @@ class TestTrain:
                       "--out-validation", out)):
             assert run_cli(*argv, "--seed", "-1") == 1, argv
             assert "seed" in capsys.readouterr().err, argv
-        assert run_cli("train", "--synthetic", "16,2,-1", "--optimizer", "gd",
-                       "--passes", "1") == 1
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"synthetic": {"n": 16, "d": 2, "seed": 1},
+        cfg.write_text(json.dumps({"dataset": synth(16, 2, 1),
                                    "optimizer": "gd", "passes": 1,
                                    "seed": -1}))
         assert run_cli("train", "--config", str(cfg)) == 1
         assert "seed" in capsys.readouterr().err
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, synth):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"synthetic": {"n": 8, "d": 2, "seed": 1},
+        cfg.write_text(json.dumps({"dataset": synth(8, 2, 1),
                                    "optimizr": "gd"}))
         assert run_cli("train", "--config", str(cfg)) == 1
         for top in (5, [], "gd"):  # a config is a JSON object
             cfg.write_text(json.dumps(top))
             assert run_cli("train", "--config", str(cfg)) == 1, top
 
-    def test_softplus_is_an_unknown_loss(self, tmp_path, capsys):
+    def test_softplus_is_an_unknown_loss(self, tmp_path, capsys, synth):
         # log(1 + e^t) of the margin is the logistic loss of -t, so ERM on
         # it fits a wrong-sign classifier; no run takes it
-        run = {"synthetic": {"n": 16, "d": 2, "seed": 1}, "optimizer": "gd",
+        run = {"dataset": synth(16, 2, 1), "optimizer": "gd",
                "passes": 2, "out": str(tmp_path / "trace.csv")}
         cfg = tmp_path / "cfg.json"
         for loss in ("logistic", "softplus"):
             cfg.write_text(json.dumps({**run, "loss": loss}))
             rc = 0 if loss == "logistic" else 1
             assert run_cli("train", "--config", str(cfg)) == rc, loss
-            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
-                           "gd", "--passes", "2", "--loss", loss, "--out",
-                           run["out"]) == rc, loss
+            assert run_cli("train", "--dataset", synth(16, 2, 1),
+                           "--optimizer", "gd", "--passes", "2", "--loss",
+                           loss, "--out", run["out"]) == rc, loss
         assert capsys.readouterr().err.count("unknown loss 'softplus'") == 2
 
-    def test_removed_run_keys_exit_1(self, tmp_path, capsys):
+    def test_removed_run_keys_exit_1(self, tmp_path, capsys, synth):
         # Each removed key, with a value its optimizer used to read, next
         # to a run that succeeds without it.
         heads = {"gd": {"optimizer": "gd"},
@@ -381,7 +376,7 @@ class TestTrain:
                                       ("epochs", "svrg1", 2),
                                       ("eta", "svrg1", 0.1),
                                       ("eta", "gd", 0.1)):
-            run = {"synthetic": {"n": 16, "d": 2, "seed": 1}, "passes": 2,
+            run = {"dataset": synth(16, 2, 1), "passes": 2,
                    **heads[optimizer]}
             cfg.write_text(json.dumps(run))
             assert run_cli("train", "--config", str(cfg)) == 0
@@ -392,9 +387,9 @@ class TestTrain:
             assert run_cli("train", "--config", str(cfg)) == 1, key
             assert repr(key) in capsys.readouterr().err, key
 
-    def test_gd_takes_a_constant_lr_only(self, tmp_path, capsys):
+    def test_gd_takes_a_constant_lr_only(self, tmp_path, capsys, synth):
         out = tmp_path / "gd.csv"
-        argv = ("train", "--synthetic", "16,2,1", "--optimizer", "gd",
+        argv = ("train", "--dataset", synth(16, 2, 1), "--optimizer", "gd",
                 "--passes", "3", "--out", str(out))
         for spec in ("poly:1,2", "adagrad:0.1"):
             assert run_cli(*argv, "--lr", spec) == 1, spec
@@ -406,9 +401,9 @@ class TestTrain:
         assert read_trace(out) == [replace(r, wall_seconds=0.0)
                                    for r in result.trace]
 
-    def test_svrg_schedule_echoes_the_constant_step(self, tmp_path):
+    def test_svrg_schedule_echoes_the_constant_step(self, tmp_path, synth):
         out = tmp_path / "svrg.csv"
-        argv = ("train", "--synthetic", "64,3,1", "--optimizer", "svrg2",
+        argv = ("train", "--dataset", synth(64, 3, 1), "--optimizer", "svrg2",
                 "--batch-size", "1", "--passes", "4", "--seed", "2",
                 "--out", str(out))
         assert run_cli(*argv) == 0
@@ -427,10 +422,10 @@ class TestTrain:
                                    for r in result.trace]
 
     def test_svrg_settings_are_config_errors_for_gd_and_sgd(
-            self, small_file, tmp_path, capsys):
+            self, small_file, tmp_path, capsys, synth):
         for optimizer, extra in (("gd", ()), ("sgd", ("--lr", "constant:0.1",
                                                       "--batch-size", "1"))):
-            argv = ("train", "--synthetic", "64,3,1", "--optimizer",
+            argv = ("train", "--dataset", synth(64, 3, 1), "--optimizer",
                     optimizer, "--passes", "1", *extra)
             assert run_cli(*argv, "--accounting", "auto") == 0
             for key, value in (("m", "5"), ("m", "2n"), ("m0", "2"),
@@ -456,19 +451,19 @@ class TestTrain:
             raise AssertionError(f"synthetic_dataset{args} was called")
 
         monkeypatch.setattr(cli, "synthetic_dataset", allocate)
-        for argv in (("synth", "--n", "1000000000", "--d", "1000000",
-                      "--out", str(tmp_path / "synth.libsvm")),
-                     ("train", "--synthetic", "1000000000,1000000,1",
-                      "--optimizer", "gd", "--passes", "1")):
-            assert run_cli(*argv) == 1, argv
-            err = capsys.readouterr().err
-            assert "n=1000000000" in err and "d=1000000" in err, err
-        # The bound is on n*d; RunConfig checks it and allocates nothing.
+        out = str(tmp_path / "synth.libsvm")
+        assert run_cli("synth", "--n", "1000000000", "--d", "1000000",
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "n=1000000000" in err and "d=1000000" in err, err
+        # The bound is on n*d: sizes at it reach the allocation, and one
+        # past it does not.
         for n, d in ((cli._MAX_ENTRIES, 1), (2 ** 13, cli._MAX_ENTRIES >> 13)):
-            RunConfig(synthetic={"n": n, "d": d, "seed": 0}, optimizer="gd")
-        with pytest.raises(ConfigError, match=f"d={2 ** 14}"):
-            RunConfig(synthetic={"n": (cli._MAX_ENTRIES >> 14) + 1,
-                                 "d": 2 ** 14, "seed": 0}, optimizer="gd")
+            with pytest.raises(AssertionError, match=f"\\({n}, {d}, 0\\)"):
+                run_cli("synth", "--n", str(n), "--d", str(d), "--out", out)
+        assert run_cli("synth", "--n", str((cli._MAX_ENTRIES >> 14) + 1),
+                       "--d", str(2 ** 14), "--out", out) == 1
+        assert f"d={2 ** 14}" in capsys.readouterr().err
 
     def test_network_size_is_bounded_before_allocation(
             self, tmp_path, capsys, monkeypatch):
@@ -528,7 +523,7 @@ class TestTrain:
         assert "line 2: class label '1e300'" in capsys.readouterr().err
 
     def test_stop_draw_weights_count_toward_the_epoch_bound(
-            self, capsys, monkeypatch):
+            self, capsys, monkeypatch, synth):
         # An m*b index block within the bound, whose 3*m0 stop-draw
         # weights take the epoch over it: with m0 given, and with the
         # default m0 (at most m).  The check allocates nothing.
@@ -538,21 +533,22 @@ class TestTrain:
         monkeypatch.setattr(optim, "epoch_end_weights", allocate)
         half, quarter = cli._MAX_ENTRIES // 2, cli._MAX_ENTRIES // 4
         for flag, value in (("--m0", half), ("--m", quarter + 1)):
-            assert run_cli("train", "--synthetic", "16,2,1", "--optimizer",
-                           "svrg2", "--batch-size", "1", flag, str(value),
-                           "--passes", "1") == 1, flag
+            assert run_cli("train", "--dataset", synth(16, 2, 1),
+                           "--optimizer", "svrg2", "--batch-size", "1", flag,
+                           str(value), "--passes", "1") == 1, flag
             err = capsys.readouterr().err
             assert f"m={value}" in err and "stop-draw weights" in err, err
 
-    def test_eval_every_counts_passes(self, small_file, tmp_path, capsys):
+    def test_eval_every_counts_passes(self, small_file, tmp_path, capsys,
+                                      synth):
         # --eval-every P checkpoints sgd every P passes, turned into whole
         # iterations as --passes is, and at least one.  The trace's epoch
         # column holds the iteration or epoch count.
         out = tmp_path / "trace.csv"
 
         def epochs(*argv):
-            assert run_cli("train", "--synthetic", "64,3,1", "--seed", "1",
-                           "--out", str(out), *argv) == 0, argv
+            assert run_cli("train", "--dataset", synth(64, 3, 1), "--seed",
+                           "1", "--out", str(out), *argv) == 0, argv
             return [r.epoch for r in read_trace(out)]
 
         # sgd, n=64, b=4: 16 iterations a pass, 32 in the run
@@ -567,9 +563,9 @@ class TestTrain:
         assert epochs(*stored) == [0, 1, 2, 3, 4, 5, 6]
         capsys.readouterr()
         for opt in OPTIMIZERS[2:]:
-            assert run_cli("train", "--synthetic", "64,3,1", "--optimizer",
-                           opt, "--batch-size", "1", "--passes", "12",
-                           "--eval-every", "4") == 1, opt
+            assert run_cli("train", "--dataset", synth(64, 3, 1),
+                           "--optimizer", opt, "--batch-size", "1",
+                           "--passes", "12", "--eval-every", "4") == 1, opt
             err = capsys.readouterr().err
             assert f"optimizer {opt} on objective erm does not read " \
                    "eval_every" in err, err
@@ -584,30 +580,30 @@ class TestTrain:
             assert run_cli(*argv, "--optimizer", opt) == 1, opt
             assert "eval_every" in capsys.readouterr().err
 
-    def test_svrg_plans_the_whole_epochs_a_budget_buys(self, tmp_path):
+    def test_svrg_plans_the_whole_epochs_a_budget_buys(self, tmp_path, synth):
         # n=3, b=1, m=5: an epoch costs 1 + 5/3 passes, so 8 passes buy
         # exactly 3 epochs, which a float quotient floors to 2.
         out = tmp_path / "trace.csv"
         for passes, epochs in (("8", 3), ("7.999999", 2), ("8.000001", 3)):
-            assert run_cli("train", "--synthetic", "3,2,1", "--optimizer",
+            assert run_cli("train", "--dataset", synth(3, 2, 1), "--optimizer",
                            "svrg1", "--batch-size", "1", "--m", "5",
                            "--passes", passes, "--out", str(out)) == 0
             assert schedule_echo(out)["epochs"] == epochs, passes
             # each epoch 3 + 5 component gradients, and a final pass
             assert read_trace(out)[-1].passes == (8 * epochs + 3) / 3
 
-    def test_huge_budgets_count_without_running(self):
+    def test_huge_budgets_count_without_running(self, synth):
         # A pass budget is the run's length, however large; it is counted
         # exactly here, and only an epoch's allocation is bounded.
         obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind("sigmoid"))
-        synth = {"n": 64, "d": 3, "seed": 1}
-        gd = RunConfig(synthetic=synth, optimizer="gd", passes=1e12)
+        data = synth(64, 3, 1)
+        gd = RunConfig(dataset=data, optimizer="gd", passes=1e12)
         assert cli._run_length(gd, obj) == (None, 10 ** 12, None)
-        sgd = RunConfig(synthetic=synth, optimizer="sgd", lr="constant:0.1",
+        sgd = RunConfig(dataset=data, optimizer="sgd", lr="constant:0.1",
                         batch_size=1, passes=1e300)
         assert cli._run_length(sgd, obj) == (None, int(1e300) * 64, None)
         # stored references at b=1 and the default m=n: 2 passes an epoch
-        svrg = RunConfig(synthetic=synth, optimizer="svrg2", batch_size=1,
+        svrg = RunConfig(dataset=data, optimizer="svrg2", batch_size=1,
                          passes=1e300)
         schedule, epochs, stride = cli._run_length(svrg, obj)
         assert (schedule.m, schedule.m0) == (64, 64)
@@ -615,31 +611,32 @@ class TestTrain:
         assert epochs == int(1e300) // 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_code(self, capsys):
-        rc = run_cli("train", "--synthetic", "32,3,1", "--optimizer", "sgd",
-                     "--loss", "squared", "--lambda", "0", "--lr",
+    def test_divergence_exit_code(self, capsys, synth):
+        rc = run_cli("train", "--dataset", synth(32, 3, 1), "--optimizer",
+                     "sgd", "--loss", "squared", "--lambda", "0", "--lr",
                      "constant:1e6", "--passes", "50", "--batch-size", "1",
                      "--seed", "0")
         assert rc == 2
 
-    def test_wall_clock_flag_breaks_reproducibility_only(self, tmp_path):
+    def test_wall_clock_flag_breaks_reproducibility_only(self, tmp_path,
+                                                         synth):
         out = tmp_path / "wall.csv"
-        rc = run_cli("train", "--synthetic", "32,3,1", "--optimizer", "gd",
-                     "--passes", "2", "--lambda", "1e-3", "--out", str(out),
-                     "--wall-clock")
+        rc = run_cli("train", "--dataset", synth(32, 3, 1), "--optimizer",
+                     "gd", "--passes", "2", "--lambda", "1e-3", "--out",
+                     str(out), "--wall-clock")
         assert rc == 0
         walls = [r.wall_seconds for r in read_trace(out)]
         assert any(w > 0 for w in walls)
 
 
-def test_bare_adagrad_takes_alpha_one_over_l(tmp_path):
+def test_bare_adagrad_takes_alpha_one_over_l(tmp_path, synth):
     obj = ErmObjective(synthetic_dataset(64, 3, 1), LossKind("sigmoid"),
                        lam=1e-3)
     bodies = []
     for lr in ("adagrad", f"adagrad:{1.0 / obj.smoothness!r}"):
         out = tmp_path / "trace.csv"
-        assert run_cli("train", "--synthetic", "64,3,1", "--lambda", "1e-3",
-                       "--optimizer", "svrg2", "--batch-size", "1",
+        assert run_cli("train", "--dataset", synth(64, 3, 1), "--lambda",
+                       "1e-3", "--optimizer", "svrg2", "--batch-size", "1",
                        "--passes", "6", "--seed", "2", "--lr", lr,
                        "--out", str(out)) == 0
         bodies.append([line for line in out.read_text().splitlines()
@@ -659,7 +656,7 @@ _BAD_DERIVED = {
     "svrg-tiny-smoothness": ((*_TINY, "--optimizer", "svrg2",
                               "--batch-size", "1"),
                              "inf", "1/(m0*L)"),
-    "svrg-huge-lambda": (("--synthetic", "64,3,1", "--optimizer", "svrg2",
+    "svrg-huge-lambda": (("--dataset", "{synth}", "--optimizer", "svrg2",
                           "--batch-size", "1", "--lambda", "1e308"),
                          "0.0", "1/(m0*L)"),
     "adagrad-tiny-smoothness": ((*_TINY, "--optimizer", "svrg2",
@@ -674,13 +671,15 @@ _BAD_DERIVED = {
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", list(_BAD_DERIVED))
-def test_derived_step_out_of_range_is_config_error(case, tmp_path, capsys):
+def test_derived_step_out_of_range_is_config_error(case, tmp_path, capsys,
+                                                  synth):
     argv, value, what = _BAD_DERIVED[case]
     overflow, tiny = tmp_path / "overflow.libsvm", tmp_path / "tiny.libsvm"
     overflow.write_text(_OVERFLOW_ROWS)
     tiny.write_text(_TINY_ROWS)
+    inputs = {"overflow": overflow, "tiny": tiny, "synth": synth(64, 3, 1)}
     assert main(["train", "--passes", "2",
-                 *(a.format(overflow=overflow, tiny=tiny) for a in argv)]) == 1
+                 *(a.format(**inputs) for a in argv)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:"), err
     assert value in re.findall(r"[\w.+-]+", err), err
@@ -720,9 +719,9 @@ _BAD_M = {"superscript-2": "\u00b2", "arabic-indic-3": "\u0663",
 
 
 @pytest.mark.parametrize("m", list(_BAD_M.values()), ids=list(_BAD_M))
-def test_m_takes_ascii_digits_only(m, capsys):
-    for argv in (["train", "--synthetic", "64,3,1", "--optimizer", "svrg1",
-                  "--batch-size", "1", "--passes", "2"],
+def test_m_takes_ascii_digits_only(m, capsys, synth):
+    for argv in (["train", "--dataset", synth(64, 3, 1), "--optimizer",
+                  "svrg1", "--batch-size", "1", "--passes", "2"],
                  ["tune", "--dataset", str(bundled_dataset_path()),
                   "--optimizer", "svrg1", "--batch-size", "1"]):
         assert main(argv + ["--m", m]) == 1, argv
@@ -734,26 +733,25 @@ def test_m_takes_ascii_digits_only(m, capsys):
 # Runs that succeed, and a key each does not read with a value that is not
 # its default: every (run, unread key) pair of the table of settings.
 _BASE_RUNS = {
-    "gd": ("--synthetic", "16,2,1", "--optimizer", "gd", "--passes", "2"),
-    "gd-lr": ("--synthetic", "16,2,1", "--optimizer", "gd", "--passes", "2",
+    "gd": ("--dataset", "{synth}", "--optimizer", "gd", "--passes", "2"),
+    "gd-lr": ("--dataset", "{synth}", "--optimizer", "gd", "--passes", "2",
               "--lr", "constant:0.1"),
-    "sgd": ("--synthetic", "16,2,1", "--optimizer", "sgd", "--passes", "1",
+    "sgd": ("--dataset", "{synth}", "--optimizer", "sgd", "--passes", "1",
             "--lr", "constant:0.1", "--batch-size", "2"),
-    "erm-svrg1": ("--synthetic", "16,2,1", "--optimizer", "svrg1",
+    "erm-svrg1": ("--dataset", "{synth}", "--optimizer", "svrg1",
                   "--passes", "2", "--batch-size", "2"),
     "net-svrg1": ("--dataset", "{mc}", "--objective", "net", "--optimizer",
                   "svrg1", "--passes", "11", "--batch-size", "2"),
 }
 _SVRG_LR = ("constant:0.1", "poly:0.3,0.5", "adagrad:0.1")
 _BASE_RUNS.update({f"{opt}-{lr.split(':')[0]}": (
-    "--synthetic", "16,2,1", "--optimizer", opt, "--passes", "2",
+    "--dataset", "{synth}", "--optimizer", opt, "--passes", "2",
     "--batch-size", "2", "--lr", lr) for opt in OPTIMIZERS[2:]
     for lr in _SVRG_LR})
 _UNREAD = [
     ("net-svrg1", "flip_fraction", ("--flip-fraction", "0.1")),
     ("net-svrg1", "loss", ("--loss", "logistic")),
     ("erm-svrg1", "net", {"net": {"hidden": 8}}),
-    ("gd", "flip_fraction", ("--flip-fraction", "0.1")),  # a synthetic input
     ("gd", "batch_size", ("--batch-size", "4")),
     ("gd", "eval_every", ("--eval-every", "5")),
     ("erm-svrg1", "eval_every", ("--eval-every", "1")),
@@ -774,8 +772,10 @@ _UNREAD += [(run, "smoothness", {"smoothness": 5.0}) for run in (
 
 @pytest.mark.parametrize("run,key,extra", _UNREAD,
                          ids=[f"{run}-{key}" for run, key, _ in _UNREAD])
-def test_unread_setting_is_config_error(run, key, extra, tmp_path, capsys):
-    argv = ["train", *(a.format(mc=_multiclass_file(tmp_path))
+def test_unread_setting_is_config_error(run, key, extra, tmp_path, capsys,
+                                       synth):
+    argv = ["train", *(a.format(mc=_multiclass_file(tmp_path),
+                                synth=synth(16, 2, 1))
                        for a in _BASE_RUNS[run])]
     assert main(argv) == 0
     if isinstance(extra, dict):     # a key with no flag, set by the config
@@ -789,7 +789,7 @@ def test_unread_setting_is_config_error(run, key, extra, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_smoothness_is_no_setting(small_file, tmp_path, capsys):
+def test_smoothness_is_no_setting(small_file, tmp_path, capsys, synth):
     # --lr is the one step setting: a step from a known L is constant:1/L,
     # constant:1/(m0*L) or adagrad:1/L.  Checked on the runs whose step
     # comes from L, with train's flag and config key, and on tune's key.
@@ -797,7 +797,7 @@ def test_smoothness_is_no_setting(small_file, tmp_path, capsys):
     config.write_text(json.dumps({"smoothness": 5.0}))
     for run in (("gd",), ("svrg2", "--batch-size", "2"),
                 ("svrg1", "--batch-size", "2", "--lr", "adagrad")):
-        argv = ["train", "--synthetic", "16,2,1", "--passes", "2",
+        argv = ["train", "--dataset", synth(16, 2, 1), "--passes", "2",
                 "--optimizer", *run]
         assert main(argv) == 0, run
         for extra in (("--smoothness", "5"), ("--config", str(config))):
@@ -814,11 +814,11 @@ def test_smoothness_is_no_setting(small_file, tmp_path, capsys):
         assert "smoothness" in capsys.readouterr().err, optimizer
 
 
-def test_headers_echo_the_settings_each_run_reads(tmp_path):
+def test_headers_echo_the_settings_each_run_reads(tmp_path, synth):
     # One run per optimizer and a network run; the keys of the "# config:"
     # and "# schedule:" lines, written out.
-    erm = {"flip_fraction", "lam", "loss", "objective", "optimizer", "passes",
-           "seed", "synthetic"}
+    erm = {"dataset", "flip_fraction", "lam", "loss", "objective", "optimizer",
+           "passes", "seed"}
     svrg = {"batch_size", "d_sub", "dim", "epochs", "m", "m0", "n",
             "theory_ok"}
     net_config = tmp_path / "net.json"
@@ -843,8 +843,8 @@ def test_headers_echo_the_settings_each_run_reads(tmp_path):
           "constant:0.5"),
          erm | {"accounting", "batch_size", "lr", "m"}, svrg | {"eta"}),
     ]
-    synthetic = ("--synthetic", "32,2,1", "--passes", "4")
-    runs = [(synthetic + args, config, schedule)
+    head = ("--dataset", synth(32, 2, 1), "--passes", "4")
+    runs = [(head + args, config, schedule)
             for args, config, schedule in cases]
     runs.append((("--dataset", str(_multiclass_file(tmp_path)), "--objective",
                   "net", "--optimizer", "svrg2", "--batch-size", "2",
@@ -868,7 +868,8 @@ def test_headers_echo_the_settings_each_run_reads(tmp_path):
        eval_every=st.one_of(st.none(), st.floats(0.1, 12.0)),
        accounting=st.sampled_from(["auto", "stored", "recompute"]),
        seed=st.integers(0, 3))
-def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
+def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed,
+                     synth):
     # Each setting where its optimizer reads it: gd reads no batch size,
     # only sgd reads eval_every, and only SVRG reads accounting.
     if optimizer == "gd":
@@ -879,9 +880,8 @@ def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed):
         eval_every = None
     if optimizer in ("gd", "sgd"):
         accounting = "auto"
-    cfg = RunConfig(synthetic={"n": n, "d": 3, "seed": seed},
-                    optimizer=optimizer, batch_size=b,
-                    passes=budget, eval_every=eval_every,
+    cfg = RunConfig(dataset=synth(n, 3, seed), optimizer=optimizer,
+                    batch_size=b, passes=budget, eval_every=eval_every,
                     accounting=accounting, lam=1e-3,
                     lr="constant:0.1" if optimizer == "sgd" else None,
                     seed=seed)
@@ -953,10 +953,7 @@ def determinism_cases(draw):
         reads["accounting"] = draw(st.sampled_from(
             ["auto", "recompute"] + (["stored"] if kind != "net" else [])))
     cfg = RunConfig(
-        dataset=None if kind == "dense" else "in-memory",
-        synthetic={"n": n, "d": d, "seed": draw(st.integers(0, 5))}
-        if kind == "dense" else None,
-        objective="net" if kind == "net" else "erm",
+        dataset="in-memory", objective="net" if kind == "net" else "erm",
         lam=draw(st.sampled_from([0.0, 1e-3])), optimizer=optimizer,
         passes=draw(st.floats(1.0, 4.0)),
         lr="constant:0.05" if optimizer == "sgd" else None,
@@ -971,7 +968,8 @@ def determinism_cases(draw):
         data = Dataset.from_csr(indptr, cols, feats[rows, cols], labels)
         return lambda: ErmObjective(data, cfg.loss_kind, lam=cfg.lam), cfg
     if kind == "dense":
-        return lambda: build_objective(cfg, RandomSource(cfg.seed)), cfg
+        data = synthetic_dataset(n, d, draw(st.integers(0, 5)))
+        return lambda: ErmObjective(data, cfg.loss_kind, lam=cfg.lam), cfg
     classes = draw(st.integers(2, 3))
     data = Dataset.from_csr(indptr, cols, feats[rows, cols],
                             rng.integers(1, classes + 1, n), binary=False)
@@ -1001,7 +999,7 @@ def test_same_data_config_and_seed_give_the_same_trace_bytes(case):
     assert trace_bytes() == first
 
 
-def test_runtime_imports_no_scipy(small_file, tmp_path):
+def test_runtime_imports_no_scipy(small_file, tmp_path, synth):
     multiclass = _multiclass_file(tmp_path)
     tune = tmp_path / "tune.json"
     tune.write_text(json.dumps({"tune": {
@@ -1010,7 +1008,7 @@ def test_runtime_imports_no_scipy(small_file, tmp_path):
     runs = [
         ["train", "--dataset", str(small_file), "--optimizer", "svrg2",
          "--batch-size", "1", "--passes", "2"],
-        ["train", "--synthetic", "16,3,1", "--optimizer", "svrg1",
+        ["train", "--dataset", synth(16, 3, 1), "--optimizer", "svrg1",
          "--batch-size", "2", "--passes", "2"],
         ["train", "--dataset", str(multiclass), "--objective", "net",
          "--optimizer", "svrg2", "--batch-size", "2", "--passes", "3"],
@@ -1154,6 +1152,26 @@ class TestTune:
             err = capsys.readouterr().err
             assert err.startswith("config error:"), err
             assert all(w in re.findall(r"[\w.+-]+", err) for w in words), err
+
+    def test_default_step_grid_needs_a_finite_one_over_l(self, tmp_path,
+                                                         capsys):
+        # Rows of norm 0.1 under a hinge of width 1e308 give L about 1e-310:
+        # positive and finite, but the grid's centre 1/L overflows.  The
+        # config error names L and the setting to change, with no warning.
+        data = tmp_path / "tiny.libsvm"
+        data.write_text("+1 1:0.1\n-1 1:0.1\n" * 5)
+        cfg = tmp_path / "tune.json"
+        cfg.write_text(json.dumps({"tune": {"lambdas": [0]}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("tune", "--config", str(cfg), "--dataset",
+                           str(data), "--optimizer", "sgd", "--loss",
+                           "hinge:1e308", "--batch-size", "2") == 1
+        err = capsys.readouterr().err
+        assert not caught and "RuntimeWarning" not in err, (caught, err)
+        assert err.startswith("config error:"), err
+        words = re.findall(r"[\w.+/-]+", err)
+        assert {"1e-310", "1/L", "tune.alphas"} <= set(words), err
 
     @pytest.mark.parametrize("optimizer", ["svrg1", "svrg2"])
     def test_svrg_cells_step_with_their_grid_rate(self, optimizer, small_file,
@@ -1355,14 +1373,14 @@ def _numeric_flags() -> list[tuple[str, str]]:
 @pytest.mark.parametrize("command,flag", _numeric_flags() + [
     ("train", flag) for flag in _REMOVED_TRAIN_FLAGS])
 def test_numeric_flag_rejects_bad_value(command, flag, value, small_file,
-                                        tmp_path, capsys):
+                                        tmp_path, capsys, synth):
     # Valid runs of each subcommand; the bad flag comes last, so it wins.
     tune_cfg = tmp_path / "tune.json"
     tune_cfg.write_text(json.dumps({"tune": {
         "passes": 1, "lambdas": [1e-3], "alphas": [0.1], "betas": [0.0]}}))
     out = ["--out", str(tmp_path / "out")]
     argv = {
-        "train": ["--synthetic", "16,2,1", "--optimizer", "sgd", "--lr",
+        "train": ["--dataset", synth(16, 2, 1), "--optimizer", "sgd", "--lr",
                   "constant:0.1", "--batch-size", "2", "--passes", "1", *out],
         "tune": ["--config", str(tune_cfg), "--dataset", str(small_file),
                  "--optimizer", "sgd", "--batch-size", "2", *out],
@@ -1440,7 +1458,7 @@ class TestDatasetCommands:
                            "--out", str(tmp_path / "o.libsvm")) == 1
             assert "line 1" in capsys.readouterr().err
 
-    def test_subcommands_reject_flags_they_do_not_read(self, tmp_path):
+    def test_subcommands_reject_flags_they_do_not_read(self, tmp_path, synth):
         src = tmp_path / "in.libsvm"
         src.write_text("".join(f"+1 1:{i + 1}\n" for i in range(10)))
         out = str(tmp_path / "o")
@@ -1450,8 +1468,8 @@ class TestDatasetCommands:
                       "--out-train", out, "--out-validation", out),
                      ("split", str(src), "--out", out, "--out-train", out,
                       "--out-validation", out),
-                     ("train", "--synthetic", "16,2,1", "--optimizer", "gd",
-                      "--passes", "1", "--threads", "2"),
+                     ("train", "--dataset", synth(16, 2, 1), "--optimizer",
+                      "gd", "--passes", "1", "--threads", "2"),
                      ("flip", str(src), "--fraction", "0.5", "--out", out,
                       "--config", "c.json"),
                      ("synth", "--n", "4", "--d", "2", "--out", out,
@@ -1464,3 +1482,43 @@ class TestDatasetCommands:
                        "--out", str(out)) == 0
         ds = parse_libsvm(out)
         assert len(ds) == 12 and ds.dim == 3
+        for n, d in (("0", "3"), ("12", "0")):
+            assert run_cli("synth", "--n", n, "--d", d, "--out",
+                           str(out)) == 1, (n, d)
+
+
+@settings(max_examples=100, deadline=None)
+@example(n=1, d=1, seed=0)
+@example(n=64, d=8, seed=1000)
+@given(n=st.integers(1, 64), d=st.integers(1, 8), seed=st.integers(0, 1000))
+def test_synth_file_parses_back_to_the_synthetic_dataset(n, d, seed):
+    # train reads a synthetic instance as the file synth writes: parsed
+    # back, it is synthetic_dataset(n, d, seed) bit for bit
+    want = synthetic_dataset(n, d, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "synth.libsvm")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--n", str(n), "--d", str(d), "--seed",
+                         str(seed), "--out", out]) == 0
+        got = parse_libsvm(out)
+    assert got.dim == want.dim
+    for name in ("indptr", "col_idx", "val", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_synthetic_is_no_train_input(tmp_path, capsys, synth):
+    # A synthetic instance reaches train only as the file synth writes:
+    # a --synthetic flag or a "synthetic" config key is a config error
+    # naming itself.
+    argv = ["train", "--optimizer", "gd", "--passes", "1"]
+    assert main(argv + ["--dataset", synth(16, 2, 1)]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"synthetic": {"n": 16, "d": 2, "seed": 1}}))
+    for extra, name in ((["--synthetic", "16,2,1"], "--synthetic"),
+                        (["--config", str(config)], "'synthetic'")):
+        capsys.readouterr()
+        assert main(argv + extra) == 1, extra
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err, err

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svrgkit import cli
-from svrgkit.cli import RunConfig, build_objective, run_configured
+from svrgkit.cli import RunConfig, run_configured
 from svrgkit.core import RandomSource
 from svrgkit.dataio import Dataset
 from svrgkit.objectives import TwoLayerNet, make_synthetic
@@ -38,12 +38,9 @@ def metered_cases(draw):
         reads["accounting"] = draw(st.sampled_from(
             ["auto", "recompute"] + ([] if net else ["stored"])))
     cfg = RunConfig(
-        dataset="in-memory" if net else None,
-        synthetic=None if net else {"n": n, "d": 3,
-                                    "seed": draw(st.integers(0, 5))},
-        objective="net" if net else "erm", lam=1e-3, optimizer=optimizer,
-        passes=draw(st.floats(1.0, 4.0)), seed=draw(st.integers(0, 3)),
-        **reads)
+        dataset="in-memory", objective="net" if net else "erm", lam=1e-3,
+        optimizer=optimizer, passes=draw(st.floats(1.0, 4.0)),
+        seed=draw(st.integers(0, 3)), **reads)
     if net:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         data = Dataset.from_csr(np.arange(0, 3 * n + 1, 3),
@@ -52,7 +49,7 @@ def metered_cases(draw):
                                 np.arange(n) % 2 + 1, binary=False)
         obj = TwoLayerNet(data, hidden_dim=3, class_count=2, lam=cfg.lam)
     else:
-        obj = build_objective(cfg, RandomSource(cfg.seed))
+        obj = make_synthetic(n, 3, draw(st.integers(0, 5)), lam=cfg.lam)
     target = draw(st.one_of(st.none(), st.floats(1e-4, 1.0)))
     return obj, cfg, target
 
