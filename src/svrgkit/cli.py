@@ -1,4 +1,4 @@
-"""Benchmark harness CLI.
+"""svrgkit's command-line interface.
 
 Subcommands:
 
@@ -16,7 +16,9 @@ Subcommands:
 train and tune declare their shared run flags once, read their data
 through one loader (``_load_dataset``) from a LibSVM file, and size every
 run in one call (``_run_length``); a tune cell is the train run of its
-config.  A synthetic instance reaches them as the file synth writes.
+config.  The file's rows and labels are the run's components: a synthetic
+instance reaches them as the file synth writes, flipped labels as the file
+flip writes.
 
 Exit codes: 0 ok, 1 config error, 2 divergence, 3 every grid cell diverged,
 4 verification failure.
@@ -108,7 +110,6 @@ class RunConfig:
     objective: str = "erm"
     loss: str = "sigmoid"
     lam: float = 0.0
-    flip_fraction: float = 0.0
     optimizer: str = "svrg1"
     batch_size: int | None = None
     passes: float | None = None
@@ -150,8 +151,6 @@ class RunConfig:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.accounting not in ("auto", "stored", "recompute"):
             raise ConfigError(f"unknown accounting mode {self.accounting!r}")
-        if self.flip_fraction and not 0 <= self.flip_fraction <= 1:
-            raise ConfigError("flip_fraction must be in [0,1]")
         if self.objective == "net" and self.accounting == "stored":
             raise ConfigError("networks recompute reference gradients; "
                               "accounting 'stored' is for linear ERM")
@@ -161,7 +160,7 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for key, value in self.net.items():
-            if key not in ("hidden", "classes"):
+            if key != "hidden":
                 raise ConfigError(f"unknown net key {key!r}")
             _check_type(f"net.{key}", value, (int,))
             if value < 1:
@@ -213,7 +212,7 @@ _CONFIG_KEYS = {"lambda" if key == "lam" else key
 # objective and the optimizer alone: a step that comes from the smoothness
 # takes it from the objective (RunConfig.steps_from_smoothness).
 _ALWAYS_READ = ("optimizer", "passes", "seed", "objective", "lam", "dataset")
-_READS = {"erm": ("loss", "flip_fraction"), "net": ("net",),
+_READS = {"erm": ("loss",), "net": ("net",),
           "gd": ("lr",), "sgd": ("batch_size", "lr", "eval_every")}
 _READS.update(dict.fromkeys(OPTIMIZERS[2:], (
     "batch_size", "lr", "m", "m0", "accounting")))
@@ -223,8 +222,8 @@ def load_config(args) -> tuple[RunConfig, dict]:
     raw = {}
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:    # ValueError: JSON or UTF-8
             raise ConfigError(f"cannot read config {args.config}: {e}")
         _check_type("config", raw, (dict,))
         unknown = set(raw) - _CONFIG_KEYS
@@ -267,26 +266,20 @@ def _parse_m(expr, n: int, b: int) -> int:
     return max(1, round(coef * n / (b if match.group(3) else 1)))
 
 
-def _load_dataset(cfg: RunConfig, rng: RandomSource) -> Dataset:
-    """cfg's data, for train and tune alike: the parsed LibSVM file (binary
-    for ERM) with its labels flipped by ``rng``'s fork 7 when flip_fraction
-    is set."""
+def _load_dataset(cfg: RunConfig) -> Dataset:
+    """cfg's data, for train and tune alike: the parsed LibSVM file, binary
+    for ERM."""
     ds = parse_libsvm(cfg.dataset, binary=(cfg.objective == "erm"))
     if len(ds) == 0:
         raise ConfigError(f"dataset {cfg.dataset} has no examples")
-    if cfg.flip_fraction:
-        ds = flip_labels(ds, cfg.flip_fraction, rng.fork(7))
     return ds
 
 
-def build_objective(cfg: RunConfig, rng: RandomSource):
-    ds = _load_dataset(cfg, rng)
+def build_objective(cfg: RunConfig):
+    ds = _load_dataset(cfg)
     if cfg.objective == "erm":
         return ErmObjective(ds, cfg.loss_kind, lam=cfg.lam)
-    classes = cfg.net.get("classes", ds.class_count())
-    if classes < ds.class_count():
-        raise ConfigError(f"net.classes is {classes} but the dataset has "
-                          f"labels up to {ds.class_count()}")
+    classes = ds.class_count()
     hidden, n, d = cfg.net.get("hidden", 64), len(ds), ds.dim
     params = hidden * (d + 1) + classes * (hidden + 1)
     if max(n * d, params) > _MAX_ENTRIES:
@@ -403,10 +396,12 @@ def run_configured(obj, cfg: RunConfig, rng: RandomSource,
 
 
 def cmd_train(args) -> int:
-    cfg, _ = load_config(args)
+    cfg, tune = load_config(args)
+    if tune != {}:
+        raise ConfigError("train does not read the tune section")
     t0 = time.perf_counter()
     rng = RandomSource(cfg.seed)
-    result, meta = run_configured(build_objective(cfg, rng), cfg, rng)
+    result, meta = run_configured(build_objective(cfg), cfg, rng)
     wall = time.perf_counter() - t0
     if cfg.out:
         records = result.trace
@@ -507,19 +502,21 @@ def cmd_tune(args) -> int:
             raise ConfigError(f"tune takes each cell's {key} from {owner}; "
                               f"remove the top-level {key!r}")
     rng = RandomSource(cfg.seed)
-    # Flips hit the full training pool before the split.
-    full = _load_dataset(cfg, rng)
+    full = _load_dataset(cfg)
     train, validation = _split(full, tune.get("train_fraction", 0.8),
                                rng.fork(0))
     test_ds = None
-    if tune.get("test_dataset"):
+    if "test_dataset" in tune:
         # Scored with weights over the training features, so no larger
         # index, and with the training file's label codes.
         try:
             test_ds = parse_libsvm(tune["test_dataset"], dim=train.dim,
                                    coding=full.coding)
-        except ValueError as e:
-            raise ConfigError(f"test_dataset: {e}") from None
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"tune.test_dataset: {e}") from None
+        if len(test_ds) == 0:
+            raise ConfigError(f"tune.test_dataset {tune['test_dataset']} "
+                              "has no examples")
     passes = tune.get("passes", 50.0)
     b = min(cfg.batch_size, len(train))
 
@@ -688,7 +685,6 @@ def build_parser() -> _Parser:
     shared.add_argument("--config", help="JSON config file")
     shared.add_argument("--dataset")
     shared.add_argument("--loss")
-    shared.add_argument("--flip-fraction", type=float)
     shared.add_argument("--batch-size", type=int)
     shared.add_argument("--m")
 

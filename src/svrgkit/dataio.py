@@ -175,11 +175,28 @@ def _label_coding(raw: list[float], binary: bool) -> dict[float, int]:
     return {v: c + 1 for c, v in enumerate(distinct)}
 
 
+def _check_text(line: str, lineno: int) -> None:
+    """int() and float() also read '_' separators and non-ASCII digits and
+    spaces, so the numbers of a line, before any '#', must be ASCII with
+    no '_'; a comment may hold any text, but not bytes that are not
+    UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise LibsvmFormatError(f"line {lineno}: bytes that are not "
+                                "UTF-8") from None
+    data = line.split("#", 1)[0]
+    if "_" in data or not data.isascii():
+        raise LibsvmFormatError(f"line {lineno}: '_' or a non-ASCII "
+                                f"character in {data.strip()!r}")
+
+
 def parse_libsvm(source, binary: bool = True, dim: int | None = None,
                  coding: dict | None = None) -> Dataset:
     """Parse LibSVM text (path, file object, or iterable of lines).
 
-    Only converts text to numbers and bounds the indices to 1..2^31-1;
+    Only converts text to numbers (ASCII, with no '_', checked by
+    :func:`_check_text`) and bounds the indices to 1..2^31-1;
     :meth:`Dataset.from_csr` checks the rows, and a row it rejects is
     reported by its line.  Labels outside the declared mode's range are
     remapped by sort order of the distinct observed labels.  Given another
@@ -187,12 +204,16 @@ def parse_libsvm(source, binary: bool = True, dim: int | None = None,
     a label it lacks is an error naming its line.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r") as fh:
+        # bytes that are not UTF-8 decode to lone surrogates, which
+        # _check_text reports by line
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
             return parse_libsvm(fh, binary=binary, dim=dim, coding=coding)
 
     raw_labels: list[float] = []
     linenos, indptr, idxs, vals = [], [0], [], []
     for lineno, line in enumerate(source, start=1):
+        if "_" in line or not line.isascii():
+            _check_text(line, lineno)
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -2,9 +2,10 @@
 network.
 
 Every objective exposes the same surface: component count ``n``, parameter
-dimension ``dim``, a smoothness constant ``smoothness`` (Lipschitz bound on
-every component gradient), 1-based per-component value/gradient, the exact
-full average, and snapshot caches for variance-reduced estimators.
+dimension ``dim``, ``smoothness`` (a Lipschitz bound on every component
+gradient: ERM's closed form, while a network's raises, having none),
+1-based per-component value/gradient, the exact full average, and snapshot
+caches for variance-reduced estimators.
 
 :func:`smoothness_probe` is the one empirical smoothness measurement: the
 largest gradient-difference ratio of random component pairs.  verify

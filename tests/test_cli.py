@@ -32,10 +32,11 @@ from svrgkit.optim import (ConstantRate, DivergenceError, default_svrg_params,
 from svrgkit.verify import run_verification
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# Run lengths and step settings that train no longer takes: passes is the
-# only run length and lr the only step setting.
+# Run lengths, step settings and label flips that train no longer takes:
+# passes is the only run length, lr the only step setting, and a run's
+# labels are its file's (tune takes no --flip-fraction either).
 _REMOVED_TRAIN_FLAGS = ("--epochs", "--iterations", "--steps", "--eta",
-                        "--smoothness")
+                        "--smoothness", "--flip-fraction")
 
 
 def run_cli(*argv):
@@ -150,16 +151,25 @@ class TestTrain:
             assert outs[0] == outs[1], f"{opt} trace not reproducible"
 
     def test_flip_fraction_applies_to_dataset(self, small_file, tmp_path):
-        outs = []
-        for frac in ("0.0", "0.25"):
-            out = tmp_path / f"f{frac}.csv"
-            rc = run_cli("train", "--dataset", str(small_file),
+        # Flipped labels are a file that svrgkit flip writes, and train
+        # reads it as any other: gd on it is gd on the flipped rows.
+        flipped = tmp_path / "flipped.libsvm"
+        assert run_cli("flip", str(small_file), "--fraction", "0.25",
+                       "--seed", "1", "--out", str(flipped)) == 0
+        finals = []
+        for data in (small_file, flipped):
+            out = tmp_path / f"{data.stem}.csv"
+            rc = run_cli("train", "--dataset", str(data),
                          "--optimizer", "gd", "--passes", "3",
                          "--loss", "logistic", "--seed", "1",
-                         "--flip-fraction", frac, "--out", str(out))
+                         "--out", str(out))
             assert rc == 0
-            outs.append(out.read_text())
-        assert outs[0] != outs[1]
+            finals.append(read_trace(out)[-1].objective)
+        obj = ErmObjective(flip_labels(parse_libsvm(small_file), 0.25,
+                                       RandomSource(1)),
+                           LossKind("logistic"), lam=0.0)
+        result = gd_run(obj, np.zeros(obj.dim), 3, 1.0 / obj.smoothness)
+        assert finals[1] == result.final_value != finals[0]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys, synth):
         cfg = tmp_path / "cfg.json"
@@ -168,6 +178,27 @@ class TestTrain:
             "passes": 2, "lambda": 1e-3, "seed": 9}))
         rc = run_cli("train", "--config", str(cfg), "--passes", "4")
         assert rc == 0
+
+    def test_config_file_is_utf8_json(self, tmp_path, capsys, synth):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"optimizer": "gd", "passes": 2} \xff')
+        assert run_cli("train", "--config", str(cfg), "--dataset",
+                       synth(16, 2, 1)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}"), err
+
+    def test_train_reads_no_tune_section(self, tmp_path, capsys, synth):
+        # a setting the run does not read is a config error; an empty
+        # section equals the default
+        cfg = tmp_path / "cfg.json"
+        argv = ("train", "--config", str(cfg), "--dataset", synth(16, 2, 1),
+                "--optimizer", "gd", "--passes", "2")
+        for tune, rc in (({}, 0), (5, 1), ({"bogus": 1}, 1),
+                         ({"passes": 2}, 1)):
+            cfg.write_text(json.dumps({"tune": tune}))
+            capsys.readouterr()
+            assert run_cli(*argv) == rc, tune
+            assert ("tune" in capsys.readouterr().err) == bool(rc), tune
 
     def test_config_error_exit_code(self, small_file, tmp_path, capsys, synth):
         assert run_cli("train", "--dataset", synth(16, 2, 1), "--optimizer",
@@ -239,12 +270,14 @@ class TestTrain:
         assert run_cli("train", "--dataset", str(multiclass), "--objective",
                        "net", "--optimizer", "svrg2", "--accounting",
                        "stored", "--passes", "11", "--batch-size", "2") == 1
-        # fewer network classes than the data's labels
+        # a network's classes are the data's labels: no net key sets them
         net2 = tmp_path / "net2.json"
-        net2.write_text(json.dumps({"net": {"classes": 2}}))
+        net2.write_text(json.dumps({"net": {"classes": 3}}))
+        capsys.readouterr()
         assert run_cli("train", "--config", str(net2), "--dataset",
                        str(multiclass), "--objective", "net", "--optimizer",
                        "svrg1", "--passes", "11", "--batch-size", "1") == 1
+        assert "unknown net key 'classes'" in capsys.readouterr().err
         # degenerate network data: one class gives a smoothness estimate
         # of 0, and an empty file has nothing to estimate it from
         one_class = tmp_path / "one.libsvm"
@@ -491,18 +524,19 @@ class TestTrain:
                                     for label, col in rows))
             cfg = RunConfig(dataset=str(path), objective="net",
                             optimizer="gd", net=net)
-            return cli.build_objective(cfg, RandomSource(0))
+            return cli.build_objective(cfg)
 
         wide = [(1, 1), (2, 501)]          # n*d = 2*501
         with pytest.raises(ConfigError, match="n=2 rows of d=501"):
             build(wide, hidden=1)
         with pytest.raises(AssertionError, match="'hidden_dim': 1"):
             build([(1, 1), (2, 500)], hidden=1)
-        # 200*3 + 2*201 and 1*3 + 500*2 parameters, then 199*3 + 2*200
+        # 200*3 + 2*201 and, on labels up to 500, 1*3 + 500*2 parameters,
+        # then 199*3 + 2*200
         narrow = [(1, 1), (2, 2)]
-        for net in ({"hidden": 200}, {"hidden": 1, "classes": 500}):
+        for rows, hidden in ((narrow, 200), ([(1, 1), (500, 2)], 1)):
             with pytest.raises(ConfigError, match="features or parameters"):
-                build(narrow, **net)
+                build(rows, hidden=hidden)
         with pytest.raises(AssertionError, match="'hidden_dim': 199"):
             build(narrow, hidden=199)
 
@@ -749,7 +783,6 @@ _BASE_RUNS.update({f"{opt}-{lr.split(':')[0]}": (
     "--batch-size", "2", "--lr", lr) for opt in OPTIMIZERS[2:]
     for lr in _SVRG_LR})
 _UNREAD = [
-    ("net-svrg1", "flip_fraction", ("--flip-fraction", "0.1")),
     ("net-svrg1", "loss", ("--loss", "logistic")),
     ("erm-svrg1", "net", {"net": {"hidden": 8}}),
     ("gd", "batch_size", ("--batch-size", "4")),
@@ -762,9 +795,11 @@ _UNREAD = [
     ("sgd", "m0", ("--m0", "2")),
     ("sgd", "accounting", ("--accounting", "stored")),
 ]
-# No run reads a smoothness setting, so a config "smoothness" is an unknown
-# key (test_smoothness_is_no_setting checks the flag and the runs that took
-# a step from it).
+# No run reads a smoothness setting or a label flip, so a config
+# "smoothness" or "flip_fraction" is an unknown key
+# (test_smoothness_is_no_setting checks the smoothness flag and the runs
+# that took a step from it, test_labels_are_the_files the flip flag).
+_UNREAD += [("net-svrg1", "flip_fraction", {"flip_fraction": 0.1})]
 _UNREAD += [(run, "smoothness", {"smoothness": 5.0}) for run in (
     "gd-lr", "sgd", *(f"{opt}-{lr.split(':')[0]}" for opt in OPTIMIZERS[2:]
                       for lr in _SVRG_LR))]
@@ -814,11 +849,42 @@ def test_smoothness_is_no_setting(small_file, tmp_path, capsys, synth):
         assert "smoothness" in capsys.readouterr().err, optimizer
 
 
+def test_labels_are_the_files(small_file, tmp_path, capsys, synth):
+    # No setting changes the labels a file gives: label flips are the file
+    # svrgkit flip writes, and a network's classes are the data's labels.
+    config = tmp_path / "cfg.json"
+    grid = {"passes": 1, "lambdas": [1e-3], "alphas": [0.1], "betas": [0.0]}
+    train = ("train", "--dataset", synth(16, 2, 1), "--optimizer", "gd",
+             "--passes", "2", "--config", str(config))
+    tune = ("tune", "--dataset", str(small_file), "--optimizer", "sgd",
+            "--batch-size", "4", "--config", str(config))
+    for argv in (train, tune):
+        config.write_text(json.dumps({"tune": grid} if argv is tune else {}))
+        assert main(list(argv)) == 0, argv[0]
+        capsys.readouterr()
+        assert main([*argv, "--flip-fraction", "0.1"]) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --flip-fraction" in err, err
+        config.write_text(json.dumps({"flip_fraction": 0.1, **(
+            {"tune": grid} if argv is tune else {})}))
+        assert main(list(argv)) == 1, argv[0]
+        assert "unknown config keys: ['flip_fraction']" in (
+            capsys.readouterr().err)
+    net = ["train", "--dataset", str(_multiclass_file(tmp_path)),
+           "--objective", "net", "--optimizer", "gd", "--passes", "1"]
+    assert main(net) == 0
+    config.write_text(json.dumps({"net": {"classes": 3}}))
+    capsys.readouterr()
+    assert main(net + ["--config", str(config)]) == 1
+    assert "unknown net key 'classes'" in capsys.readouterr().err
+    assert len(cli._RUN_KEYS) == 16 and cli._READS["erm"] == ("loss",)
+
+
 def test_headers_echo_the_settings_each_run_reads(tmp_path, synth):
     # One run per optimizer and a network run; the keys of the "# config:"
     # and "# schedule:" lines, written out.
-    erm = {"dataset", "flip_fraction", "lam", "loss", "objective", "optimizer",
-           "passes", "seed"}
+    erm = {"dataset", "lam", "loss", "objective", "optimizer", "passes",
+           "seed"}
     svrg = {"batch_size", "d_sub", "dim", "epochs", "m", "m0", "n",
             "theory_ok"}
     net_config = tmp_path / "net.json"
@@ -886,7 +952,7 @@ def test_pass_ledger(optimizer, n, b, budget, eval_every, accounting, seed,
                     lr="constant:0.1" if optimizer == "sgd" else None,
                     seed=seed)
     rng = RandomSource(seed)
-    result, meta = run_configured(build_objective(cfg, rng), cfg, rng)
+    result, meta = run_configured(build_objective(cfg), cfg, rng)
     passes = [r.passes for r in result.trace]
     assert result.grad_evals / n == passes[-1]
     assert all(p < q for p, q in zip(passes, passes[1:]))
@@ -1198,24 +1264,27 @@ class TestTune:
         assert (row[2], float(row[4])) == ("0.5", result.final_value)
 
     def test_flip_fraction_reaches_training_cells(self, small_file, tmp_path):
-        cfg = self.make_config(small_file, tmp_path, optimizer="sgd",
-                               extra_tune={"lambdas": [1e-2],
-                                           "alphas": [0.05], "betas": [0.0]})
+        # tune reads the file svrgkit flip writes as any other
+        flipped = tmp_path / "flipped.libsvm"
+        assert run_cli("flip", str(small_file), "--fraction", "0.25",
+                       "--seed", "7", "--out", str(flipped)) == 0
         final = {}
-        for frac in ("0.0", "0.25"):
-            log = tmp_path / f"cells{frac}.csv"
-            assert run_cli("tune", "--config", str(cfg), "--flip-fraction",
-                           frac, "--out", str(log)) == 0
-            final[frac] = float(log.read_text().splitlines()[1].split(",")[4])
+        for data in (small_file, flipped):
+            cfg = self.make_config(data, tmp_path, optimizer="sgd",
+                                   extra_tune={"lambdas": [1e-2],
+                                               "alphas": [0.05],
+                                               "betas": [0.0]})
+            log = tmp_path / f"cells-{data.stem}.csv"
+            assert run_cli("tune", "--config", str(cfg), "--out",
+                           str(log)) == 0
+            final[data] = float(log.read_text().splitlines()[1].split(",")[4])
         # the one cell replayed on the flipped training split
-        full = flip_labels(parse_libsvm(small_file), 0.25,
-                           RandomSource(4).fork(7))
+        full = flip_labels(parse_libsvm(small_file), 0.25, RandomSource(7))
         train, _ = split(full, 0.8, RandomSource(4).fork(0))
         obj = ErmObjective(train, LossKind("logistic"), lam=1e-2)
         result = sgd_run(obj, np.zeros(obj.dim), 6 * len(train), 1,
                          RandomSource(4, (1, 0)), ConstantRate(0.05))
-        assert final["0.25"] == result.final_value
-        assert final["0.25"] != final["0.0"]
+        assert final[flipped] == result.final_value != final[small_file]
 
     def test_worker_pool_matches_sequential(self, small_file, tmp_path):
         cfg = self.make_config(small_file, tmp_path)
@@ -1232,6 +1301,25 @@ class TestTune:
         stdout = capsys.readouterr().out
         acc = float(stdout.split("test_accuracy=")[1].split()[0])
         assert 0.0 <= acc <= 1.0
+
+    def test_empty_held_out_file_exits_before_the_grid(
+            self, small_file, tmp_path, capsys, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a grid cell ran")
+
+        monkeypatch.setattr(cli, "_run_cell", no_cell)
+        empty = tmp_path / "empty.libsvm"
+        empty.write_text("# no rows\n\n")
+        log = tmp_path / "cells.csv"
+        for test in (str(empty), ""):
+            cfg = self.make_config(small_file, tmp_path,
+                                   extra_tune={"test_dataset": test})
+            capsys.readouterr()
+            assert run_cli("tune", "--config", str(cfg), "--out",
+                           str(log)) == 1, test
+            err = capsys.readouterr().err
+            assert err.startswith("config error: tune.test_dataset"), err
+            assert "Traceback" not in err and not log.exists(), test
 
     def test_test_dataset_read_with_the_training_dimension(self, tmp_path,
                                                            capsys):
@@ -1326,22 +1414,38 @@ class TestVerify:
 
 
 # One malformed LibSVM line each: bad tokens, a repeated, decreasing or zero
-# index, non-finite values, a bad label, indices beyond a C int.
+# index, non-finite values, a bad label, indices beyond a C int, numbers
+# that int() and float() read but are not ASCII digits ('_' separators,
+# Arabic-Indic and fullwidth digits, an em space), and bytes that are not
+# UTF-8 (written from their surrogate escapes), also in a comment.
 _BAD_LINES = ["+1 1:2:3", "+1 :5", "+1 5:", "+1 a:1", "+1 3:1 3:2",
               "-1 4:1 2:1", "+1 0:1", "-1 1:nan", "+1 2:inf", "-1 1:1 3:-inf",
               "yes 1:1", "+1 99999999999999999999:1",
-              "+1 9223372036854775807:1", "-1 -99999999999999999999:1"]
+              "+1 9223372036854775807:1", "-1 -99999999999999999999:1",
+              "+1 1_0:2_5", "1_0 1:1", "+1 \u0661:\uff12", "-1 1:1\u20032:1",
+              "+1 1:\udcff", "+1 1:1 # caf\udce9"]
 
 
+def _with_every_bad_line(test):
+    """Each bad line at least once, after a comment of non-ASCII text."""
+    for bad in _BAD_LINES:
+        test = example(bad=bad, before=["# caf\u00e9 1_0"],
+                       command="flip")(test)
+    return test
+
+
+@_with_every_bad_line
 @settings(max_examples=60, deadline=None)
 @given(bad=st.sampled_from(_BAD_LINES),
-       before=st.lists(st.sampled_from(["+1 1:1 2:0.5", "-1 2:2", "",
-                                        "# comment"]), max_size=4),
+       before=st.lists(st.sampled_from([
+           "+1 1:1 2:0.5", "-1 2:2", "", "# comment",
+           "-1 1:1 # caf\u00e9 1_0"]), max_size=4),
        command=st.sampled_from(["flip", "train"]))
 def test_malformed_line_exits_1_naming_the_line(bad, before, command):
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "bad.libsvm", str(Path(tmp) / "out")
-        src.write_text("\n".join(before + [bad, "+1 1:1", "-1 2:1"]) + "\n")
+        src.write_bytes(("\n".join(before + [bad, "+1 1:1", "-1 2:1"]) + "\n")
+                        .encode("utf-8", "surrogateescape"))
         argv = (["flip", str(src), "--fraction", "0.5", "--out", out]
                 if command == "flip" else
                 ["train", "--dataset", str(src), "--optimizer", "gd",
@@ -1371,7 +1475,8 @@ def _numeric_flags() -> list[tuple[str, str]]:
 # The removed numeric flags stay listed: no value of theirs may run.
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command,flag", _numeric_flags() + [
-    ("train", flag) for flag in _REMOVED_TRAIN_FLAGS])
+    ("train", flag) for flag in _REMOVED_TRAIN_FLAGS] + [
+    ("tune", "--flip-fraction")])
 def test_numeric_flag_rejects_bad_value(command, flag, value, small_file,
                                         tmp_path, capsys, synth):
     # Valid runs of each subcommand; the bad flag comes last, so it wins.
